@@ -4,8 +4,12 @@ Postselection removes shots that leaked to |00> and renormalizes the logical
 populations. Short-window linear fits give bit-flip/phase-flip rates, the
 decaying-oscillation fit gives Ramsey coherence, and the saturating
 exponential gives the leakage (erasure) rate. Fit uncertainties come from a
-residual bootstrap: resampled residuals are laid onto the ideal fitted trace
-and each synthetic trace is refit with the same procedure.
+residual bootstrap (Efron & Tibshirani, An Introduction to the Bootstrap,
+1993, ch. 9): resampled residuals are laid onto the ideal fitted trace and
+each synthetic trace is refit with the same procedure. The resample indices
+are drawn in one call; linear refits are one least-squares solve over all
+synthetic traces, and the nonlinear fits refit each trace with the package's
+single Levenberg-Marquardt loop (`fitting.lm_least_squares`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .errors import (ConfigError, EmptyLogicalSubspaceError,
                      FitConvergenceError, ResampleError)
@@ -220,6 +223,17 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
                      window_us=cutoff_us, diagnostics=diagnostics)
 
 
+def _envelope(x):
+    """|analytic signal| of a real trace, built as scipy.signal.hilbert does."""
+    n = len(x)
+    h = np.zeros(n)
+    h[0] = 1.0
+    h[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+    return np.abs(np.fft.ifft(np.fft.fft(x) * h))
+
+
 def _ramsey_model(theta, t):
     amp, rate, f_khz, phi0, c = theta
     return amp * np.exp(-rate * t) * np.cos(2e-3 * math.pi * f_khz * t + phi0) + c
@@ -242,17 +256,18 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
         raise ConfigError("need >= 8 points for the oscillation fit")
     span = t[-1] - t[0]
     steps = np.diff(t)
-    uniform = np.allclose(steps, steps.mean(), rtol=0.01)
+    dt = steps.mean()
+    uniform = bool(np.all(np.abs(steps - dt) <= 1e-8 + 0.01 * abs(dt)))
 
-    yc = y - y.mean()
+    c0 = float(y.mean())
+    yc = y - c0
     if uniform:
         nfft = 8 * len(t)
         power = np.abs(np.fft.rfft(yc, n=nfft)) ** 2
-        freqs_khz = np.fft.rfftfreq(nfft, d=steps.mean()) * 1e3
         k = 1 + int(np.argmax(power[1:]))
         if power[k] <= 1e-24 * max(len(t), 1):
             raise FitConvergenceError("periodogram peak at DC: no oscillation")
-        f0 = freqs_khz[k]
+        f0 = k * (1.0 / (nfft * dt)) * 1e3
     elif detuning_hint_khz:
         f0 = float(detuning_hint_khz)
     else:
@@ -264,11 +279,11 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
     amp0 = 0.5 * (y.max() - y.min())
     if amp0 <= 0:
         raise FitConvergenceError("periodogram peak at DC: no oscillation")
-    c0 = float(y.mean())
-    env = np.abs(hilbert(yc)) if uniform else np.abs(yc)
+    env = _envelope(yc) if uniform else np.abs(yc)
     good = env > 1e-3 * env.max()
     if good.sum() >= 2 and span > 0:
-        esl = np.polyfit(t[good], np.log(env[good]), 1)[0]
+        tg = t[good] - t[good].mean()
+        esl = float(tg @ np.log(env[good])) / float(tg @ tg)
         rate0 = min(max(-esl, 0.05 / span), 50.0 / span)
     else:
         rate0 = 1.0 / span
@@ -353,15 +368,18 @@ def fit_erasure(delays_us, p00, max_iter: int = 500) -> FitResult:
 _MODEL_DOF = {"linear": 2, "ramsey": 5, "erasure": 3}
 
 
-def _refit(model: str, fit: FitResult, delays, values) -> FitResult:
-    if model == "linear":
-        return fit_linear_short(delays, values, cutoff_us=fit.window_us)
-    if model == "ramsey":
-        hint = fit.diagnostics.get("detuning_hint_khz")
-        return fit_ramsey(delays, values, detuning_hint_khz=hint)
-    if model == "erasure":
-        return fit_erasure(delays, values)
-    raise ValueError(f"no bootstrap refitter for model {model!r}")
+def _linear_refits(fit: FitResult, synthetic: np.ndarray) -> dict:
+    """Parameters of every synthetic trace (one per row), one lstsq solve.
+
+    Same procedure as `fit_linear_short` on the fit's own points, which all
+    lie inside its window.
+    """
+    slope, offset = np.polyfit(fit.delays_us, synthetic.T, 1)
+    gamma_per_ms = -slope * 1e3
+    with np.errstate(divide="ignore"):
+        t_ms = np.where(gamma_per_ms > 0, 1.0 / gamma_per_ms, math.inf)
+    return {"slope_per_us": slope, "offset": offset,
+            "gamma_per_ms": gamma_per_ms, "T_ms": t_ms}
 
 
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
@@ -369,38 +387,54 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
                      ) -> dict:
     """Residual-bootstrap parameter bounds (default 5%/95% quantiles).
 
-    Residuals are resampled with replacement onto the ideal fitted trace;
-    each synthetic trace is refit with the same procedure and the empirical
-    quantiles of each parameter are returned (and attached to ``fit``).
-    Residuals are inflated by sqrt(n/(n - dof)) before resampling so the
-    resampled noise matches the data noise rather than the fit-deflated one.
-    Resamples whose refit fails are dropped; more than 20% drops is an
-    error. Deterministic given ``seed``.
+    Residuals are resampled with replacement onto the ideal fitted trace and
+    the empirical quantiles of each refit parameter are returned (and
+    attached to ``fit``). Residuals are inflated by sqrt(n/(n - dof)) before
+    resampling so the resampled noise matches the data noise rather than the
+    fit-deflated one. All resample indices are drawn in one call, giving an
+    (n_resamples, n) matrix of synthetic traces. Linear fits refit every row
+    in one least-squares solve; Ramsey and leakage rows are refit one at a
+    time by `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares`
+    run. A row is dropped where its refit raises FitConvergenceError (no
+    convergence, no oscillation) or ConfigError (a nonuniform grid without
+    a detuning hint); more than 20% drops is a ResampleError. Any other
+    error propagates, and an unknown model is a ValueError before any draw.
+    Deterministic given ``seed``.
     """
+    if fit.model not in _MODEL_DOF:
+        raise ValueError(f"no bootstrap refitter for model {fit.model!r}")
     rng = np.random.default_rng(seed)
     n = len(fit.residuals)
-    dof = _MODEL_DOF.get(fit.model, 0)
+    dof = _MODEL_DOF[fit.model]
     scale = math.sqrt(n / (n - dof)) if n > dof else 1.0
     resid = fit.residuals * scale
-    values: dict[str, list] = {k: [] for k in fit.params}
+    synthetic = fit.fitted + resid[rng.integers(0, n, size=(n_resamples, n))]
     dropped = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(n_resamples):
-            y_star = fit.fitted + resid[rng.integers(0, n, size=n)]
-            try:
-                refit = _refit(fit.model, fit, fit.delays_us, y_star)
-            except Exception:
-                dropped += 1
-                continue
-            for k in values:
-                values[k].append(refit.params.get(k, math.nan))
+        if fit.model == "linear":
+            values = _linear_refits(fit, synthetic)
+        else:
+            hint = fit.diagnostics.get("detuning_hint_khz")
+            values = {k: [] for k in fit.params}
+            for y_star in synthetic:
+                try:
+                    if fit.model == "ramsey":
+                        refit = fit_ramsey(fit.delays_us, y_star,
+                                           detuning_hint_khz=hint)
+                    else:
+                        refit = fit_erasure(fit.delays_us, y_star)
+                except (FitConvergenceError, ConfigError):
+                    dropped += 1
+                    continue
+                for k in values:
+                    values[k].append(refit.params.get(k, math.nan))
     if n_resamples and dropped > 0.2 * n_resamples:
         raise ResampleError(
             f"{dropped}/{n_resamples} bootstrap refits failed")
     bounds = {}
     for k, est in fit.params.items():
-        vals = np.asarray(values[k], dtype=float)
+        vals = np.asarray(values.get(k, ()), dtype=float)
         vals = vals[np.isfinite(vals)]
         if len(vals) == 0:
             bounds[k] = (est, est)

@@ -180,7 +180,8 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
     clamped = []
 
     def resid(theta):
-        model = _allan_model(math.exp(theta[0]), math.exp(theta[1]), tau_p)
+        with np.errstate(over="ignore"):
+            model = _allan_model(np.exp(theta[0]), np.exp(theta[1]), tau_p)
         return weight * (np.log(model) - log_sig)
 
     if a > 0 and b > 0:
@@ -273,7 +274,8 @@ def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
     b0 = b0 if b0 > 0 else max(float(np.median(hi)), 1e-30)
 
     def resid(theta):
-        return np.log(math.exp(theta[0]) / f + math.exp(theta[1])) - np.log(s)
+        with np.errstate(over="ignore"):
+            return np.log(np.exp(theta[0]) / f + np.exp(theta[1])) - np.log(s)
 
     theta, info = lm_least_squares(resid, np.log([a0, b0]))
     if not info["converged"]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from ddqsim.device import load_device
 from ddqsim.dynamics import build_rate_matrix, propagate_exact
 from ddqsim.errors import (ConfigError, EmptyLogicalSubspaceError,
-                           FitConvergenceError)
+                           FitConvergenceError, ResampleError)
 from ddqsim.fitting import lm_least_squares, numeric_jacobian
 from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
-                              DEFAULT_FIT_WINDOW_US, TraceData,
+                              DEFAULT_FIT_WINDOW_US, FitResult, TraceData,
                               bitflip_difference, bitflip_probability,
                               bootstrap_bounds, fit_erasure, fit_linear_short,
                               fit_ramsey, postselect, postselect_trace,
@@ -264,6 +265,79 @@ class TestBootstrap:
         assert 0.80 <= hits / reps <= 0.99
 
 
+def per_resample_bounds(fit, refit, n_resamples=BOOTSTRAP_RESAMPLES,
+                        quantile=BOOTSTRAP_QUANTILE, seed=0):
+    """Residual bootstrap written as one draw and one public refit per
+    resample: the reference the one-call draw must reproduce."""
+    rng = np.random.default_rng(seed)
+    n = len(fit.residuals)
+    dof = {"linear": 2, "ramsey": 5, "erasure": 3}[fit.model]
+    resid = fit.residuals * math.sqrt(n / (n - dof))
+    values = {k: [] for k in fit.params}
+    for _ in range(n_resamples):
+        y_star = fit.fitted + resid[rng.integers(0, n, size=n)]
+        params = refit(fit.delays_us, y_star).params
+        for k in values:
+            values[k].append(params[k])
+    bounds = {}
+    for k, est in fit.params.items():
+        vals = np.asarray(values[k], dtype=float)
+        vals = vals[np.isfinite(vals)]
+        lo, hi = np.quantile(vals, [quantile, 1.0 - quantile])
+        bounds[k] = (min(lo, est), max(hi, est))
+    return bounds
+
+
+class TestBootstrapReference:
+    def _assert_same_bounds(self, fit, refit, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = per_resample_bounds(fit, refit, seed=seed)
+            got = bootstrap_bounds(fit, seed=seed)
+        assert got.keys() == expected.keys()
+        for k in got:
+            assert got[k] == pytest.approx(expected[k], rel=1e-6), k
+
+    def test_linear_matches_per_resample_refits(self):
+        rng = np.random.default_rng(21)
+        t = np.linspace(0, 40, 21)
+        y = 1 - t / 3000.0 + rng.normal(0, 0.004, len(t))
+        fit = fit_linear_short(t, y)
+        self._assert_same_bounds(
+            fit, lambda d, v: fit_linear_short(d, v, cutoff_us=fit.window_us),
+            seed=4)
+
+    def test_ramsey_matches_per_resample_refits(self):
+        rng = np.random.default_rng(22)
+        t = np.arange(0.0, 45.0, 3.0)
+        y = (0.45 * np.exp(-t / 30.0) * np.cos(2e-3 * math.pi * 75.0 * t)
+             + 0.5 + rng.normal(0, 0.01, len(t)))
+        self._assert_same_bounds(fit_ramsey(t, y), fit_ramsey, seed=5)
+
+    def test_erasure_matches_per_resample_refits(self):
+        rng = np.random.default_rng(23)
+        t = np.linspace(0, 90, 16)
+        y = 0.6 * (1 - np.exp(-t / 40.0)) + 0.02 + rng.normal(0, 0.01, 16)
+        self._assert_same_bounds(fit_erasure(t, y), fit_erasure, seed=6)
+
+    def test_unknown_model_is_an_error_not_a_drop(self):
+        t = np.linspace(0, 30, 8)
+        fit = FitResult("bogus", {"x": 1.0}, t, np.zeros(8), np.full(8, 0.01))
+        with pytest.raises(ValueError, match="bogus"):
+            bootstrap_bounds(fit, seed=1)
+        assert fit.bounds is None and "bootstrap" not in fit.diagnostics
+
+    def test_nonuniform_ramsey_without_hint_drops_every_row(self):
+        t = np.array([0.0, 2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0])
+        fitted = 0.5 + 0.4 * np.cos(2e-3 * math.pi * 75.0 * t)
+        resid = np.random.default_rng(3).normal(0, 0.01, len(t))
+        params = {"A": 0.4, "T2R_us": math.inf, "delta_f_khz": 75.0,
+                  "phi0_rad": 0.0, "C": 0.5, "rate_per_us": 0.0}
+        fit = FitResult("ramsey", params, t, fitted, resid)
+        with pytest.raises(ResampleError, match="250/250"):
+            bootstrap_bounds(fit, seed=2)
+
+
 class TestTraceCsv:
     def test_roundtrip(self, tmp_path):
         delays = np.array([0.0, 10.0, 25.0])
@@ -328,3 +402,54 @@ class TestSolver:
         assert info["converged"]
         assert x[0] == pytest.approx(3.0, rel=0.02)
         assert x[1] == pytest.approx(0.7, rel=0.02)
+
+    def test_jacobian_is_one_stacked_call(self):
+        t = np.linspace(0, 10, 30)
+        shapes = []
+
+        def resid(theta):
+            shapes.append(np.shape(theta))
+            return theta[0] * np.exp(-theta[1] * t) + theta[2]
+
+        x = np.array([2.0, 0.3, -40.0])
+        jac = numeric_jacobian(resid, x)
+        assert shapes == [(3, 6, 1)]
+        for j in range(3):
+            h = 1e-6 * max(abs(x[j]), 1.0)
+            step = np.zeros(3)
+            step[j] = h
+            column = (resid(x + step) - resid(x - step)) / (2.0 * h)
+            assert np.allclose(jac[:, j], column, rtol=1e-8, atol=0)
+
+    def test_info_holds_python_scalars(self):
+        t = np.linspace(0, 5, 40)
+        y = 3.0 * np.exp(-0.7 * t)
+
+        def resid(theta):
+            return theta[0] * np.exp(-theta[1] * t) - y
+
+        for x0 in ([3.0, 0.7], [0.5, 3.0]):
+            x, info = lm_least_squares(resid, np.array(x0))
+            assert type(info["iterations"]) is int
+            assert type(info["converged"]) is bool
+            assert info["converged"]
+            assert x == pytest.approx([3.0, 0.7], rel=1e-8)
+
+    def test_non_finite_trial_cost_is_rejected(self):
+        # from a far start the first Gauss-Newton steps overflow exp(); such
+        # a trial must raise the damping, never end the fit
+        t = np.linspace(0, 100, 20)
+        y = np.exp(0.02 * t)
+        finite = []
+
+        def resid(theta):
+            r = np.exp(theta[0] * t) - y
+            if np.ndim(theta) == 1:
+                finite.append(bool(np.all(np.isfinite(r))))
+            return r
+
+        with np.errstate(over="ignore"):
+            x, info = lm_least_squares(resid, np.array([-1.0]))
+        assert not all(finite)
+        assert info["converged"]
+        assert x[0] == pytest.approx(0.02, rel=1e-8)

@@ -17,6 +17,14 @@ def allan_model_curve(a, b, taus):
     return np.sqrt(b / 2.0 / taus + 2 * math.log(2) * a)
 
 
+def switching_series(seed, n=160, tau0_s=100.0):
+    """Short drift-like series: a two-level telegraph frequency step with
+    white scatter, as a drift campaign's fitted detunings look."""
+    rng = np.random.default_rng(seed)
+    state = np.cumsum(rng.random(n) < 1 / 30) % 2
+    return FrequencySeries(15000.0 * state + rng.normal(0, 2000.0, n), tau0_s)
+
+
 class TestFrequencySeries:
     def test_mean_removed(self):
         s = FrequencySeries(values=np.arange(32.0) + 100.0, tau0_s=1.0)
@@ -154,6 +162,14 @@ class TestAllanModelFit:
         assert a2 == pytest.approx(4 * a1, rel=0.02)
         assert b2 == pytest.approx(4 * b1, rel=0.02)
 
+    def test_overflowing_trial_step_is_rejected(self):
+        # the LM's long first steps at this seed used to raise OverflowError
+        # from math.exp inside the residual
+        curve = overlapping_allan(switching_series(41))
+        a, b, info = fit_allan_model(curve.tau_s, curve.sigma_hz)
+        assert info["converged"]
+        assert np.isfinite(a) and np.isfinite(b) and a >= 0 and b > 0
+
     def test_grid_requirements(self):
         with pytest.raises(ConfigError):
             fit_allan_model([1, 2, 4], [1, 1, 1])
@@ -233,6 +249,14 @@ class TestPsdModelFit:
         f_min = freqs[freqs > 0].min()
         assert a_fit / f_min <= 0.05 * b_fit
         assert b_fit == pytest.approx(b, rel=0.15)
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # the LM's long trial steps at this seed used to raise OverflowError
+        # from math.exp inside the residual
+        freqs, psd = welch_psd(switching_series(58))
+        a, b, info = fit_psd_model(freqs, psd)
+        assert info["converged"]
+        assert np.isfinite(a) and np.isfinite(b) and a > 0 and b >= 0
 
     def test_needs_enough_bins(self):
         with pytest.raises(ConfigError):
