@@ -14,18 +14,16 @@ from .device import (DeviceParams, DimonLevel, LEVEL_ORDER, LOGICAL_ONE,
                      junction_sensitivity, level_energy, load_device,
                      photon_dephasing_ratio)
 from .dynamics import (PulseSequence, ShotBatch, build_rate_matrix,
-                       propagate_exact, run_sequence_batch, sample_trajectory)
+                       propagate_exact, run_sequence_batch)
 from .noise import NoiseProcess, synthesize_noise
-from .readout import (GmmClassifier, ReadoutModel, classify, confusion_matrix,
-                      fit_gmm, generate_iq)
+from .readout import GmmClassifier, ReadoutModel, confusion_matrix, fit_gmm
 
 __all__ = [
     "DeviceParams", "DimonLevel", "LEVEL_ORDER", "LOGICAL_ONE", "LOGICAL_ZERO",
     "device_dephasing_ratio", "dispersive_shifts", "junction_sensitivity",
     "level_energy", "load_device", "photon_dephasing_ratio",
     "PulseSequence", "ShotBatch", "build_rate_matrix", "propagate_exact",
-    "run_sequence_batch", "sample_trajectory",
+    "run_sequence_batch",
     "NoiseProcess", "synthesize_noise",
-    "GmmClassifier", "ReadoutModel", "classify", "confusion_matrix",
-    "fit_gmm", "generate_iq",
+    "GmmClassifier", "ReadoutModel", "confusion_matrix", "fit_gmm",
 ]

@@ -23,15 +23,14 @@ import numpy as np
 from . import __version__, streams
 from .device import DeviceParams, load_device
 from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
-                       PulseSequence, run_sequence_batch)
-from .errors import ConfigError, DdqError
+                       PulseSequence, ShotBatch, run_sequence_batch)
+from .errors import ConfigError, DdqError, FitConvergenceError
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
-                        bitflip_difference, bootstrap_bounds, fit_erasure,
-                        fit_linear_short, fit_ramsey, postselect_trace,
+                        bootstrap_bounds, fit_erasure, fit_trace,
                         write_trace_csv)
 from .noise import NoiseProcess
-from .readout import (ReadoutModel, classify_batch, default_blob_means,
-                      fit_gmm, sample_iq_batch)
+from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
+                      default_blob_means, sample_iq_batch, train_classifier)
 
 MOVING_AVERAGE_WINDOW = 50
 
@@ -48,10 +47,6 @@ DEFAULT_DELAYS_US = {
 
 METRICS_CSV_HEADER = ("timestamp_s", "device", "metric", "estimate",
                       "lower", "upper")
-
-# blob index a final level reads out through (ideal-classification path)
-_IDEAL_ASSIGN = np.array([0, 1, 2, 1, 1, 2])
-
 
 @dataclass
 class CampaignConfig:
@@ -176,91 +171,113 @@ def read_metrics_csv(path) -> list:
 # --------------------------------------------------------------------------
 # Trace simulation
 
-def _classify_levels(levels, params, readout_ctx, point_seed):
-    """Final levels -> assigned blob indices (0=|00>, 1=|01>, 2=|10>)."""
-    if readout_ctx is None:
-        return _IDEAL_ASSIGN[levels]
-    model, clf = readout_ctx
-    iq = sample_iq_batch(levels, model, params, seed=point_seed)
-    assigned = classify_batch(clf, iq)  # level indices 0/1/2
-    return assigned
+@dataclass
+class SimPoint:
+    """Shots of one (initialization, delay) point of an experiment."""
+
+    init: str                  # prepared-state label of the trace
+    batch: ShotBatch
+    iq: np.ndarray | None      # (shots, 2) readout points, with a model only
+    blobs: np.ndarray          # assigned blob per shot: 0=|00>, 1=|01>, 2=|10>
 
 
-def simulate_counts_trace(params: DeviceParams, kind: str, delays_us, shots,
-                          *, seed: int, noise=(), detuning_khz=DEFAULT_DETUNING_KHZ,
-                          noise_dt_us=DEFAULT_NOISE_DT_US,
-                          static_offsets_hz=(0.0, 0.0), readout_ctx=None,
-                          init=None, timestamp_s: float = 0.0,
-                          threads: int = 1) -> list[TraceData]:
-    """Simulate one experiment trace and bin shots into per-delay counts.
-
-    Returns one TraceData, or two for the bit-flip experiment (both logical
-    initializations) unless ``init`` picks one. Shots ending in doubly
-    excited levels read out through their single-excitation parent blob,
-    with or without a readout model.
-    """
+def _inits(kind: str, init: str | None) -> list:
     if kind == "bitflip":
-        inits = [init] if init else ["10", "01"]
-    elif kind in ("hahn_echo", "ramsey"):
-        inits = ["+"]
-    elif kind == "phys_t1":
-        inits = [init or "01"]
-    elif kind in ("phys_echo", "phys_ramsey"):
+        return [init] if init else ["10", "01"]
+    if kind in ("hahn_echo", "ramsey"):
+        return ["+"]
+    if kind == "phys_t1":
+        return [init or "01"]
+    if kind in ("phys_echo", "phys_ramsey"):
         # init selects the mode by its excited level; the prepared state is
         # the mode superposition, recorded as +D / +Q
-        mode = "D" if (init or "01") == "10" else "Q"
-        inits = [f"+{mode}"]
-    else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+        return ["+D" if (init or "01") == "10" else "+Q"]
+    raise ConfigError(f"unknown experiment kind {kind!r}")
 
-    def make_seq(kind, init, delay):
-        if kind == "bitflip":
-            return PulseSequence.bitflip(init, delay)
-        if kind == "hahn_echo":
-            return PulseSequence.hahn_echo(delay)
-        if kind == "ramsey":
-            return PulseSequence.ramsey(delay, detuning_khz=detuning_khz)
-        if kind == "phys_echo":
-            return PulseSequence.phys_echo(init[1:], delay)
-        if kind == "phys_ramsey":
-            return PulseSequence.phys_ramsey(init[1:], delay,
-                                             detuning_khz=detuning_khz)
-        mode = "D" if init == "10" else "Q"
-        return PulseSequence.relaxation(mode, delay)
 
-    def run_point(args):
-        i_init, init_label, j, delay = args
-        point_seed = int(streams.stream_key(seed, 900 + i_init, j))
-        seq = make_seq(kind, init_label, delay)
-        batch = run_sequence_batch(params, seq, noise, seed=point_seed,
-                                   n_shots=shots, noise_dt_us=noise_dt_us,
-                                   static_offsets_hz=static_offsets_hz)
-        assigned = _classify_levels(batch.levels, params, readout_ctx,
-                                    point_seed)
-        counts = np.bincount(assigned, minlength=3)
-        return i_init, j, counts
+def _sequence(kind: str, init: str, delay: float,
+              detuning_khz: float) -> PulseSequence:
+    if kind == "bitflip":
+        return PulseSequence.bitflip(init, delay)
+    if kind == "hahn_echo":
+        return PulseSequence.hahn_echo(delay)
+    if kind == "ramsey":
+        return PulseSequence.ramsey(delay, detuning_khz=detuning_khz)
+    if kind == "phys_echo":
+        return PulseSequence.phys_echo(init[1:], delay)
+    if kind == "phys_ramsey":
+        return PulseSequence.phys_ramsey(init[1:], delay,
+                                         detuning_khz=detuning_khz)
+    return PulseSequence.relaxation("D" if init == "10" else "Q", delay)
 
-    work = [(i, init_label, j, d) for i, init_label in enumerate(inits)
+
+def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
+                    seed: int, init=None, noise=(),
+                    detuning_khz=DEFAULT_DETUNING_KHZ,
+                    noise_dt_us=DEFAULT_NOISE_DT_US,
+                    static_offsets_hz=(0.0, 0.0), readout=None,
+                    threads: int = 1) -> list[SimPoint]:
+    """Simulate every (initialization, delay) point of one experiment.
+
+    The bit-flip experiment has both logical initializations unless
+    ``init`` picks one. Point (i, j) of initialization i and delay j draws
+    from the streams of ``stream_key(seed, 900 + i, j)``, so results do not
+    depend on ``threads``. ``readout`` is None, or a ``(ReadoutModel,
+    classifier)`` pair: with a model each shot emits an IQ point, which the
+    classifier assigns to a blob. Without a classifier, shots read out
+    through ``BLOB_OF_LEVEL``: doubly excited levels land on their
+    single-excitation parent blob. Points come back in (init, delay) order.
+    """
+    model, clf = readout if readout is not None else (None, None)
+
+    def run_point(work):
+        i, init_label, j, delay = work
+        point_seed = int(streams.stream_key(seed, 900 + i, j))
+        batch = run_sequence_batch(
+            params, _sequence(kind, init_label, delay, detuning_khz), noise,
+            seed=point_seed, n_shots=shots, noise_dt_us=noise_dt_us,
+            static_offsets_hz=static_offsets_hz)
+        iq = None
+        if model is not None:
+            iq = sample_iq_batch(batch.levels, model, params, seed=point_seed)
+        blobs = (BLOB_OF_LEVEL[batch.levels] if clf is None
+                 else classify_batch(clf, iq))
+        return SimPoint(init_label, batch, iq, blobs)
+
+    work = [(i, init_label, j, d)
+            for i, init_label in enumerate(_inits(kind, init))
             for j, d in enumerate(delays_us)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, work))
-    else:
-        results = [run_point(w) for w in work]
+            return list(pool.map(run_point, work))
+    return [run_point(w) for w in work]
 
-    traces = []
-    for i, init_label in enumerate(inits):
-        n = len(delays_us)
-        c = np.zeros((n, 3), dtype=np.int64)
-        for i_init, j, counts in results:
-            if i_init == i:
-                c[j] = counts
-        traces.append(TraceData(delays_us=np.asarray(delays_us, float),
-                                n00=c[:, 0], n01=c[:, 1], n10=c[:, 2],
-                                n_total=np.full(n, shots, dtype=np.int64),
-                                kind=kind, init_label=init_label,
-                                timestamp_s=timestamp_s))
-    return traces
+
+def counts_traces(points, kind: str, delays_us, shots,
+                  timestamp_s: float = 0.0) -> list[TraceData]:
+    """Bin the assigned blobs of `simulate_points` into one trace per init."""
+    n = len(delays_us)
+    counts = np.array([np.bincount(p.blobs, minlength=3) for p in points])
+    return [TraceData(delays_us=np.asarray(delays_us, float),
+                      n00=c[:, 0], n01=c[:, 1], n10=c[:, 2],
+                      n_total=np.full(n, shots, dtype=np.int64),
+                      kind=kind, init_label=points[i * n].init,
+                      timestamp_s=timestamp_s)
+            for i, c in enumerate(counts.reshape(len(points) // max(n, 1),
+                                                 n, 3))]
+
+
+def simulate_counts_trace(params: DeviceParams, kind: str, delays_us, shots,
+                          *, timestamp_s: float = 0.0,
+                          **kwargs) -> list[TraceData]:
+    """Simulate one experiment trace and bin shots into per-delay counts.
+
+    Returns one TraceData, or two for the bit-flip experiment (both logical
+    initializations) unless ``init`` picks one. The keyword arguments are
+    those of `simulate_points`.
+    """
+    points = simulate_points(params, kind, delays_us, shots, **kwargs)
+    return counts_traces(points, kind, delays_us, shots, timestamp_s)
 
 
 # --------------------------------------------------------------------------
@@ -280,78 +297,64 @@ def _bounds_for(fit, resamples, seed, rate_param, rate_to_time_us):
     return min(lo, hi), max(lo, hi)
 
 
+# metric row of each experiment kind; {} is a physical reference's mode
+_METRIC_OF_KIND = {"bitflip": "t1l_us", "hahn_echo": "t2el_us",
+                   "ramsey": "t2rl_us", "phys_t1": "phys_t1_{}_us",
+                   "phys_echo": "phys_t2e_{}_us",
+                   "phys_ramsey": "phys_t2r_{}_us"}
+# fit parameter whose bootstrap quantiles bound a logical time constant,
+# and the numerator that turns that rate into microseconds
+_RATE_OF_MODEL = {"linear": ("gamma_per_ms", 1e3),
+                  "ramsey": ("rate_per_us", 1.0)}
+
+
+def _time_us(fit) -> float:
+    """The fit's time constant in us (NaN for a linear fit without decay)."""
+    if fit.model == "linear":
+        gamma = fit.params["gamma_per_ms"]
+        return 1e3 / gamma if gamma > 0 else math.nan
+    return fit.params["T2R_us" if fit.model == "ramsey" else "T_erasure_us"]
+
+
 def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
-    """Fit one archived trace set and emit metric rows (gaps on failure)."""
+    """Fit one archived trace set and emit its metric rows.
+
+    An expected fit failure (FitConvergenceError, or ConfigError for too
+    few usable points) leaves a gap: the metric's row is not written. Any
+    other error propagates and aborts the campaign.
+    """
     rows = []
+    tr = traces[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            if kind == "bitflip":
-                t0 = next(t for t in traces if t.init_label == "10")
-                t1 = next(t for t in traces if t.init_label == "01")
-                delays, diff = bitflip_difference(t0, t1)
-                fit = fit_linear_short(delays, diff, cutoff_us=window_us)
-                gamma = fit.params["gamma_per_ms"]
-                est = 1e3 / gamma if gamma > 0 else math.nan
-                lo, hi = _bounds_for(fit, resamples, seed, "gamma_per_ms", 1e3)
-                rows.append(MetricPoint(ts, device, "t1l_us", est, lo, hi))
-            elif kind == "hahn_echo":
-                tr = traces[0]
-                delays, p0l, _, _, _ = postselect_trace(tr)
-                fit = fit_linear_short(delays, p0l, cutoff_us=window_us)
-                gamma = fit.params["gamma_per_ms"]
-                est = 1e3 / gamma if gamma > 0 else math.nan
-                lo, hi = _bounds_for(fit, resamples, seed, "gamma_per_ms", 1e3)
-                rows.append(MetricPoint(ts, device, "t2el_us", est, lo, hi))
-            elif kind == "ramsey":
-                tr = traces[0]
-                delays, p0l, _, _, _ = postselect_trace(tr)
-                fit = fit_ramsey(delays, p0l)
-                lo, hi = _bounds_for(fit, resamples, seed, "rate_per_us", 1.0)
-                rows.append(MetricPoint(ts, device, "t2rl_us",
-                                        fit.params["T2R_us"], lo, hi))
-                flo, fhi = (math.nan, math.nan)
-                if fit.bounds and "delta_f_khz" in fit.bounds:
-                    flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
-                                fit.bounds["delta_f_khz"][1] * 1e3)
-                rows.append(MetricPoint(ts, device, "delta_f_hz",
-                                        fit.params["delta_f_khz"] * 1e3,
-                                        flo, fhi))
-            elif kind == "phys_t1":
-                tr = traces[0]
-                mode = "d" if tr.init_label == "10" else "q"
-                fit = fit_erasure(tr.delays_us, tr.p00())
-                rows.append(MetricPoint(ts, device, f"phys_t1_{mode}_us",
-                                        fit.params["T_erasure_us"]))
-            elif kind in ("phys_echo", "phys_ramsey"):
-                tr = traces[0]
-                mode = tr.init_label[1:].lower()
-                excited = tr.n10 if mode == "d" else tr.n01
-                signal = excited / tr.n_total
-                if kind == "phys_echo":
-                    fit = fit_linear_short(tr.delays_us, signal,
-                                           cutoff_us=window_us)
-                    gamma = fit.params["gamma_per_ms"]
-                    est = 1e3 / gamma if gamma > 0 else math.nan
-                    rows.append(MetricPoint(ts, device,
-                                            f"phys_t2e_{mode}_us", est))
-                else:
-                    fit = fit_ramsey(tr.delays_us, signal)
-                    rows.append(MetricPoint(ts, device,
-                                            f"phys_t2r_{mode}_us",
-                                            fit.params["T2R_us"]))
-        except (DdqError, StopIteration, ValueError):
-            return rows  # recorded as a gap, never aborts the campaign
+            fit = fit_trace(kind, traces, window_us)
+        except (FitConvergenceError, ConfigError):
+            return rows
+        lo = hi = math.nan
+        if kind in EXPERIMENT_KINDS:
+            lo, hi = _bounds_for(fit, resamples, seed,
+                                 *_RATE_OF_MODEL[fit.model])
+        mode = "d" if tr.init_label in ("10", "+D") else "q"
+        rows.append(MetricPoint(ts, device, _METRIC_OF_KIND[kind].format(mode),
+                                _time_us(fit), lo, hi))
+        if kind == "ramsey":
+            flo, fhi = (math.nan, math.nan)
+            if fit.bounds and "delta_f_khz" in fit.bounds:
+                flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
+                            fit.bounds["delta_f_khz"][1] * 1e3)
+            rows.append(MetricPoint(ts, device, "delta_f_hz",
+                                    fit.params["delta_f_khz"] * 1e3,
+                                    flo, fhi))
         # leakage rate from the trace's own |00> fraction
-        if kind in ("bitflip", "hahn_echo", "ramsey"):
+        if kind in EXPERIMENT_KINDS:
             try:
-                tr = traces[0]
                 p00 = (sum(t.n00 for t in traces) /
                        sum(t.n_total for t in traces))
                 fit = fit_erasure(tr.delays_us, p00)
                 rows.append(MetricPoint(ts, device, "gamma_erasure_per_ms",
                                         fit.params["gamma_erasure_per_ms"]))
-            except (DdqError, ValueError):
+            except (FitConvergenceError, ConfigError):
                 pass
     return rows
 
@@ -400,24 +403,18 @@ def _trace_plan(config: CampaignConfig) -> list:
     return plan
 
 
-def _train_classifiers(config, devices):
+def _readouts(config, devices) -> dict:
+    """Device name -> (ReadoutModel, classifier), or None without readout."""
     if not config.readout_enabled:
         return {name: None for name in devices}
     model = ReadoutModel(
         means=default_blob_means(config.readout_sigma,
                                  config.readout_radius_sigmas),
         sigma=config.readout_sigma, t_ro_us=config.readout_t_ro_us)
-    ctx = {}
-    for d_idx, (name, params) in enumerate(devices.items()):
-        counts = [3334, 3333, 3333]  # 10k state-preparation shots
-        levels = np.concatenate([np.full(c, i) for i, c in enumerate(counts)])
-        labels = np.array(["00", "01", "10"]).repeat(counts)
-        train_seed = int(streams.stream_key(config.seed,
-                                            streams.TAG_READOUT_TRAIN, d_idx))
-        iq = sample_iq_batch(levels, model, params, seed=train_seed)
-        clf = fit_gmm(iq, labels)
-        ctx[name] = (model, clf)
-    return ctx
+    return {name: (model, train_classifier(
+                model, params, int(streams.stream_key(
+                    config.seed, streams.TAG_READOUT_TRAIN, d_idx))))
+            for d_idx, (name, params) in enumerate(devices.items())}
 
 
 def _completed_prefix(trace_dir: str, n_traces: int) -> int:
@@ -484,7 +481,7 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
 
     offsets = _persistent_values(config, n_traces)
     shot_noise = [p for p in config.noise if not p.persistent]
-    readout_ctx = _train_classifiers(config, devices)
+    readouts = _readouts(config, devices)
 
     done = start
     for idx in range(start, n_traces):
@@ -505,7 +502,7 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             params, kind, delays, shots, seed=trace_seed, noise=shot_noise,
             detuning_khz=config.detuning_khz, noise_dt_us=config.noise_dt_us,
             static_offsets_hz=tuple(offsets[idx]),
-            readout_ctx=readout_ctx[dev], init=init, timestamp_s=ts,
+            readout=readouts[dev], init=init, timestamp_s=ts,
             threads=config.threads)
         rows = _trace_metrics(kind, traces, dev, ts,
                               config.bootstrap_resamples, trace_seed,

@@ -17,27 +17,27 @@ import sys
 import numpy as np
 
 from . import __version__
-from .campaign import (CampaignConfig, DEFAULT_DELAYS_US,
-                       read_metrics_csv, run_campaign, summarize)
-from .device import load_device
-from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
-                       PulseSequence, run_sequence_batch)
+from .campaign import (CampaignConfig, DEFAULT_DELAYS_US, counts_traces,
+                       read_metrics_csv, run_campaign, simulate_points,
+                       summarize)
+from .device import LEVEL_ORDER, load_device
+from .dynamics import DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US
+# bound here only so the benchmark's tracer finds and restores the name
+# (bench/test_harness.py::test_traced_run_restores_every_name)
+from .dynamics import run_sequence_batch  # noqa: F401
 from .errors import (ConfigError, DdqError, FitConvergenceError)
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US,
-                        bitflip_difference, bootstrap_bounds, fit_erasure,
-                        fit_linear_short, fit_ramsey, postselect_trace,
-                        read_trace_csv, write_trace_csv, TraceData)
+                        bootstrap_bounds, fit_trace, read_trace_csv,
+                        write_trace_csv)
 from .noise import NoiseProcess
 from .noise_analysis import (FrequencySeries, default_taus, fit_allan_model,
                              fit_psd_model, flag_allan_bumps,
                              overlapping_allan, read_frequency_csv, welch_psd,
                              write_allan_csv, write_psd_csv)
-from .readout import (ReadoutModel, classify_batch, default_blob_means,
-                      fit_gmm, sample_iq_batch)
+from .readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
+                      train_classifier)
 from . import streams
 
-_IDEAL_ASSIGN = np.array([0, 1, 2, 1, 1, 2])
-_BLOB_LABELS = ("00", "01", "10")
 
 TABLE_LABELS = {
     "t1l_us": ("T_1^L [ms]", 1e-3),
@@ -132,8 +132,7 @@ def _default_threads() -> int:
 def cmd_sim_shots(args) -> int:
     params = load_device(args.config)
     kind = args.experiment.replace("-", "_")
-    delays = _parse_delays(args.delays, kind if kind in DEFAULT_DELAYS_US
-                           else "bitflip")
+    delays = _parse_delays(args.delays, kind)
     noise = _load_noise(args.noise)
     _check_overwrite(args.out, args.force)
     if args.trace_out:
@@ -141,90 +140,43 @@ def cmd_sim_shots(args) -> int:
         if args.no_classify:
             raise ConfigError("--trace-out needs classified shots")
 
-    if kind == "bitflip":
-        inits = [args.init] if args.init else ["10", "01"]
-    else:
-        inits = ["+"]
     model = ReadoutModel(means=default_blob_means(args.readout_sigma, 5.0),
                          sigma=args.readout_sigma, t_ro_us=args.t_ro_us)
     clf = None
     if not args.no_classify and not args.ideal_readout:
-        counts = [3334, 3333, 3333]
-        levels = np.concatenate([np.full(c, i) for i, c in enumerate(counts)])
-        labels = np.array(_BLOB_LABELS).repeat(counts)
-        train_seed = int(streams.stream_key(args.seed,
-                                            streams.TAG_READOUT_TRAIN))
-        clf = fit_gmm(sample_iq_batch(levels, model, params, seed=train_seed),
-                      labels)
+        clf = train_classifier(model, params, int(streams.stream_key(
+            args.seed, streams.TAG_READOUT_TRAIN)))
+    points = simulate_points(params, kind, delays, args.shots, seed=args.seed,
+                             init=args.init, noise=noise,
+                             detuning_khz=args.detuning_khz,
+                             noise_dt_us=args.noise_dt_us,
+                             readout=(model, clf), threads=args.threads or 1)
 
-    from concurrent.futures import ThreadPoolExecutor
-    from .device import LEVEL_ORDER
-
-    def run_point(work):
-        i_init, init, j, delay = work
-        if kind == "bitflip":
-            seq = PulseSequence.bitflip(init, delay)
-        elif kind == "hahn_echo":
-            seq = PulseSequence.hahn_echo(delay)
-        else:
-            seq = PulseSequence.ramsey(delay, detuning_khz=args.detuning_khz)
-        point_seed = int(streams.stream_key(args.seed, 900 + i_init, j))
-        batch = run_sequence_batch(params, seq, noise, seed=point_seed,
-                                   n_shots=args.shots,
-                                   noise_dt_us=args.noise_dt_us)
-        iq = sample_iq_batch(batch.levels, model, params, seed=point_seed)
-        if args.no_classify:
-            assigned = None
-        elif args.ideal_readout:
-            assigned = _IDEAL_ASSIGN[batch.levels]
-        else:
-            assigned = classify_batch(clf, iq)
-        return work, batch, iq, assigned
-
-    work = [(i, init, j, d) for i, init in enumerate(inits)
-            for j, d in enumerate(delays)]
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_point, work))
-    else:
-        results = [run_point(w) for w in work]
-
-    rows = []
-    traj_rows = []
-    trace_counts = {init: np.zeros((len(delays), 3), np.int64)
-                    for init in inits}
-    shot_index = 0
-    for (i_init, init, j, _), batch, iq, assigned in results:
-        for s in range(args.shots):
-            lab = "" if assigned is None else _BLOB_LABELS[assigned[s]]
-            rows.append((shot_index, init, float(iq[s, 0]),
-                         float(iq[s, 1]), lab))
-            if args.dump_trajectories:
-                traj_rows.append(
-                    (shot_index, LEVEL_ORDER[batch.levels[s]].label,
-                     float(batch.phase_rad[s]), int(batch.erased[s])))
-            shot_index += 1
-        if assigned is not None:
-            trace_counts[init][j] = np.bincount(assigned, minlength=3)
+    blob_labels = [lv.label for lv in READOUT_LEVELS]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("shot_index,prep_label,i,q,assigned_label\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]!r},{r[3]!r},{r[4]}\n")
+        for k, p in enumerate(points):
+            shots = zip(p.iq.tolist(), p.blobs.tolist())
+            for s, ((i, q), blob) in enumerate(shots, start=k * args.shots):
+                lab = "" if args.no_classify else blob_labels[blob]
+                fh.write(f"{s},{p.init},{i!r},{q!r},{lab}\n")
     outputs = [args.out]
     if args.dump_trajectories:
         tpath = args.out + ".trajectories.csv"
         with open(tpath, "w", encoding="utf-8", newline="") as fh:
             fh.write("shot_index,final_level,phase_rad,erased\n")
-            for r in traj_rows:
-                fh.write(f"{r[0]},{r[1]},{r[2]!r},{r[3]}\n")
+            for k, p in enumerate(points):
+                b = p.batch
+                shots = zip(b.levels.tolist(), b.phase_rad.tolist(),
+                            b.erased.tolist())
+                for s, (lv, phase, erased) in enumerate(shots,
+                                                         start=k * args.shots):
+                    fh.write(f"{s},{LEVEL_ORDER[lv].label},{phase!r},"
+                             f"{int(erased)}\n")
         outputs.append(tpath)
     if args.trace_out:
-        traces = [TraceData(delays_us=np.asarray(delays, float),
-                            n00=c[:, 0], n01=c[:, 1], n10=c[:, 2],
-                            n_total=np.full(len(delays), args.shots, np.int64),
-                            kind=kind, init_label=init)
-                  for init, c in trace_counts.items()]
-        write_trace_csv(args.trace_out, traces)
+        write_trace_csv(args.trace_out,
+                        counts_traces(points, kind, delays, args.shots))
         outputs.append(args.trace_out)
     _write_manifest(args.out + ".manifest.json", args,
                     [args.config, args.noise], outputs)
@@ -242,23 +194,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--bootstrap needs an explicit --seed")
 
     try:
-        if kind == "bitflip":
-            by_init = {t.init_label: t for t in traces}
-            if "10" not in by_init or "01" not in by_init:
-                raise ConfigError("bit-flip analysis needs init 10 and 01 rows")
-            delays, diff = bitflip_difference(by_init["10"], by_init["01"])
-            fit = fit_linear_short(delays, diff, cutoff_us=args.window_us)
-        elif kind == "hahn_echo":
-            delays, p0l, _, _, _ = postselect_trace(traces[0])
-            fit = fit_linear_short(delays, p0l, cutoff_us=args.window_us)
-        elif kind == "ramsey":
-            delays, p0l, _, _, _ = postselect_trace(traces[0])
-            fit = fit_ramsey(delays, p0l)
-        elif kind == "erasure":
-            tr = traces[0]
-            fit = fit_erasure(tr.delays_us, tr.p00())
-        else:
-            raise ConfigError(f"unknown analysis kind {args.kind!r}")
+        fit = fit_trace(kind, traces, args.window_us)
     except FitConvergenceError as exc:
         payload = {"model": kind, "converged": False, "error": str(exc),
                    "diagnostics": exc.diagnostics}

@@ -414,11 +414,3 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
     return ShotBatch(levels=states, phase_rad=phase,
                      erased=states == IDX_00, jumped=jumped)
 
-
-def sample_trajectory(params: DeviceParams, seq: PulseSequence, noise,
-                      seed: int, shot_index: int):
-    """Single-shot convenience wrapper; same stream addressing as batches."""
-    batch = run_sequence_batch(params, seq, noise, seed=seed, n_shots=1,
-                               shot_offset=shot_index)
-    level = LEVEL_ORDER[int(batch.levels[0])]
-    return level, float(batch.phase_rad[0]), bool(batch.erased[0])

@@ -362,6 +362,37 @@ def fit_erasure(delays_us, p00, max_iter: int = 500) -> FitResult:
                      diagnostics=dict(info))
 
 
+def fit_trace(kind: str, traces, window_us: float) -> FitResult:
+    """The fit of one experiment's traces, chosen by experiment kind.
+
+    bitflip: linear fit of `bitflip_difference` (needs the init 10 and 01
+    traces); hahn_echo: linear fit of the postselected P(0_L); ramsey:
+    oscillation fit of P(0_L); erasure and phys_t1: leakage fit of the
+    |00> fraction; phys_echo and phys_ramsey: linear and oscillation fits of
+    the excited fraction of the mode the +D/+Q init label names. Linear
+    fits use the points within ``window_us``.
+    """
+    if kind == "bitflip":
+        by_init = {t.init_label: t for t in traces}
+        if "10" not in by_init or "01" not in by_init:
+            raise ConfigError("bit-flip analysis needs init 10 and 01 rows")
+        delays, diff = bitflip_difference(by_init["10"], by_init["01"])
+        return fit_linear_short(delays, diff, cutoff_us=window_us)
+    tr = traces[0]
+    if kind in ("hahn_echo", "ramsey"):
+        delays, signal, _, _, _ = postselect_trace(tr)
+    elif kind in ("phys_echo", "phys_ramsey"):
+        excited = tr.n10 if tr.init_label == "+D" else tr.n01
+        delays, signal = tr.delays_us, excited / tr.n_total
+    elif kind in ("erasure", "phys_t1"):
+        return fit_erasure(tr.delays_us, tr.p00())
+    else:
+        raise ConfigError(f"unknown analysis kind {kind!r}")
+    if kind.endswith("ramsey"):
+        return fit_ramsey(delays, signal)
+    return fit_linear_short(delays, signal, cutoff_us=window_us)
+
+
 # --------------------------------------------------------------------------
 # Bootstrap
 

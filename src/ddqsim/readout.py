@@ -21,15 +21,10 @@ from .device import DeviceParams, DimonLevel
 from .errors import ConfigError, DegenerateModelError
 
 READOUT_LEVELS = (DimonLevel.L00, DimonLevel.L01, DimonLevel.L10)
-_BLOB_OF_LEVEL = {  # level index -> blob index; parents for 11/02/20
-    0: 0,  # |00>
-    1: 1,  # |01>
-    2: 2,  # |10>
-    3: 1,  # |11> reads out through its Q-excitation (larger resonator pull)
-    4: 1,  # |02> -> |01>
-    5: 2,  # |20> -> |10>
-}
-_MODE_OF_BLOB = {1: "Q", 2: "D"}
+# level index -> blob index: |11> reads out through its Q excitation (the
+# larger resonator pull), |02> through |01> and |20> through |10>
+BLOB_OF_LEVEL = np.array([0, 1, 2, 1, 1, 2])
+TRAINING_SHOTS = (3334, 3333, 3333)  # 10k state-preparation shots, per blob
 
 
 def default_blob_means(sigma: float = 1.0, radius_sigmas: float = 5.0) -> np.ndarray:
@@ -70,19 +65,6 @@ class ReadoutModel:
         return params.omega_R - 0.5 * (params.chi_QR + params.chi_DR)
 
 
-def generate_iq(level: DimonLevel, model: ReadoutModel, t1_mode_us: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Draw one IQ point for a shot that ended in ``level``."""
-    blob = _BLOB_OF_LEVEL[level.index]
-    mean = model.means[blob]
-    if blob != 0 and model.t_ro_us > 0:
-        tau = -t1_mode_us * math.log(rng.random())
-        if tau < model.t_ro_us:
-            w = tau / model.t_ro_us
-            mean = w * model.means[blob] + (1.0 - w) * model.means[0]
-    return mean + model.sigma * rng.standard_normal(2)
-
-
 def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
                     params: DeviceParams, seed: int,
                     shot_offset: int = 0) -> np.ndarray:
@@ -95,7 +77,7 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
     n = len(levels)
     ids = np.arange(shot_offset, shot_offset + n, dtype=np.int64)
     key = streams.stream_key(seed, streams.TAG_READOUT)
-    blob = np.array([_BLOB_OF_LEVEL[i] for i in range(6)])[levels]
+    blob = BLOB_OF_LEVEL[levels]
     means = model.means[blob]
     if model.t_ro_us > 0:
         t1 = np.where(blob == 1, params.T1_Q_us, params.T1_D_us)
@@ -108,6 +90,19 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
     z = np.stack([streams.normals(key, ids, 1),
                   streams.normals(key, ids, 2)], axis=1)
     return means + model.sigma * z
+
+
+def _weighted_log_densities(iq, means, covs, weights) -> np.ndarray:
+    """(n, 3) log of weight times Gaussian density, per point and component."""
+    logp = np.empty((iq.shape[0], 3))
+    for k in range(3):
+        diff = iq - means[k]
+        inv = np.linalg.inv(covs[k])
+        _, logdet = np.linalg.slogdet(covs[k])
+        maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        logp[:, k] = (math.log(weights[k]) - 0.5 *
+                      (maha + logdet + 2.0 * math.log(2.0 * math.pi)))
+    return logp
 
 
 @dataclass
@@ -138,15 +133,8 @@ class GmmClassifier:
 
     def log_responsibilities(self, iq: np.ndarray) -> np.ndarray:
         iq = np.atleast_2d(np.asarray(iq, dtype=float))
-        logp = np.empty((iq.shape[0], 3))
-        for k in range(3):
-            diff = iq - self.means[k]
-            cov = self.covariances[k]
-            inv = np.linalg.inv(cov)
-            _, logdet = np.linalg.slogdet(cov)
-            maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
-            logp[:, k] = (math.log(self.weights[k]) - 0.5 *
-                          (maha + logdet + 2.0 * math.log(2.0 * math.pi)))
+        logp = _weighted_log_densities(iq, self.means, self.covariances,
+                                       self.weights)
         return logp - logsumexp(logp, axis=1, keepdims=True)
 
     def to_json(self) -> str:
@@ -166,18 +154,11 @@ class GmmClassifier:
                    labels=tuple(DimonLevel.from_label(s) for s in d["labels"]))
 
 
-def classify(clf: GmmClassifier, iq) -> tuple[DimonLevel, np.ndarray]:
-    """Assign one IQ point; returns (level, responsibilities)."""
-    logr = clf.log_responsibilities(iq)[0]
-    resp = np.exp(logr)
-    order = np.argsort([lv.index for lv in clf.labels])
-    # argmax over components reordered by level so ties break low.
-    k = order[int(np.argmax(logr[order]))]
-    return clf.labels[k], resp
-
-
 def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
-    """Level indices for many IQ points (tie-break as in `classify`)."""
+    """Level index of the most responsible component for each IQ point.
+
+    Equal responsibilities break toward the lower-ordered level.
+    """
     logr = clf.log_responsibilities(iq)
     order = np.argsort([lv.index for lv in clf.labels])
     k = order[np.argmax(logr[:, order], axis=1)]
@@ -244,14 +225,7 @@ def fit_gmm(iq: np.ndarray, labels, *, supervised: bool = True,
     ll_history = []
     for _ in range(max_iter):
         # E step
-        logp = np.empty((n, 3))
-        for k in range(3):
-            diff = iq - means[k]
-            inv = np.linalg.inv(covs[k])
-            _, logdet = np.linalg.slogdet(covs[k])
-            maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
-            logp[:, k] = (math.log(weights[k]) - 0.5 *
-                          (maha + logdet + 2.0 * math.log(2.0 * math.pi)))
+        logp = _weighted_log_densities(iq, means, covs, weights)
         ll = float(logsumexp(logp, axis=1).mean())
         ll_history.append(ll)
         resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
@@ -288,6 +262,18 @@ def fit_gmm(iq: np.ndarray, labels, *, supervised: bool = True,
                         weights=weights[order], labels=READOUT_LEVELS)
     clf.ll_history = np.asarray(ll_history)
     return clf
+
+
+def train_classifier(model: ReadoutModel, params: DeviceParams,
+                     seed: int) -> GmmClassifier:
+    """Supervised classifier from simulated state-preparation shots.
+
+    ``TRAINING_SHOTS`` shots are prepared in |00>, |01> and |10>, read out
+    through ``model`` from the streams of ``seed`` and fitted by `fit_gmm`.
+    """
+    levels = np.repeat(np.arange(3), TRAINING_SHOTS)
+    labels = np.repeat([lv.label for lv in READOUT_LEVELS], TRAINING_SHOTS)
+    return fit_gmm(sample_iq_batch(levels, model, params, seed=seed), labels)
 
 
 def confusion_matrix(clf: GmmClassifier, iq: np.ndarray, labels) -> np.ndarray:

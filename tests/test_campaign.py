@@ -12,8 +12,9 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              read_metrics_csv, run_campaign,
                              simulate_counts_trace, summarize,
                              write_metrics_csv)
+from ddqsim import metrology
 from ddqsim.device import load_device
-from ddqsim.errors import ConfigError
+from ddqsim.errors import ConfigError, FitConvergenceError
 from ddqsim.noise import NoiseProcess
 
 
@@ -193,6 +194,29 @@ class TestRunCampaign:
         assert got["t2rl_us"] > 3 * got["phys_t2r_d_us"]
         t2r_expect = 1e6 / (np.pi**2 * 9000.0)
         assert got["phys_t2r_q_us"] == pytest.approx(t2r_expect, rel=0.25)
+
+
+class TestFitGaps:
+    """Only the expected fit failures become gaps in the archive."""
+
+    def test_programming_error_aborts_campaign(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the fit")
+        monkeypatch.setattr(metrology, "fit_ramsey", broken)
+        with pytest.raises(ValueError, match="bug in the fit"):
+            run_campaign(tiny_config(repetitions=1), tmp_path / "v")
+
+    def test_nonconverging_fit_leaves_a_gap(self, tmp_path, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise FitConvergenceError("oscillation fit did not converge")
+        monkeypatch.setattr(metrology, "fit_ramsey", stalled)
+        rows = run_campaign(tiny_config(repetitions=1), tmp_path / "g")
+        metrics = [r.metric for r in rows]
+        # the gap takes the whole ramsey trace; the other traces are fitted
+        assert metrics == ["t1l_us", "gamma_erasure_per_ms", "phys_t1_d_us",
+                           "phys_t1_q_us"]
+        manifest = json.load(open(tmp_path / "g" / "manifest.json"))
+        assert manifest["completed"]
 
 
 class TestSeriesUtilities:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ddqsim.cli import main
-from ddqsim.campaign import CampaignConfig
+from ddqsim.campaign import CampaignConfig, simulate_counts_trace
+from ddqsim.device import load_device
+from ddqsim.metrology import read_trace_csv
 from ddqsim.noise import NoiseProcess
 
 
@@ -70,6 +72,47 @@ class TestSimShots:
         tlines = (tmp_path / "e.csv.trajectories.csv").read_text().splitlines()
         assert tlines[0] == "shot_index,final_level,phase_rad,erased"
         assert len(tlines) == 1 + 200
+
+
+class TestOneRunner:
+    """sim-shots and campaigns share one experiment-point runner."""
+
+    noise = [NoiseProcess("white", 3000.0, coupling="differential_Q")]
+
+    def sim(self, tmp_path, name, experiment, *extra):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps([p.to_dict() for p in self.noise]))
+        out = tmp_path / name
+        assert run(["sim-shots", "--config", "q1", "--experiment",
+                    experiment, "--shots", "150", "--seed", "12",
+                    "--delays", "0,5,10,20", "--noise", str(noise),
+                    "--out", str(out), "--trace-out", str(out) + ".trace",
+                    *extra]) == 0
+        return out
+
+    @pytest.mark.parametrize("experiment", ["bitflip", "hahn-echo",
+                                            "ramsey"])
+    def test_ideal_readout_counts_match_campaign_runner(self, tmp_path,
+                                                        experiment):
+        out = self.sim(tmp_path, "s.csv", experiment, "--ideal-readout")
+        got = read_trace_csv(str(out) + ".trace")
+        want = simulate_counts_trace(load_device("q1"),
+                                     experiment.replace("-", "_"),
+                                     [0.0, 5.0, 10.0, 20.0], 150, seed=12,
+                                     noise=self.noise)
+        assert len(want) == (2 if experiment == "bitflip" else 1)
+        assert [t.init_label for t in got] == [t.init_label for t in want]
+        for g, w in zip(got, want):
+            for name in ("n00", "n01", "n10", "n_total"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
+
+    @pytest.mark.parametrize("experiment", ["bitflip", "ramsey"])
+    def test_thread_count_does_not_change_files(self, tmp_path, experiment):
+        outs = [self.sim(tmp_path, f"t{n}.csv", experiment, "--threads",
+                         str(n), "--dump-trajectories") for n in (1, 2)]
+        for suffix in ("", ".trajectories.csv", ".trace"):
+            one, two = (open(str(o) + suffix, "rb").read() for o in outs)
+            assert one == two, suffix
 
 
 class TestAnalyze:

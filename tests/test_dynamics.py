@@ -6,7 +6,7 @@ import pytest
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
 from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence,
                              build_rate_matrix, propagate_exact,
-                             run_sequence_batch, sample_trajectory)
+                             run_sequence_batch)
 from ddqsim.errors import SequenceError
 from ddqsim.metrology import fit_ramsey
 from ddqsim.noise import NoiseProcess
@@ -144,14 +144,6 @@ class TestEngine:
                                   shot_offset=200)
         assert np.array_equal(whole.levels,
                               np.concatenate([first.levels, rest.levels]))
-
-    def test_sample_trajectory_matches_batch(self, q1):
-        seq = PulseSequence.bitflip("01", 60.0)
-        batch = run_sequence_batch(q1, seq, seed=17, n_shots=20)
-        for i in (0, 7, 19):
-            level, phase, erased = sample_trajectory(q1, seq, (), 17, i)
-            assert level is LEVEL_ORDER[batch.levels[i]]
-            assert erased == batch.erased[i]
 
     def test_noiseless_bitflip_stays_put(self, q1):
         params = lossless(q1)

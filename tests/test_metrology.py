@@ -15,8 +15,9 @@ from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               DEFAULT_FIT_WINDOW_US, FitResult, TraceData,
                               bitflip_difference, bitflip_probability,
                               bootstrap_bounds, fit_erasure, fit_linear_short,
-                              fit_ramsey, postselect, postselect_trace,
-                              read_trace_csv, write_trace_csv)
+                              fit_ramsey, fit_trace, postselect,
+                              postselect_trace, read_trace_csv,
+                              write_trace_csv)
 
 
 class TestPostselect:
@@ -336,6 +337,33 @@ class TestBootstrapReference:
         fit = FitResult("ramsey", params, t, fitted, resid)
         with pytest.raises(ResampleError, match="250/250"):
             bootstrap_bounds(fit, seed=2)
+
+
+class TestFitTrace:
+    def make(self, n10, n01, init):
+        n = len(n10)
+        return TraceData(delays_us=np.arange(n) * 5.0, n00=np.zeros(n),
+                         n01=n01, n10=n10, n_total=np.full(n, 1000),
+                         init_label=init)
+
+    def test_bitflip_needs_both_inits(self):
+        tr = self.make(np.full(6, 990), np.full(6, 10), "10")
+        with pytest.raises(ConfigError, match="init 10 and 01"):
+            fit_trace("bitflip", [tr], DEFAULT_FIT_WINDOW_US)
+
+    def test_unknown_kind(self):
+        tr = self.make(np.full(6, 500), np.full(6, 500), "+")
+        with pytest.raises(ConfigError, match="unknown analysis kind"):
+            fit_trace("rabi", [tr], DEFAULT_FIT_WINDOW_US)
+
+    def test_physical_echo_fits_the_named_mode(self):
+        n10 = np.array([1000, 990, 980, 970, 960, 950])
+        tr = self.make(n10, 1000 - n10, "+D")
+        fit = fit_trace("phys_echo", [tr], DEFAULT_FIT_WINDOW_US)
+        assert fit.params["gamma_per_ms"] == pytest.approx(2.0)
+        fit_q = fit_trace("phys_echo", [self.make(1000 - n10, n10, "+Q")],
+                          DEFAULT_FIT_WINDOW_US)
+        assert fit_q.params["gamma_per_ms"] == pytest.approx(2.0)
 
 
 class TestTraceCsv:

@@ -5,9 +5,8 @@ import pytest
 
 from ddqsim.device import DimonLevel, load_device
 from ddqsim.errors import ConfigError, DegenerateModelError
-from ddqsim.readout import (GmmClassifier, ReadoutModel, classify,
-                            classify_batch, confusion_matrix,
-                            default_blob_means, fit_gmm, generate_iq,
+from ddqsim.readout import (GmmClassifier, ReadoutModel, classify_batch,
+                            confusion_matrix, default_blob_means, fit_gmm,
                             sample_iq_batch)
 
 
@@ -49,10 +48,10 @@ class TestReadoutModel:
 
 
 class TestGenerateIq:
-    def test_zero_width_zero_integration_hits_mean(self):
+    def test_zero_width_zero_integration_hits_mean(self, q1):
         model = ReadoutModel(sigma=1e-12, t_ro_us=0.0)
-        rng = np.random.default_rng(1)
-        pt = generate_iq(DimonLevel.L01, model, 60.0, rng)
+        pt = sample_iq_batch(np.array([DimonLevel.L01.index]), model, q1,
+                             seed=1)
         assert np.allclose(pt, model.means[1], atol=1e-9)
 
     def test_no_integration_no_decay(self, q1):
@@ -149,15 +148,16 @@ class TestClassify:
     def test_component_mean_high_responsibility(self):
         means = default_blob_means(sigma=1.0, radius_sigmas=8.0)
         clf = ideal_classifier(means, 1.0)
-        level, resp = classify(clf, means[1])
-        assert level is DimonLevel.L01
+        assert classify_batch(clf, means[1]).tolist() == [DimonLevel.L01.index]
+        resp = np.exp(clf.log_responsibilities(means[1])[0])
         assert resp[1] > 0.999
 
     def test_equidistant_tie_breaks_low(self):
         clf = ideal_classifier([[0, 0], [2, 0], [1, 5]], 1.0)
-        level, resp = classify(clf, [1.0, 0.0])
+        resp = np.exp(clf.log_responsibilities([1.0, 0.0])[0])
         assert resp[0] == pytest.approx(resp[1], rel=1e-9)
-        assert level is DimonLevel.L00
+        assigned = classify_batch(clf, [1.0, 0.0])
+        assert assigned.tolist() == [DimonLevel.L00.index]
 
     def test_misassignment_rate_at_6_sigma(self):
         rng = np.random.default_rng(13)
