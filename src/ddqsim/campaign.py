@@ -330,23 +330,26 @@ def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
         try:
             fit = fit_trace(kind, traces, window_us)
         except (FitConvergenceError, ConfigError):
-            return rows
-        lo = hi = math.nan
-        if kind in EXPERIMENT_KINDS:
-            lo, hi = _bounds_for(fit, resamples, seed,
-                                 *_RATE_OF_MODEL[fit.model])
-        mode = "d" if tr.init_label in ("10", "+D") else "q"
-        rows.append(MetricPoint(ts, device, _METRIC_OF_KIND[kind].format(mode),
-                                _time_us(fit), lo, hi))
-        if kind == "ramsey":
-            flo, fhi = (math.nan, math.nan)
-            if fit.bounds and "delta_f_khz" in fit.bounds:
-                flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
-                            fit.bounds["delta_f_khz"][1] * 1e3)
-            rows.append(MetricPoint(ts, device, "delta_f_hz",
-                                    fit.params["delta_f_khz"] * 1e3,
-                                    flo, fhi))
-        # leakage rate from the trace's own |00> fraction
+            pass
+        else:
+            lo = hi = math.nan
+            if kind in EXPERIMENT_KINDS:
+                lo, hi = _bounds_for(fit, resamples, seed,
+                                     *_RATE_OF_MODEL[fit.model])
+            mode = "d" if tr.init_label in ("10", "+D") else "q"
+            rows.append(MetricPoint(ts, device,
+                                    _METRIC_OF_KIND[kind].format(mode),
+                                    _time_us(fit), lo, hi))
+            if kind == "ramsey":
+                flo, fhi = (math.nan, math.nan)
+                if fit.bounds and "delta_f_khz" in fit.bounds:
+                    flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
+                                fit.bounds["delta_f_khz"][1] * 1e3)
+                rows.append(MetricPoint(ts, device, "delta_f_hz",
+                                        fit.params["delta_f_khz"] * 1e3,
+                                        flo, fhi))
+        # leakage rate from the trace's own |00> fraction; it does not need
+        # the main fit
         if kind in EXPERIMENT_KINDS:
             try:
                 p00 = (sum(t.n00 for t in traces) /

@@ -78,7 +78,6 @@ LEVEL_ORDER = (
 # Dual-rail encoding: one excitation shared between the two modes.
 LOGICAL_ZERO = DimonLevel.L10
 LOGICAL_ONE = DimonLevel.L01
-ERASURE_LEVEL = DimonLevel.L00
 
 CONFIG_KEYS = (
     "omega_D_GHz", "omega_Q_GHz", "alpha_D_MHz", "alpha_Q_MHz", "eta_MHz",
@@ -152,13 +151,6 @@ class DeviceParams:
     def gamma_Q(self) -> float:
         """Q-mode relaxation rate (1/us)."""
         return 1.0 / self.T1_Q_us
-
-    def t1_of_mode(self, mode: str) -> float:
-        if mode == "D":
-            return self.T1_D_us
-        if mode == "Q":
-            return self.T1_Q_us
-        raise ValueError(f"unknown mode {mode!r}")
 
     def with_(self, **kwargs) -> "DeviceParams":
         return replace(self, **kwargs)

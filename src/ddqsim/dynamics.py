@@ -2,7 +2,7 @@
 
 Populations evolve as a continuous-time Markov jump process over the six
 ladder states; coherence is carried by a scalar stochastic phase accumulated
-from synthesized frequency-noise paths. An exact matrix-exponential
+per delay segment from frequency noise. An exact matrix-exponential
 propagator provides an independent oracle for the jump sampler.
 
 Rates are in 1/us, delays in us. The rate matrix is a generator in the
@@ -21,8 +21,8 @@ from scipy.linalg import expm
 from . import streams
 from .device import DeviceParams, DimonLevel, LEVEL_ORDER
 from .errors import SequenceError
-from .noise import (NoiseProcess, marginal_std, one_over_f_from_normals,
-                    telegraph_from_uniforms, white_from_normals)
+from .noise import (marginal_std, one_over_f_from_normals,
+                    telegraph_from_uniforms)
 
 DEFAULT_DETUNING_KHZ = 75.0
 DEFAULT_NOISE_DT_US = 0.5
@@ -251,18 +251,66 @@ def _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest):
         r += 1
 
 
-def _segment_grid(durations, noise_dt_us):
-    """Per-segment sample counts and step for noise-path integration."""
-    counts, steps = [], []
-    for dur in durations:
-        if dur <= 0:
-            counts.append(0)
-            steps.append(noise_dt_us)
+def _segment_phases(noise, mode, durations, seed, shot_ids, noise_dt_us,
+                    static_offsets_hz) -> np.ndarray:
+    """Pair phase (rad) accumulated in each delay segment, (shots, segments).
+
+    Static offsets and quasistatic processes hold one frequency per shot.
+    White FM integrates to one Gaussian per segment with variance S_f T / 2,
+    drawn at draw index k for delay segment k: exact for any grid. 1/f and
+    telegraph paths run through all segments on one uniform grid of step at
+    most ``noise_dt_us`` and are summed per segment.
+    """
+    if mode == "logical":
+        static = static_offsets_hz[1] - static_offsets_hz[0]
+    else:
+        static = static_offsets_hz[0 if mode == "phys_D" else 1]
+    dur_us = np.asarray(durations, dtype=float)
+    counts = [max(1, math.ceil(d / noise_dt_us - 1e-9)) if d > 0 else 0
+              for d in durations]
+    steps_s = [d / c * 1e-6 if c else 0.0 for d, c in zip(durations, counts)]
+    frozen = np.zeros(len(shot_ids))
+    integral = np.zeros((len(shot_ids), len(durations)))   # Hz s
+    for p_idx, proc in enumerate(noise):
+        coeff = (proc.differential_weight() if mode == "logical"
+                 else proc.mode_weight(mode[-1]))
+        if coeff == 0.0 or proc.amplitude == 0.0 or sum(counts) == 0:
             continue
-        n = max(1, int(math.ceil(dur / noise_dt_us - 1e-9)))
-        counts.append(n)
-        steps.append(dur / n)
-    return counts, steps
+        key = streams.stream_key(seed, streams.TAG_NOISE_BASE + p_idx)
+        if proc.quasistatic:
+            if proc.kind == "telegraph":
+                u = streams.uniforms(key, shot_ids, 1)
+                vals = np.where(u < 0.5, 1.0, -1.0) * (0.5 * proc.amplitude)
+            else:
+                vals = (streams.normals(key, shot_ids, 0) *
+                        marginal_std(proc, dur_us.sum(), noise_dt_us))
+            frozen += coeff * vals
+            continue
+        if proc.kind == "white":
+            z = streams.normals(key, shot_ids, np.arange(len(durations)))
+            integral += coeff * z * np.sqrt(0.5 * proc.amplitude * dur_us * 1e-6)
+            continue
+        dt_s = next(s for s in steps_s if s)
+        if any(s and abs(s - dt_s) > 1e-9 * dt_s for s in steps_s):
+            raise SequenceError(f"{proc.kind} paths need a uniform sample "
+                                "step across segments")
+        n_total = sum(counts)
+        if proc.kind == "one_over_f":
+            nf = n_total // 2 + 1
+            za = streams.normals(key, shot_ids, np.arange(nf))
+            zb = streams.normals(key, shot_ids, np.arange(nf, 2 * nf))
+            path = one_over_f_from_normals(za, zb, n_total, dt_s,
+                                           proc.amplitude)
+        else:
+            u = streams.uniforms(key, shot_ids, np.arange(n_total))
+            path = telegraph_from_uniforms(u, dt_s, proc.amplitude,
+                                           proc.switching_rate_hz)
+        edges = np.cumsum([0] + counts)
+        for k, step_s in enumerate(steps_s):
+            seg = path[:, edges[k]:edges[k + 1]]
+            integral[:, k] += coeff * seg.sum(axis=1) * step_s
+    return (2.0 * math.pi * (static + frozen)[:, None] * (dur_us * 1e-6)
+            + 2.0 * math.pi * integral)
 
 
 def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
@@ -276,7 +324,9 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
     (params, seq, noise, seed, shot index): batching and threading never
     change results. ``static_offsets_hz`` is a constant (delta_f_D,
     delta_f_Q) frequency offset pair, used by campaigns to freeze slow noise
-    within one trace.
+    within one trace. ``noise_dt_us`` is the largest sample step of 1/f and
+    telegraph paths and sets the marginal of quasistatic white noise; white
+    FM phases do not depend on it.
 
     During delays the pair phase accumulates 2 pi * integral of the coupled
     frequency offset; a refocusing pulse negates the accumulated phase and
@@ -307,79 +357,13 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
     else:
         states[:] = _prepared_index(prep)
 
+    # the phase matters only when a projection reads it
     durations = [e[1] for e in seq.elements if e[0] == "delay"]
-    needs_phase = any(e[0] == "project" for e in seq.elements)
-
-    # Frequency-offset machinery, active only when a projection consumes it.
-    seg_counts, seg_steps = _segment_grid(durations, noise_dt_us)
-    mode_tag = {"logical": None, "phys_D": "D", "phys_Q": "Q"}[seq.mode]
-    seg_phase = None
-    if needs_phase:
-        n_total = sum(seg_counts)
-        offsets = np.concatenate([[0], np.cumsum(seg_counts)])
-        diff_path = None
-        frozen = np.zeros(n_shots)
-        diff_static = (static_offsets_hz[1] - static_offsets_hz[0]
-                       if mode_tag is None else
-                       static_offsets_hz[0 if mode_tag == "D" else 1])
-        total_dur = sum(durations)
-        for p_idx, proc in enumerate(noise):
-            coeff = (proc.differential_weight() if mode_tag is None
-                     else proc.mode_weight(mode_tag))
-            if coeff == 0.0 or proc.amplitude == 0.0 or total_dur <= 0:
-                continue
-            key = streams.stream_key(seed, streams.TAG_NOISE_BASE + p_idx)
-            if proc.quasistatic:
-                z = streams.normals(key, shot_ids, 0)
-                if proc.kind == "telegraph":
-                    u = streams.uniforms(key, shot_ids, 1)
-                    vals = np.where(u < 0.5, 1.0, -1.0) * (0.5 * proc.amplitude)
-                else:
-                    vals = z * marginal_std(proc, total_dur, noise_dt_us)
-                frozen += coeff * vals
-                continue
-            if n_total == 0:
-                continue
-            dt_s = seg_steps[0] * 1e-6
-            uniform_steps = all(abs(s - seg_steps[0]) <= 1e-9 * seg_steps[0]
-                                for s, c in zip(seg_steps, seg_counts) if c)
-            if proc.kind == "white":
-                # exact for any grid: scale each segment by its own step
-                z = streams.normals(key, shot_ids, np.arange(n_total))
-                path = np.empty_like(z)
-                for k in range(len(durations)):
-                    if seg_counts[k]:
-                        sl = slice(offsets[k], offsets[k + 1])
-                        path[:, sl] = white_from_normals(
-                            z[:, sl], seg_steps[k] * 1e-6, proc.amplitude)
-            elif not uniform_steps:
-                raise SequenceError(
-                    f"{proc.kind} paths need a uniform sample step across "
-                    "segments")
-            elif proc.kind == "one_over_f":
-                nf = n_total // 2 + 1
-                za = streams.normals(key, shot_ids, np.arange(nf))
-                zb = streams.normals(key, shot_ids, np.arange(nf, 2 * nf))
-                path = one_over_f_from_normals(za, zb, n_total, dt_s,
-                                               proc.amplitude)
-            else:
-                u = streams.uniforms(key, shot_ids, np.arange(n_total))
-                path = telegraph_from_uniforms(u, dt_s, proc.amplitude,
-                                               proc.switching_rate_hz)
-            if diff_path is None:
-                diff_path = coeff * path
-            else:
-                diff_path += coeff * path
-        seg_phase = []
-        for k, dur in enumerate(durations):
-            phi_k = np.zeros(n_shots)
-            if dur > 0:
-                dur_s = dur * 1e-6
-                phi_k += 2.0 * math.pi * (diff_static + frozen) * dur_s
-                if diff_path is not None and seg_counts[k]:
-                    sl = diff_path[:, offsets[k]:offsets[k + 1]]
-                    phi_k += 2.0 * math.pi * sl.sum(axis=1) * (seg_steps[k] * 1e-6)
-            seg_phase.append(phi_k)
+    if any(e[0] == "project" for e in seq.elements):
+        seg_phase = _segment_phases(noise, seq.mode, durations, seed,
+                                    shot_ids, noise_dt_us, static_offsets_hz)
+    else:
+        seg_phase = np.zeros((n_shots, len(durations)))
 
     seg_idx = 0
     for el in seq.elements:
@@ -387,8 +371,7 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
         if op == "delay":
             key = streams.stream_key(seed, streams.TAG_JUMP_BASE + seg_idx)
             _jump_segment(states, jumped, el[1], key, shot_ids, lam, cumdest)
-            if seg_phase is not None:
-                phase += seg_phase[seg_idx]
+            phase += seg_phase[:, seg_idx]
             seg_idx += 1
         elif op == "logical_pi":
             phase = -phase

@@ -91,6 +91,8 @@ def read_trace_csv(path, kind: str = "unknown") -> list[TraceData]:
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: line {ln}: {exc}") from exc
             groups.setdefault(row[5], []).append((delay, *counts, ts))
+    if not groups:
+        raise ConfigError(f"{path}: no trace rows")
     traces = []
     for init, rows in groups.items():
         rows.sort(key=lambda r: r[0])

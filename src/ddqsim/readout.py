@@ -172,14 +172,12 @@ def _check_condition(cov):
             "covariance condition number exceeds 1e12 (collapsed blob)")
 
 
-def fit_gmm(iq: np.ndarray, labels, *, supervised: bool = True,
-            max_iter: int = 200, tol: float = 1e-8,
-            seed: int = 0) -> GmmClassifier:
+def fit_gmm(iq: np.ndarray, labels, *, max_iter: int = 200,
+            tol: float = 1e-8) -> GmmClassifier:
     """Fit the three-blob mixture by expectation-maximization.
 
     Components are initialized from per-class sample statistics of the
-    prepared labels (``supervised=True``, the default) or from a seeded
-    k-means pass. Iterations stop when the mean log-likelihood gain per shot
+    prepared labels. Iterations stop when the mean log-likelihood gain per shot
     drops below ``tol`` or after ``max_iter`` rounds. The component -> level
     map is the majority prepared label per component.
 
@@ -199,24 +197,9 @@ def fit_gmm(iq: np.ndarray, labels, *, supervised: bool = True,
             raise ConfigError(f"need >= 100 shots per label, "
                               f"{lab} has {(lv == lab).sum()}")
 
-    if supervised:
-        means = np.stack([iq[lv == l.label].mean(axis=0) for l in READOUT_LEVELS])
-        covs = np.stack([np.cov(iq[lv == l.label].T) for l in READOUT_LEVELS])
-        weights = np.array([(lv == l.label).mean() for l in READOUT_LEVELS])
-    else:
-        rng = np.random.default_rng(seed)
-        means = iq[rng.choice(len(iq), size=3, replace=False)].copy()
-        for _ in range(20):  # plain k-means warm start
-            d2 = ((iq[:, None, :] - means[None]) ** 2).sum(axis=2)
-            assign = np.argmin(d2, axis=1)
-            for k in range(3):
-                if np.any(assign == k):
-                    means[k] = iq[assign == k].mean(axis=0)
-        covs = np.stack([np.cov(iq[assign == k].T) if (assign == k).sum() > 2
-                         else np.cov(iq.T) for k in range(3)])
-        weights = np.bincount(assign, minlength=3) / len(iq)
-        weights = np.clip(weights, 1e-6, None)
-        weights /= weights.sum()
+    means = np.stack([iq[lv == l.label].mean(axis=0) for l in READOUT_LEVELS])
+    covs = np.stack([np.cov(iq[lv == l.label].T) for l in READOUT_LEVELS])
+    weights = np.array([(lv == l.label).mean() for l in READOUT_LEVELS])
     for cov in covs:
         _check_condition(cov)
 

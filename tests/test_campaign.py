@@ -192,7 +192,10 @@ class TestRunCampaign:
             assert metric in got
         # common noise dephases the bare modes but not the encoded qubit
         assert got["t2rl_us"] > 3 * got["phys_t2r_d_us"]
-        t2r_expect = 1e6 / (np.pi**2 * 9000.0)
+        # the Q mode sees both white processes (9000 + 500 Hz^2/Hz) and
+        # loses coherence at half its relaxation rate
+        t1_q = load_device("q1").T1_Q_us
+        t2r_expect = 1.0 / (np.pi**2 * 9500.0 * 1e-6 + 1.0 / (2.0 * t1_q))
         assert got["phys_t2r_q_us"] == pytest.approx(t2r_expect, rel=0.25)
 
 
@@ -212,8 +215,10 @@ class TestFitGaps:
         monkeypatch.setattr(metrology, "fit_ramsey", stalled)
         rows = run_campaign(tiny_config(repetitions=1), tmp_path / "g")
         metrics = [r.metric for r in rows]
-        # the gap takes the whole ramsey trace; the other traces are fitted
-        assert metrics == ["t1l_us", "gamma_erasure_per_ms", "phys_t1_d_us",
+        # the gap takes the ramsey fit's rows; the ramsey trace's leakage
+        # fit and the other traces are fitted
+        assert metrics == ["t1l_us", "gamma_erasure_per_ms",
+                           "gamma_erasure_per_ms", "phys_t1_d_us",
                            "phys_t1_q_us"]
         manifest = json.load(open(tmp_path / "g" / "manifest.json"))
         assert manifest["completed"]

@@ -168,6 +168,14 @@ class TestAnalyze:
         payload = json.loads(fit_out.read_text())
         assert payload["params"]["T_ms"] == pytest.approx(3.86, rel=0.01)
 
+    def test_header_only_trace_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text("delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n")
+        assert run(["analyze", "--trace", str(trace), "--kind", "ramsey",
+                    "--bootstrap", "0", "--out",
+                    str(tmp_path / "e.json")]) == 2
+        assert "no trace rows" in capsys.readouterr().err
+
     def test_corrupted_csv_exit_2_with_line(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(

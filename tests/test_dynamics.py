@@ -256,15 +256,42 @@ class TestEngine:
         assert rate_fit == pytest.approx(math.pi**2 * s_f, rel=0.10)
 
     def test_phase_accumulation_variance(self, q1):
-        # <phi^2> = (2 pi)^2 (S_f / 2) t for a single differential process
+        # <phi^2> = (2 pi)^2 (S_f / 2) t for a single differential process;
+        # the echo's two halves add independent phases of half the variance
         s_f = 2000.0
         t = 50.0
         proc = NoiseProcess("white", s_f, coupling="differential_D")
-        seq = PulseSequence.ramsey(t)
-        batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=44,
-                                   n_shots=50_000)
         expect = (2 * math.pi) ** 2 * 0.5 * s_f * t * 1e-6
+        for seq in (PulseSequence.ramsey(t), PulseSequence.hahn_echo(t)):
+            batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=44,
+                                       n_shots=50_000)
+            assert batch.phase_rad.var() == pytest.approx(expect, rel=0.05)
+
+    def test_white_phase_does_not_depend_on_noise_step(self, q1):
+        proc = NoiseProcess("white", 2000.0, coupling="differential_Q")
+        for seq in (PulseSequence.ramsey(33.0), PulseSequence.hahn_echo(41.0)):
+            coarse, fine = (run_sequence_batch(q1, seq, (proc,), seed=17,
+                                               n_shots=500, noise_dt_us=dt)
+                            for dt in (0.5, 0.37))
+            assert np.any(coarse.phase_rad != 0.0)
+            assert np.array_equal(coarse.phase_rad, fine.phase_rad)
+            assert np.array_equal(coarse.levels, fine.levels)
+
+    def test_unequal_segments_need_white_noise(self, q1):
+        # 10 us and 7.3 us cannot share one grid step of at most 0.5 us
+        seq = PulseSequence("ramsey", (("prepare", "+"), ("delay", 10.0),
+                                       ("delay", 7.3), ("project", 0.0),
+                                       ("measure",)))
+        white = NoiseProcess("white", 2000.0, coupling="differential_D")
+        batch = run_sequence_batch(lossless(q1), seq, (white,), seed=3,
+                                   n_shots=20_000)
+        expect = (2 * math.pi) ** 2 * 0.5 * 2000.0 * 17.3e-6
         assert batch.phase_rad.var() == pytest.approx(expect, rel=0.05)
+        for proc in (NoiseProcess("one_over_f", 1e6, coupling="differential_D"),
+                     NoiseProcess("telegraph", 2e4, coupling="differential_D",
+                                  switching_rate_hz=1e4)):
+            with pytest.raises(SequenceError, match="uniform sample step"):
+                run_sequence_batch(q1, seq, (proc,), seed=3, n_shots=100)
 
 
 class TestPhysicalModeSequences:

@@ -135,14 +135,6 @@ class TestFitGmm:
         with pytest.raises(ConfigError, match="100"):
             fit_gmm(iq2, labels2)
 
-    def test_unsupervised_mode(self):
-        rng = np.random.default_rng(11)
-        means = default_blob_means(sigma=1.0, radius_sigmas=9.0)
-        iq, labels = make_training_set(rng, means, 1.0, 700)
-        clf = fit_gmm(iq, labels, supervised=False, seed=2)
-        for k in range(3):
-            assert np.linalg.norm(clf.means[k] - means[k]) < 0.15
-
 
 class TestClassify:
     def test_component_mean_high_responsibility(self):
