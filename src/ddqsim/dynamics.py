@@ -91,20 +91,30 @@ def propagate_exact(rate_matrix: np.ndarray, p0, t_us: float) -> np.ndarray:
 PREPARE_SUPERPOSITION = "+"
 SEQUENCE_KINDS = ("bitflip", "hahn_echo", "ramsey",
                   "phys_t1", "phys_echo", "phys_ramsey")
+ECHO_KINDS = ("hahn_echo", "phys_echo")
+
+
+def _prepared_index(label: str) -> int:
+    try:
+        return DimonLevel.from_label(label).index
+    except ValueError as exc:
+        raise SequenceError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered gate/delay program for one experiment.
+    """One experiment: prepare, wait, optionally refocus, optionally project.
 
-    Elements are tuples: ("prepare", label), ("delay", dt_us),
-    ("logical_pi",), ("project", phi_rad), ("measure",). The prepare label is
-    a physical level ("00".."20") or "+" for the equal superposition of the
-    mode pair selected by ``mode``.
+    ``prepare`` is a physical level ("00".."20") or "+" for the equal
+    superposition of the mode pair selected by ``mode``. Echo kinds split
+    ``delay_us`` into two equal halves around one refocusing pi pulse. A
+    projection at phase ``project_rad`` ends the sequence unless it is None.
     """
 
     kind: str
-    elements: tuple
+    prepare: str
+    delay_us: float
+    project_rad: float | None = None
     mode: str = "logical"
 
     def __post_init__(self):
@@ -112,85 +122,52 @@ class PulseSequence:
             raise SequenceError(f"unknown experiment kind {self.kind!r}")
         if self.mode not in _PAIRS:
             raise SequenceError(f"unknown mode {self.mode!r}")
-        els = self.elements
-        if not els or els[0][0] != "prepare" or els[-1][0] != "measure":
-            raise SequenceError("sequence must start with prepare and end with measure")
-        prep = els[0][1]
-        if prep != PREPARE_SUPERPOSITION:
-            try:
-                DimonLevel.from_label(prep)
-            except ValueError as exc:
-                raise SequenceError(str(exc)) from exc
-        n_pi = sum(1 for e in els if e[0] == "logical_pi")
-        for e in els:
-            if e[0] == "delay" and e[1] < 0:
-                raise SequenceError("negative delay")
-        if self.kind == "hahn_echo" or self.kind == "phys_echo":
-            if n_pi != 1:
-                raise SequenceError("echo sequence needs exactly one refocusing pulse")
-            before = after = 0.0
-            seen_pi = False
-            for e in els:
-                if e[0] == "logical_pi":
-                    seen_pi = True
-                elif e[0] == "delay":
-                    if seen_pi:
-                        after += e[1]
-                    else:
-                        before += e[1]
-            if not math.isclose(before, after, rel_tol=1e-9, abs_tol=1e-12):
-                raise SequenceError("refocusing pulse must sit at the midpoint")
+        if self.prepare != PREPARE_SUPERPOSITION:
+            _prepared_index(self.prepare)
+        if self.delay_us < 0:
+            raise SequenceError("negative delay")
 
     @property
-    def total_delay_us(self) -> float:
-        return sum(e[1] for e in self.elements if e[0] == "delay")
+    def segments_us(self) -> tuple:
+        """Delay segments in order; echo halves sit around the pi pulse."""
+        if self.kind in ECHO_KINDS:
+            half = 0.5 * self.delay_us
+            return (half, half)
+        return (self.delay_us,)
 
     @classmethod
     def bitflip(cls, init: DimonLevel | str, delay_us: float) -> "PulseSequence":
         label = init.label if isinstance(init, DimonLevel) else str(init)
-        return cls("bitflip", (("prepare", label), ("delay", float(delay_us)),
-                               ("measure",)))
+        return cls("bitflip", label, float(delay_us))
 
     @classmethod
     def hahn_echo(cls, delay_us: float) -> "PulseSequence":
-        half = 0.5 * float(delay_us)
-        return cls("hahn_echo", (("prepare", PREPARE_SUPERPOSITION),
-                                 ("delay", half), ("logical_pi",),
-                                 ("delay", half), ("project", 0.0),
-                                 ("measure",)))
+        return cls("hahn_echo", PREPARE_SUPERPOSITION, float(delay_us), 0.0)
 
     @classmethod
     def ramsey(cls, delay_us: float,
                detuning_khz: float = DEFAULT_DETUNING_KHZ) -> "PulseSequence":
         # Virtual detuning: the projection phase advances as 2 pi df dt.
         phi = 2.0 * math.pi * detuning_khz * 1e-3 * float(delay_us)
-        return cls("ramsey", (("prepare", PREPARE_SUPERPOSITION),
-                              ("delay", float(delay_us)), ("project", phi),
-                              ("measure",)))
+        return cls("ramsey", PREPARE_SUPERPOSITION, float(delay_us), phi)
 
     @classmethod
     def relaxation(cls, mode: str, delay_us: float) -> "PulseSequence":
         """Unencoded T1 reference on one physical mode."""
         label = "10" if mode == "D" else "01"
-        return cls("phys_t1", (("prepare", label), ("delay", float(delay_us)),
-                               ("measure",)), mode=f"phys_{mode}")
+        return cls("phys_t1", label, float(delay_us), mode=f"phys_{mode}")
 
     @classmethod
     def phys_ramsey(cls, mode: str, delay_us: float,
                     detuning_khz: float = DEFAULT_DETUNING_KHZ) -> "PulseSequence":
         phi = 2.0 * math.pi * detuning_khz * 1e-3 * float(delay_us)
-        return cls("phys_ramsey", (("prepare", PREPARE_SUPERPOSITION),
-                                   ("delay", float(delay_us)),
-                                   ("project", phi), ("measure",)),
+        return cls("phys_ramsey", PREPARE_SUPERPOSITION, float(delay_us), phi,
                    mode=f"phys_{mode}")
 
     @classmethod
     def phys_echo(cls, mode: str, delay_us: float) -> "PulseSequence":
-        half = 0.5 * float(delay_us)
-        return cls("phys_echo", (("prepare", PREPARE_SUPERPOSITION),
-                                 ("delay", half), ("logical_pi",),
-                                 ("delay", half), ("project", 0.0),
-                                 ("measure",)), mode=f"phys_{mode}")
+        return cls("phys_echo", PREPARE_SUPERPOSITION, float(delay_us), 0.0,
+                   mode=f"phys_{mode}")
 
 
 @dataclass
@@ -207,13 +184,6 @@ class ShotBatch:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.levels, minlength=N_LEVELS)
-
-
-def _prepared_index(label: str) -> int:
-    try:
-        return DimonLevel.from_label(label).index
-    except ValueError as exc:
-        raise SequenceError(str(exc)) from exc
 
 
 def _destination_tables(rate_matrix):
@@ -251,30 +221,30 @@ def _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest):
         r += 1
 
 
-def _segment_phases(noise, mode, durations, seed, shot_ids, noise_dt_us,
+def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
                     static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
     drawn at draw index k for delay segment k: exact for any grid. 1/f and
-    telegraph paths run through all segments on one uniform grid of step at
+    telegraph paths run through the equal segments on one grid of step at
     most ``noise_dt_us`` and are summed per segment.
     """
     if mode == "logical":
         static = static_offsets_hz[1] - static_offsets_hz[0]
     else:
         static = static_offsets_hz[0 if mode == "phys_D" else 1]
-    dur_us = np.asarray(durations, dtype=float)
-    counts = [max(1, math.ceil(d / noise_dt_us - 1e-9)) if d > 0 else 0
-              for d in durations]
-    steps_s = [d / c * 1e-6 if c else 0.0 for d, c in zip(durations, counts)]
-    frozen = np.zeros(len(shot_ids))
-    integral = np.zeros((len(shot_ids), len(durations)))   # Hz s
+    dur_us = np.asarray(segments_us, dtype=float)
+    n_shots, n_seg, seg_us = len(shot_ids), len(segments_us), segments_us[0]
+    count = max(1, math.ceil(seg_us / noise_dt_us - 1e-9))
+    step_s = seg_us / count * 1e-6
+    frozen = np.zeros(n_shots)
+    integral = np.zeros((n_shots, n_seg))   # Hz s
     for p_idx, proc in enumerate(noise):
         coeff = (proc.differential_weight() if mode == "logical"
                  else proc.mode_weight(mode[-1]))
-        if coeff == 0.0 or proc.amplitude == 0.0 or sum(counts) == 0:
+        if coeff == 0.0 or proc.amplitude == 0.0 or seg_us <= 0:
             continue
         key = streams.stream_key(seed, streams.TAG_NOISE_BASE + p_idx)
         if proc.quasistatic:
@@ -287,28 +257,22 @@ def _segment_phases(noise, mode, durations, seed, shot_ids, noise_dt_us,
             frozen += coeff * vals
             continue
         if proc.kind == "white":
-            z = streams.normals(key, shot_ids, np.arange(len(durations)))
+            z = streams.normals(key, shot_ids, np.arange(n_seg))
             integral += coeff * z * np.sqrt(0.5 * proc.amplitude * dur_us * 1e-6)
             continue
-        dt_s = next(s for s in steps_s if s)
-        if any(s and abs(s - dt_s) > 1e-9 * dt_s for s in steps_s):
-            raise SequenceError(f"{proc.kind} paths need a uniform sample "
-                                "step across segments")
-        n_total = sum(counts)
+        n_total = count * n_seg
         if proc.kind == "one_over_f":
             nf = n_total // 2 + 1
             za = streams.normals(key, shot_ids, np.arange(nf))
             zb = streams.normals(key, shot_ids, np.arange(nf, 2 * nf))
-            path = one_over_f_from_normals(za, zb, n_total, dt_s,
+            path = one_over_f_from_normals(za, zb, n_total, step_s,
                                            proc.amplitude)
         else:
             u = streams.uniforms(key, shot_ids, np.arange(n_total))
-            path = telegraph_from_uniforms(u, dt_s, proc.amplitude,
+            path = telegraph_from_uniforms(u, step_s, proc.amplitude,
                                            proc.switching_rate_hz)
-        edges = np.cumsum([0] + counts)
-        for k, step_s in enumerate(steps_s):
-            seg = path[:, edges[k]:edges[k + 1]]
-            integral[:, k] += coeff * seg.sum(axis=1) * step_s
+        seg_sums = path.reshape(n_shots, n_seg, count).sum(axis=2)
+        integral += coeff * seg_sums * step_s
     return (2.0 * math.pi * (static + frozen)[:, None] * (dur_us * 1e-6)
             + 2.0 * math.pi * integral)
 
@@ -339,7 +303,6 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
         raise ValueError("n_shots must be positive")
     if noise_dt_us <= 0:
         raise ValueError("noise_dt_us must be positive")
-    noise = tuple(noise)
     rate_matrix = build_rate_matrix(params)
     lam, cumdest = _destination_tables(rate_matrix)
     pair_plus, pair_minus = _PAIRS[seq.mode]
@@ -348,52 +311,42 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
     states = np.empty(n_shots, dtype=np.int64)
     jumped = np.zeros(n_shots, dtype=bool)
     phase = np.zeros(n_shots)
-
-    prep = seq.elements[0][1]
-    if prep == PREPARE_SUPERPOSITION:
+    if seq.prepare == PREPARE_SUPERPOSITION:
         u0 = streams.uniforms(streams.stream_key(seed, streams.TAG_PREP),
                               shot_ids, 0)
         states[:] = np.where(u0 < 0.5, pair_plus, pair_minus)
     else:
-        states[:] = _prepared_index(prep)
+        states[:] = _prepared_index(seq.prepare)
 
     # the phase matters only when a projection reads it
-    durations = [e[1] for e in seq.elements if e[0] == "delay"]
-    if any(e[0] == "project" for e in seq.elements):
-        seg_phase = _segment_phases(noise, seq.mode, durations, seed,
-                                    shot_ids, noise_dt_us, static_offsets_hz)
+    segments = seq.segments_us
+    if seq.project_rad is None:
+        seg_phase = np.zeros((n_shots, len(segments)))
     else:
-        seg_phase = np.zeros((n_shots, len(durations)))
+        seg_phase = _segment_phases(tuple(noise), seq.mode, segments, seed,
+                                    shot_ids, noise_dt_us, static_offsets_hz)
 
-    seg_idx = 0
-    for el in seq.elements:
-        op = el[0]
-        if op == "delay":
-            key = streams.stream_key(seed, streams.TAG_JUMP_BASE + seg_idx)
-            _jump_segment(states, jumped, el[1], key, shot_ids, lam, cumdest)
-            phase += seg_phase[:, seg_idx]
-            seg_idx += 1
-        elif op == "logical_pi":
+    for k, dur_us in enumerate(segments):
+        if k:   # the refocusing pi pulse between the echo halves
             phase = -phase
             plus = states == pair_plus
             minus = states == pair_minus
             states[plus] = pair_minus
             states[minus] = pair_plus
-        elif op == "project":
-            phi_p = el[1]
-            in_pair = (states == pair_plus) | (states == pair_minus)
-            p_plus = np.full(n_shots, 0.5)
-            coherent = in_pair & ~jumped
-            p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] - phi_p))
-            u = streams.uniforms(streams.stream_key(seed, streams.TAG_PROJECT),
-                                 shot_ids, seg_idx)
-            states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
-                                       pair_plus, pair_minus)
-        elif op in ("prepare", "measure"):
-            pass
-        else:
-            raise SequenceError(f"unknown element {op!r}")
+        key = streams.stream_key(seed, streams.TAG_JUMP_BASE + k)
+        _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest)
+        phase += seg_phase[:, k]
+
+    if seq.project_rad is not None:
+        in_pair = (states == pair_plus) | (states == pair_minus)
+        p_plus = np.full(n_shots, 0.5)
+        coherent = in_pair & ~jumped
+        p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] -
+                                               seq.project_rad))
+        u = streams.uniforms(streams.stream_key(seed, streams.TAG_PROJECT),
+                             shot_ids, len(segments))
+        states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
+                                   pair_plus, pair_minus)
 
     return ShotBatch(levels=states, phase_rad=phase,
                      erased=states == IDX_00, jumped=jumped)
-

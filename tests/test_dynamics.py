@@ -103,35 +103,29 @@ class TestPropagateExact:
 class TestPulseSequence:
     def test_bitflip_shape(self):
         seq = PulseSequence.bitflip("01", 25.0)
-        assert seq.elements[0] == ("prepare", "01")
-        assert seq.elements[-1] == ("measure",)
-        assert seq.total_delay_us == 25.0
+        assert seq.prepare == "01"
+        assert seq.project_rad is None
+        assert seq.segments_us == (25.0,)
 
     def test_hahn_echo_midpoint(self):
         seq = PulseSequence.hahn_echo(40.0)
-        assert sum(1 for e in seq.elements if e[0] == "logical_pi") == 1
-        assert seq.total_delay_us == pytest.approx(40.0)
+        assert seq.segments_us == (20.0, 20.0)
+        assert seq.project_rad == 0.0
 
     def test_ramsey_projection_phase(self):
         seq = PulseSequence.ramsey(20.0, detuning_khz=75.0)
-        phi = next(e[1] for e in seq.elements if e[0] == "project")
-        assert phi == pytest.approx(2 * math.pi * 75e3 * 20e-6)
+        assert seq.segments_us == (20.0,)
+        assert seq.project_rad == pytest.approx(2 * math.pi * 75e3 * 20e-6)
 
     def test_malformed_sequences_rejected(self):
-        with pytest.raises(SequenceError):
-            PulseSequence("bitflip", (("delay", 1.0), ("measure",)))
-        with pytest.raises(SequenceError):
-            PulseSequence("bitflip", (("prepare", "01"), ("delay", 1.0)))
-        with pytest.raises(SequenceError):
-            PulseSequence("hahn_echo", (("prepare", "+"), ("delay", 10.0),
-                                        ("logical_pi",), ("delay", 20.0),
-                                        ("project", 0.0), ("measure",)))
-        with pytest.raises(SequenceError):
-            PulseSequence("bitflip", (("prepare", "01"), ("delay", -1.0),
-                                      ("measure",)))
+        with pytest.raises(SequenceError, match="negative delay"):
+            PulseSequence.bitflip("01", -1.0)
         with pytest.raises(SequenceError):
             PulseSequence.bitflip("33", 1.0)
-
+        with pytest.raises(SequenceError, match="unknown experiment kind"):
+            PulseSequence("cpmg", "+", 10.0, 0.0)
+        with pytest.raises(SequenceError, match="unknown mode"):
+            PulseSequence.relaxation("X", 10.0)
 
 class TestEngine:
     def test_determinism_and_batch_invariance(self, q1):
@@ -193,8 +187,7 @@ class TestEngine:
 
     def test_projection_at_pi_lands_on_minus_pole(self, q1):
         params = lossless(q1)
-        seq = PulseSequence("ramsey", (("prepare", "+"), ("delay", 10.0),
-                                       ("project", math.pi), ("measure",)))
+        seq = PulseSequence("ramsey", "+", 10.0, project_rad=math.pi)
         batch = run_sequence_batch(params, seq, seed=2, n_shots=5000)
         assert np.all(batch.levels == IDX_01)
 
@@ -276,22 +269,6 @@ class TestEngine:
             assert np.any(coarse.phase_rad != 0.0)
             assert np.array_equal(coarse.phase_rad, fine.phase_rad)
             assert np.array_equal(coarse.levels, fine.levels)
-
-    def test_unequal_segments_need_white_noise(self, q1):
-        # 10 us and 7.3 us cannot share one grid step of at most 0.5 us
-        seq = PulseSequence("ramsey", (("prepare", "+"), ("delay", 10.0),
-                                       ("delay", 7.3), ("project", 0.0),
-                                       ("measure",)))
-        white = NoiseProcess("white", 2000.0, coupling="differential_D")
-        batch = run_sequence_batch(lossless(q1), seq, (white,), seed=3,
-                                   n_shots=20_000)
-        expect = (2 * math.pi) ** 2 * 0.5 * 2000.0 * 17.3e-6
-        assert batch.phase_rad.var() == pytest.approx(expect, rel=0.05)
-        for proc in (NoiseProcess("one_over_f", 1e6, coupling="differential_D"),
-                     NoiseProcess("telegraph", 2e4, coupling="differential_D",
-                                  switching_rate_hz=1e4)):
-            with pytest.raises(SequenceError, match="uniform sample step"):
-                run_sequence_batch(q1, seq, (proc,), seed=3, n_shots=100)
 
 
 class TestPhysicalModeSequences:
