@@ -88,17 +88,31 @@ class CampaignConfig:
             self.physical_refs = "t1"
         if self.physical_refs not in ("none", "t1", "full"):
             raise ConfigError("physical_refs must be none, t1 or full")
+        if self.physical_refs != "none" and self.shots_physical < 1:
+            raise ConfigError("physical shots per point must be >= 1")
         delays = {k: [float(x) for x in v]
                   for k, v in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
         for kind, grid in delays.items():
             if not grid or np.any(np.diff(grid) <= 0):
                 raise ConfigError(f"delay grid for {kind} must be ascending")
+            if grid[0] < 0:
+                raise ConfigError(f"delay grid for {kind} has a negative delay")
         self.delays_us = delays
-        self.noise = [p if isinstance(p, NoiseProcess) else
-                      NoiseProcess.from_dict(p) for p in self.noise]
+        if not (self.noise_dt_us > 0 and self.interval_s > 0):
+            raise ConfigError("noise_dt_us and interval_s must be positive")
+        try:
+            self.noise = [p if isinstance(p, NoiseProcess) else
+                          NoiseProcess.from_dict(p) for p in self.noise]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad noise process: {exc}") from exc
+        if any(p.persistent and p.kind != "telegraph" for p in self.noise):
+            raise ConfigError("only telegraph processes can be persistent")
 
     def to_dict(self) -> dict:
+        """The config as archived; ``threads`` never changes results, so it
+        is left out and archives do not depend on the machine."""
         d = asdict(self)
+        del d["threads"]
         d["noise"] = [p.to_dict() for p in self.noise]
         return d
 
@@ -377,8 +391,6 @@ def _persistent_values(config: CampaignConfig, n_traces: int) -> np.ndarray:
     for p_idx, proc in enumerate(config.noise):
         if not proc.persistent:
             continue
-        if proc.kind != "telegraph":
-            raise ConfigError("only telegraph processes can be persistent")
         key = streams.stream_key(config.seed, streams.TAG_PERSISTENT + p_idx)
         u = streams.uniforms(key, np.arange(n_traces), 0)
         p_flip = 0.5 * (1.0 - math.exp(-2.0 * proc.switching_rate_hz *
@@ -449,7 +461,9 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     metrics_path = os.path.join(out_dir, "metrics.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
 
+    # everything that can reject the config runs before the archive changes
     devices = {name: load_device(name) for name in config.devices}
+    readouts = _readouts(config, devices)
     plan = _trace_plan(config)
     n_traces = len(plan)
     manifest = {"seed": config.seed, "config": config.to_dict(),
@@ -466,6 +480,9 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
         if old.get("config_sha256") != manifest["config_sha256"]:
             raise ConfigError("archive was produced by a different config")
         start = _completed_prefix(trace_dir, n_traces)
+        for fn in os.listdir(trace_dir):
+            if fn.endswith(".tmp"):     # a trace cut off while being written
+                os.remove(os.path.join(trace_dir, fn))
         if os.path.exists(metrics_path):
             t_cut = start * config.interval_s
             rows = [r for r in read_metrics_csv(metrics_path)
@@ -484,7 +501,6 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
 
     offsets = _persistent_values(config, n_traces)
     shot_noise = [p for p in config.noise if not p.persistent]
-    readouts = _readouts(config, devices)
 
     done = start
     for idx in range(start, n_traces):
@@ -511,9 +527,11 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
                               config.bootstrap_resamples, trace_seed,
                               config.fit_window_us)
         write_metrics_csv(metrics_path, rows, append=True)
-        # the trace file lands last: its presence marks the trace complete
-        write_trace_csv(os.path.join(
-            trace_dir, f"trace_{idx:05d}_{dev}_{exp}.csv"), traces)
+        # the trace file lands last and whole: its presence marks the trace
+        # complete
+        path = os.path.join(trace_dir, f"trace_{idx:05d}_{dev}_{exp}.csv")
+        write_trace_csv(path + ".tmp", traces)
+        os.replace(path + ".tmp", path)
         done += 1
 
     all_rows = read_metrics_csv(metrics_path)

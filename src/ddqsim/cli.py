@@ -116,6 +116,17 @@ def _load_noise(path: str | None) -> list:
         raise ConfigError(f"bad noise process in {path}: {exc}") from exc
 
 
+def _positive(cast):
+    """argparse type: a number of type ``cast`` that must be > 0."""
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _default_threads() -> int:
     env = os.environ.get("DDQ_THREADS")
     if env:
@@ -338,14 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True,
                    choices=["bitflip", "hahn-echo", "ramsey"])
     p.add_argument("--delays", help="comma list or start:stop:num (us)")
-    p.add_argument("--shots", type=int, default=2000)
+    p.add_argument("--shots", type=_positive(int), default=2000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--detuning-khz", type=float, default=DEFAULT_DETUNING_KHZ)
     p.add_argument("--init", choices=["10", "01"],
                    help="bit-flip initialization (default: both)")
     p.add_argument("--noise", help="JSON file with noise process list")
-    p.add_argument("--noise-dt-us", type=float, default=DEFAULT_NOISE_DT_US)
+    p.add_argument("--noise-dt-us", type=_positive(float),
+                   default=DEFAULT_NOISE_DT_US)
     p.add_argument("--readout-sigma", type=float, default=1.0)
     p.add_argument("--t-ro-us", type=float, default=1.0)
     p.add_argument("--ideal-readout", action="store_true",

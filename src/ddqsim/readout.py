@@ -159,9 +159,11 @@ def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
 
     Equal responsibilities break toward the lower-ordered level.
     """
-    logr = clf.log_responsibilities(iq)
+    # the per-point normaliser of the responsibilities cannot move the argmax
+    logp = _weighted_log_densities(np.atleast_2d(np.asarray(iq, dtype=float)),
+                                   clf.means, clf.covariances, clf.weights)
     order = np.argsort([lv.index for lv in clf.labels])
-    k = order[np.argmax(logr[:, order], axis=1)]
+    k = order[np.argmax(logp[:, order], axis=1)]
     level_idx = np.array([lv.index for lv in clf.labels])
     return level_idx[k]
 

@@ -12,7 +12,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              read_metrics_csv, run_campaign,
                              simulate_counts_trace, summarize,
                              write_metrics_csv)
-from ddqsim import metrology
+from ddqsim import campaign, metrology
 from ddqsim.device import load_device
 from ddqsim.errors import ConfigError, FitConvergenceError
 from ddqsim.noise import NoiseProcess
@@ -72,6 +72,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             CampaignConfig.from_json("/no/such/campaign.json")
 
+    def test_invalid_config_leaves_archive_untouched(self, tmp_path):
+        cfg = tiny_config(repetitions=1)
+        run_campaign(cfg, tmp_path)
+        before = archive_digest(tmp_path)
+        persistent_white = NoiseProcess("white", 2000.0, persistent=True,
+                                        coupling="differential_D").to_dict()
+        for change, message in (
+                ({"noise": [persistent_white]}, "persistent"),
+                ({"noise_dt_us": 0.0}, "noise_dt_us"),
+                ({"interval_s": 0.0}, "interval_s"),
+                ({"delays_us": {"ramsey": [-3.0, 0.0, 3.0]}}, "negative"),
+                ({"noise": [{"kind": "pink", "amplitude": 1.0}]}, "noise"),
+                ({"shots_physical": 0}, "physical shots"),
+                ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma")):
+            with pytest.raises(ConfigError, match=message):
+                run_campaign(CampaignConfig.from_dict(
+                    {**cfg.to_dict(), **change}), tmp_path)
+            assert archive_digest(tmp_path) == before
+
 
 class TestSimulateCountsTrace:
     def test_bitflip_returns_both_inits(self):
@@ -124,6 +143,35 @@ class TestRunCampaign:
         run_campaign(cfg, tmp_path / "parts", stop_after=3)
         assert not json.load(open(tmp_path / "parts" / "manifest.json"))[
             "completed"]
+        run_campaign(cfg, tmp_path / "parts", resume=True)
+        assert archive_digest(tmp_path / "full") == \
+            archive_digest(tmp_path / "parts")
+
+    def test_thread_count_does_not_change_archive(self, tmp_path):
+        run_campaign(tiny_config(repetitions=1, threads=1), tmp_path / "one")
+        run_campaign(tiny_config(repetitions=1, threads=2), tmp_path / "two")
+        assert archive_digest(tmp_path / "one") == \
+            archive_digest(tmp_path / "two")
+
+    def test_resume_ignores_a_partly_written_trace(self, tmp_path,
+                                                   monkeypatch):
+        cfg = tiny_config(repetitions=1)
+        run_campaign(cfg, tmp_path / "full")
+        write = campaign.write_trace_csv
+        calls = []
+
+        def crash_halfway(path, traces):
+            calls.append(path)
+            write(path, traces)
+            if len(calls) == 3:
+                with open(path, "r+b") as fh:
+                    fh.truncate(os.path.getsize(path) // 2)
+                raise KeyboardInterrupt("killed while writing a trace")
+
+        monkeypatch.setattr(campaign, "write_trace_csv", crash_halfway)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cfg, tmp_path / "parts")
+        monkeypatch.undo()
         run_campaign(cfg, tmp_path / "parts", resume=True)
         assert archive_digest(tmp_path / "full") == \
             archive_digest(tmp_path / "parts")

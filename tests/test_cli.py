@@ -47,6 +47,16 @@ class TestSimShots:
         assert code == 2
         assert "/missing/q9.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--shots", "--noise-dt-us"])
+    def test_nonpositive_number_exit_2(self, tmp_path, flag):
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                 "--seed", "1", "--delays", "0,5", "--out", str(out),
+                 flag, "0"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_overwrite_needs_force(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["sim-shots", "--config", "q1", "--experiment", "ramsey",
@@ -282,6 +292,28 @@ class TestCampaignCli:
                     "--out", str(out)]) == 0
         assert run(["campaign", "--config", str(cfg_path),
                     "--out", str(out)]) == 2
+
+
+    def test_resume_with_another_thread_count(self, tmp_path):
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["ramsey"], repetitions=2, seed=8,
+            shots_per_point=150, physical_refs=False, readout_enabled=False,
+            bootstrap_resamples=0,
+            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "arch3"
+        assert run(["campaign", "--config", str(cfg_path), "--out", str(out),
+                    "--threads", "2"]) == 0
+        whole = {p.name: p.read_bytes() for p in out.rglob("*")
+                 if p.is_file()}
+        # as if cut off before the last trace
+        last = sorted((out / "traces").iterdir())[-1]
+        last.unlink()
+        assert run(["campaign", "--config", str(cfg_path), "--out", str(out),
+                    "--resume", "--threads", "1"]) == 0
+        assert {p.name: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == whole
 
 
 class TestParser:
