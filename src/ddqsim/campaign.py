@@ -267,7 +267,7 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     return [run_point(w) for w in work]
 
 
-def counts_traces(points, kind: str, delays_us, shots,
+def counts_traces(points, delays_us, shots,
                   timestamp_s: float = 0.0) -> list[TraceData]:
     """Bin the assigned blobs of `simulate_points` into one trace per init."""
     n = len(delays_us)
@@ -275,7 +275,7 @@ def counts_traces(points, kind: str, delays_us, shots,
     return [TraceData(delays_us=np.asarray(delays_us, float),
                       n00=c[:, 0], n01=c[:, 1], n10=c[:, 2],
                       n_total=np.full(n, shots, dtype=np.int64),
-                      kind=kind, init_label=points[i * n].init,
+                      init_label=points[i * n].init,
                       timestamp_s=timestamp_s)
             for i, c in enumerate(counts.reshape(len(points) // max(n, 1),
                                                  n, 3))]
@@ -291,7 +291,7 @@ def simulate_counts_trace(params: DeviceParams, kind: str, delays_us, shots,
     those of `simulate_points`.
     """
     points = simulate_points(params, kind, delays_us, shots, **kwargs)
-    return counts_traces(points, kind, delays_us, shots, timestamp_s)
+    return counts_traces(points, delays_us, shots, timestamp_s)
 
 
 # --------------------------------------------------------------------------
@@ -577,17 +577,13 @@ def moving_average(values, window: int = MOVING_AVERAGE_WINDOW) -> np.ndarray:
 
 
 def summarize(rows) -> dict:
-    """Tukey boxplot statistics per metric (and per device when present).
+    """Tukey boxplot statistics per metric of MetricPoint rows.
 
-    Accepts MetricPoint rows or a mapping name -> values. Returns
-    {metric: {median, q1, q3, whisker_lo, whisker_hi, outliers, n}}.
+    Returns {metric: {median, q1, q3, whisker_lo, whisker_hi, outliers, n}}.
     """
     groups: dict[str, list] = {}
-    if isinstance(rows, dict):
-        groups = {k: list(v) for k, v in rows.items()}
-    else:
-        for r in rows:
-            groups.setdefault(r.metric, []).append(r.estimate)
+    for r in rows:
+        groups.setdefault(r.metric, []).append(r.estimate)
     out = {}
     for name, vals in groups.items():
         v = np.asarray([x for x in vals if np.isfinite(x)], dtype=float)

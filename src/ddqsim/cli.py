@@ -127,16 +127,6 @@ def _positive(cast):
     return parse
 
 
-def _default_threads() -> int:
-    env = os.environ.get("DDQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 # --------------------------------------------------------------------------
 # sim-shots
 
@@ -187,7 +177,7 @@ def cmd_sim_shots(args) -> int:
         outputs.append(tpath)
     if args.trace_out:
         write_trace_csv(args.trace_out,
-                        counts_traces(points, kind, delays, args.shots))
+                        counts_traces(points, delays, args.shots))
         outputs.append(args.trace_out)
     _write_manifest(args.out + ".manifest.json", args,
                     [args.config, args.noise], outputs)
@@ -199,7 +189,7 @@ def cmd_sim_shots(args) -> int:
 
 def cmd_analyze(args) -> int:
     kind = args.kind.replace("-", "_")
-    traces = read_trace_csv(args.trace, kind=kind)
+    traces = read_trace_csv(args.trace)
     _check_overwrite(args.out, args.force)
     if args.bootstrap > 0 and args.seed is None:
         raise ConfigError("--bootstrap needs an explicit --seed")
@@ -420,7 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _default_threads()
+        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except FitConvergenceError as exc:

@@ -95,8 +95,7 @@ class DeviceParams:
 
     Frequencies are angular (rad/s), times in microseconds, chi_DR/chi_QR are
     half-shifts. ``r_junction`` is stored in canonical order (min/max, so
-    0 < r <= 1). ``g_QR`` is optional: it is not part of the config schema
-    and only feeds the dispersive-shift estimate.
+    0 < r <= 1).
     """
 
     omega_D: float
@@ -117,7 +116,6 @@ class DeviceParams:
     r_junction: float
     n_th_D: float = 0.02
     n_th_Q: float = 0.02
-    g_QR: float | None = None
     name: str = "device"
 
     def __post_init__(self):

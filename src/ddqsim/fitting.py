@@ -21,27 +21,29 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
+_MAX_ITER = 500
+_STEP_TOL = 1e-9
 _REL_STEP = 1e-6
 
 
-def numeric_jacobian(fun, x, rel_step: float = _REL_STEP) -> np.ndarray:
+def numeric_jacobian(fun, x) -> np.ndarray:
     """Central-difference Jacobian of a residual function at x, from one
     call of ``fun`` on the (p, 2p, 1) stack of points x +/- h_j e_j."""
     x = np.asarray(x, dtype=float)
-    h = rel_step * np.maximum(np.abs(x), 1.0)
+    h = _REL_STEP * np.maximum(np.abs(x), 1.0)
     shifts = np.diag(h)
     points = np.concatenate([x + shifts, x - shifts])
     r = np.asarray(fun(points.T[..., None]), dtype=float)
     return (r[:x.size] - r[x.size:]).T / (2.0 * h)
 
 
-def lm_least_squares(fun, x0, *, max_iter: int = 500, step_tol: float = 1e-9,
-                     rel_step: float = _REL_STEP):
+def lm_least_squares(fun, x0):
     """Minimize 0.5*||fun(x)||^2 by Levenberg-Marquardt damping.
 
     Returns ``(x, info)`` where info carries ``converged``, ``iterations``,
     ``cost`` and ``message``. Convergence is declared when the relative
-    parameter step falls below ``step_tol``. The cost never increases
+    parameter step falls below ``_STEP_TOL``, and given up after
+    ``_MAX_ITER`` iterations. The cost never increases
     between accepted iterations; a singular or non-finite trial step counts
     as uphill and raises the damping tenfold.
     """
@@ -51,9 +53,9 @@ def lm_least_squares(fun, x0, *, max_iter: int = 500, step_tol: float = 1e-9,
     lam = 1e-3
     info = {"converged": False, "iterations": 0, "cost": cost,
             "message": "max iterations reached", "initial_cost": cost}
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         info["iterations"] = it
-        jac = numeric_jacobian(fun, x, rel_step)
+        jac = numeric_jacobian(fun, x)
         neg_grad = -(jac.T @ r)
         hess = jac.T @ jac
         scaling = np.diag(np.maximum(hess.diagonal(), 1e-14))
@@ -81,7 +83,7 @@ def lm_least_squares(fun, x0, *, max_iter: int = 500, step_tol: float = 1e-9,
         x, r, cost = x_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-14)
         info["cost"] = cost
-        if rel < step_tol:
+        if rel < _STEP_TOL:
             info["converged"] = True
             info["message"] = "parameter step below tolerance"
             break

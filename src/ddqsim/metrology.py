@@ -42,7 +42,6 @@ class TraceData:
     n01: np.ndarray
     n10: np.ndarray
     n_total: np.ndarray
-    kind: str = "unknown"
     init_label: str = ""
     timestamp_s: float = 0.0
 
@@ -60,9 +59,7 @@ class TraceData:
 
 
 def write_trace_csv(path, traces) -> None:
-    """Write one or more traces (e.g. both bit-flip initializations)."""
-    if isinstance(traces, TraceData):
-        traces = [traces]
+    """Write a list of traces (e.g. both bit-flip initializations)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_CSV_HEADER)
@@ -73,7 +70,7 @@ def write_trace_csv(path, traces) -> None:
                             tr.init_label, repr(float(tr.timestamp_s))])
 
 
-def read_trace_csv(path, kind: str = "unknown") -> list[TraceData]:
+def read_trace_csv(path) -> list[TraceData]:
     """Read a trace file; one TraceData per init_label, in file order."""
     groups: dict[str, list] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -99,7 +96,7 @@ def read_trace_csv(path, kind: str = "unknown") -> list[TraceData]:
         arr = np.array([r[:5] for r in rows])
         traces.append(TraceData(delays_us=arr[:, 0], n00=arr[:, 1],
                                 n01=arr[:, 2], n10=arr[:, 3], n_total=arr[:, 4],
-                                kind=kind, init_label=init,
+                                init_label=init,
                                 timestamp_s=rows[0][5]))
     return traces
 
@@ -241,8 +238,8 @@ def _ramsey_model(theta, t):
     return amp * np.exp(-rate * t) * np.cos(2e-3 * math.pi * f_khz * t + phi0) + c
 
 
-def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
-               max_iter: int = 500) -> FitResult:
+def fit_ramsey(delays_us, p0l,
+               detuning_hint_khz: float | None = None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
 
     Initialization: detuning from the zero-padded periodogram peak of the
@@ -296,7 +293,7 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
         return y - _ramsey_model(theta, t)
 
     theta0 = np.array([amp0, rate0, f0, phi0, c0])
-    theta, info = lm_least_squares(resid, theta0, max_iter=max_iter)
+    theta, info = lm_least_squares(resid, theta0)
     if not info["converged"]:
         raise FitConvergenceError("oscillation fit did not converge", info)
     amp, rate, f_khz, phi, c = theta
@@ -322,7 +319,7 @@ def _erasure_model(theta, t):
     return amp * (1.0 - np.exp(-rate * t)) + d
 
 
-def fit_erasure(delays_us, p00, max_iter: int = 500) -> FitResult:
+def fit_erasure(delays_us, p00) -> FitResult:
     """Leakage fit A(1 - exp(-t/T_erasure)) + D on the |00> fraction.
 
     The amplitude lets the model saturate below one for mixed
@@ -352,7 +349,7 @@ def fit_erasure(delays_us, p00, max_iter: int = 500) -> FitResult:
     def resid(theta):
         return y - _erasure_model(theta, t)
 
-    theta, info = lm_least_squares(resid, theta0, max_iter=max_iter)
+    theta, info = lm_least_squares(resid, theta0)
     if not info["converged"]:
         raise FitConvergenceError("leakage fit did not converge", info)
     amp, rate, d = theta
@@ -416,9 +413,8 @@ def _linear_refits(fit: FitResult, synthetic: np.ndarray) -> dict:
 
 
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
-                     quantile: float = BOOTSTRAP_QUANTILE, seed: int = 0,
-                     ) -> dict:
-    """Residual-bootstrap parameter bounds (default 5%/95% quantiles).
+                     seed: int = 0) -> dict:
+    """Residual-bootstrap parameter bounds at the 5%/95% quantiles.
 
     Residuals are resampled with replacement onto the ideal fitted trace and
     the empirical quantiles of each refit parameter are returned (and
@@ -472,11 +468,11 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
         if len(vals) == 0:
             bounds[k] = (est, est)
             continue
-        lo = float(np.quantile(vals, quantile))
-        hi = float(np.quantile(vals, 1.0 - quantile))
+        lo = float(np.quantile(vals, BOOTSTRAP_QUANTILE))
+        hi = float(np.quantile(vals, 1.0 - BOOTSTRAP_QUANTILE))
         bounds[k] = (min(lo, est), max(hi, est))
     fit.bounds = bounds
     fit.diagnostics["bootstrap"] = {"n_resamples": n_resamples,
                                     "dropped": dropped, "seed": seed,
-                                    "quantile": quantile}
+                                    "quantile": BOOTSTRAP_QUANTILE}
     return bounds

@@ -89,8 +89,6 @@ def read_frequency_csv(path) -> list[FrequencySeries]:
 
 
 def write_frequency_csv(path, series_list) -> None:
-    if isinstance(series_list, FrequencySeries):
-        series_list = [series_list]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(FREQ_CSV_HEADER)
@@ -200,14 +198,13 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
     return float(a), float(b), diagnostics
 
 
-def flag_allan_bumps(curve: AllanCurve, excess: float = 0.5,
-                     min_run: int = 2) -> tuple[np.ndarray, float, float]:
+def flag_allan_bumps(curve: AllanCurve) -> tuple[np.ndarray, float, float]:
     """Flag Lorentzian-like bumps the two-term model cannot describe.
 
     Fits the white + 1/f model robustly (two trimming rounds drop points far
     above the fit, so a large bump cannot drag the baseline up), then flags
-    taus where sigma exceeds the model by more than ``excess`` (fractional)
-    over at least ``min_run`` consecutive points. Returns (mask, A, B).
+    taus where sigma exceeds the model by more than 50% over at least two
+    consecutive points. Returns (mask, A, B).
     """
     tau, sig = curve.tau_s, curve.sigma_hz
     keep = np.ones(len(tau), dtype=bool)
@@ -218,23 +215,22 @@ def flag_allan_bumps(curve: AllanCurve, excess: float = 0.5,
             a, b, _ = fit_allan_model(tau[keep], sig[keep]) if keep.sum() >= 4 \
                 else (a, b, None)
             model = _allan_model(a, b, tau)
-            new_keep = sig <= (1.0 + excess) * np.maximum(model, 1e-300)
+            new_keep = sig <= 1.5 * np.maximum(model, 1e-300)
             if new_keep.sum() < 4 or np.array_equal(new_keep, keep):
                 break
             keep = new_keep
     model = _allan_model(a, b, tau)
-    over = sig > (1.0 + excess) * np.maximum(model, 1e-300)
+    over = sig > 1.5 * np.maximum(model, 1e-300)
     mask = np.zeros(len(tau), dtype=bool)
     run = 0
     for i, flag in enumerate(over):
         run = run + 1 if flag else 0
-        if run >= min_run:
+        if run >= 2:
             mask[i - run + 1:i + 1] = True
     return mask, a, b
 
 
-def welch_psd(series: FrequencySeries, segment_length: int | None = None,
-              overlap: float = 0.5, window: str = "hann"):
+def welch_psd(series: FrequencySeries, segment_length: int | None = None):
     """One-sided Welch PSD (Hz^2/Hz vs Hz).
 
     Hann window, 50% overlap and a power-of-two segment of roughly N/8 by
@@ -250,9 +246,9 @@ def welch_psd(series: FrequencySeries, segment_length: int | None = None,
         raise ConfigError("segment length must be >= 8")
     if segment_length > n:
         raise ConfigError("segment length exceeds series length")
-    freqs, psd = welch(y, fs=1.0 / series.tau0_s, window=window,
+    freqs, psd = welch(y, fs=1.0 / series.tau0_s, window="hann",
                        nperseg=segment_length,
-                       noverlap=int(overlap * segment_length),
+                       noverlap=int(0.5 * segment_length),
                        detrend="constant", scaling="density")
     return freqs, psd
 

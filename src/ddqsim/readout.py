@@ -66,8 +66,7 @@ class ReadoutModel:
 
 
 def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
-                    params: DeviceParams, seed: int,
-                    shot_offset: int = 0) -> np.ndarray:
+                    params: DeviceParams, seed: int) -> np.ndarray:
     """Vectorized IQ emission for a batch of final levels.
 
     Uses the deterministic counter streams, so campaign shot records are
@@ -75,7 +74,7 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
     """
     levels = np.asarray(levels)
     n = len(levels)
-    ids = np.arange(shot_offset, shot_offset + n, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
     key = streams.stream_key(seed, streams.TAG_READOUT)
     blob = BLOB_OF_LEVEL[levels]
     means = model.means[blob]
@@ -109,15 +108,14 @@ def _weighted_log_densities(iq, means, covs, weights) -> np.ndarray:
 class GmmClassifier:
     """Three-component Gaussian mixture over the IQ plane.
 
-    ``labels`` maps component index -> DimonLevel; components are stored in
-    the fixed readout-level order (|00>, |01>, |10>) so posterior ties break
-    toward the lower-ordered level.
+    Component k is readout level ``READOUT_LEVELS[k]`` (|00>, |01>, |10>),
+    whose level index is k, so posterior ties break toward the
+    lower-ordered level.
     """
 
     means: np.ndarray                 # (3, 2)
     covariances: np.ndarray           # (3, 2, 2)
     weights: np.ndarray               # (3,)
-    labels: tuple = READOUT_LEVELS
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -125,8 +123,6 @@ class GmmClassifier:
         self.weights = np.asarray(self.weights, dtype=float)
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ConfigError("mixture weights must be nonnegative and sum to 1")
-        if sorted(lv.label for lv in self.labels) != ["00", "01", "10"]:
-            raise ConfigError("label map must be a bijection onto 00/01/10")
         for cov in self.covariances:
             if not np.allclose(cov, cov.T) or np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ConfigError("covariances must be symmetric positive definite")
@@ -142,16 +138,17 @@ class GmmClassifier:
             "means": self.means.tolist(),
             "covariances": self.covariances.tolist(),
             "weights": self.weights.tolist(),
-            "labels": [lv.label for lv in self.labels],
+            "labels": [lv.label for lv in READOUT_LEVELS],
         }, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GmmClassifier":
         d = json.loads(text)
+        if d["labels"] != [lv.label for lv in READOUT_LEVELS]:
+            raise ConfigError("components must be labelled 00, 01, 10 in order")
         return cls(means=np.array(d["means"]),
                    covariances=np.array(d["covariances"]),
-                   weights=np.array(d["weights"]),
-                   labels=tuple(DimonLevel.from_label(s) for s in d["labels"]))
+                   weights=np.array(d["weights"]))
 
 
 def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
@@ -162,10 +159,7 @@ def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
     # the per-point normaliser of the responsibilities cannot move the argmax
     logp = _weighted_log_densities(np.atleast_2d(np.asarray(iq, dtype=float)),
                                    clf.means, clf.covariances, clf.weights)
-    order = np.argsort([lv.index for lv in clf.labels])
-    k = order[np.argmax(logp[:, order], axis=1)]
-    level_idx = np.array([lv.index for lv in clf.labels])
-    return level_idx[k]
+    return np.argmax(logp, axis=1)
 
 
 def _check_condition(cov):
@@ -174,23 +168,22 @@ def _check_condition(cov):
             "covariance condition number exceeds 1e12 (collapsed blob)")
 
 
-def fit_gmm(iq: np.ndarray, labels, *, max_iter: int = 200,
-            tol: float = 1e-8) -> GmmClassifier:
+def fit_gmm(iq: np.ndarray, labels) -> GmmClassifier:
     """Fit the three-blob mixture by expectation-maximization.
 
     Components are initialized from per-class sample statistics of the
     prepared labels. Iterations stop when the mean log-likelihood gain per shot
-    drops below ``tol`` or after ``max_iter`` rounds. The component -> level
-    map is the majority prepared label per component.
+    drops below 1e-8 or after 200 rounds. Each component takes the level of
+    its majority prepared label, and the components are stored in level
+    order.
 
     Parameters
     ----------
     iq : (n, 2) array of integrated readout points.
-    labels : sequence of n DimonLevel (or "00"/"01"/"10" strings).
+    labels : sequence of n prepared-level strings "00"/"01"/"10".
     """
     iq = np.asarray(iq, dtype=float)
-    lv = np.array([l.label if isinstance(l, DimonLevel) else str(l)
-                   for l in labels])
+    lv = np.asarray(labels, dtype=str)
     present = sorted(set(lv))
     if len(present) < 3:
         raise ConfigError("need shots for all three readout levels")
@@ -208,7 +201,7 @@ def fit_gmm(iq: np.ndarray, labels, *, max_iter: int = 200,
     n = len(iq)
     prev_ll = -np.inf
     ll_history = []
-    for _ in range(max_iter):
+    for _ in range(200):
         # E step
         logp = _weighted_log_densities(iq, means, covs, weights)
         ll = float(logsumexp(logp, axis=1).mean())
@@ -222,7 +215,7 @@ def fit_gmm(iq: np.ndarray, labels, *, max_iter: int = 200,
             diff = iq - means[k]
             covs[k] = (resp[:, k, None] * diff).T @ diff / nk[k]
             _check_condition(covs[k])
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
             break
         prev_ll = ll
 
@@ -234,17 +227,15 @@ def fit_gmm(iq: np.ndarray, labels, *, max_iter: int = 200,
         for lab, j in level_of_col.items():
             counts[k, j] = np.sum((hard == k) & (lv == lab))
     assignment = [-1, -1, -1]
-    taken = set()
     for _ in range(3):
         k, j = np.unravel_index(np.argmax(counts), counts.shape)
         assignment[k] = j
         counts[k, :] = -1
         counts[:, j] = -1
-        taken.add(j)
     # Reorder components into fixed level order for deterministic ties.
     order = np.argsort(assignment)
     clf = GmmClassifier(means=means[order], covariances=covs[order],
-                        weights=weights[order], labels=READOUT_LEVELS)
+                        weights=weights[order])
     clf.ll_history = np.asarray(ll_history)
     return clf
 
@@ -262,9 +253,9 @@ def train_classifier(model: ReadoutModel, params: DeviceParams,
 
 
 def confusion_matrix(clf: GmmClassifier, iq: np.ndarray, labels) -> np.ndarray:
-    """Row-stochastic prepared-vs-assigned fractions over the three levels."""
-    lv = np.array([l.label if isinstance(l, DimonLevel) else str(l)
-                   for l in labels])
+    """Row-stochastic prepared-vs-assigned fractions over the three levels;
+    ``labels`` are the prepared-level strings "00"/"01"/"10"."""
+    lv = np.asarray(labels, dtype=str)
     assigned = classify_batch(clf, np.asarray(iq, dtype=float))
     mat = np.zeros((3, 3))
     for i, prep in enumerate(READOUT_LEVELS):

@@ -295,24 +295,28 @@ class TestSeriesUtilities:
     def test_window_default_is_protocol_constant(self):
         assert MOVING_AVERAGE_WINDOW == 50
 
+    @staticmethod
+    def rows(values):
+        return [MetricPoint(0.0, "q1", "x", v) for v in values]
+
     def test_summarize_single_value(self):
-        s = summarize({"x": [4.2]})
+        s = summarize(self.rows([4.2]))
         assert s["x"]["median"] == s["x"]["q1"] == s["x"]["q3"] == 4.2
 
     def test_summarize_small_set(self):
-        s = summarize({"x": [1, 2, 3, 4, 5]})
+        s = summarize(self.rows([1, 2, 3, 4, 5]))
         assert (s["x"]["median"], s["x"]["q1"], s["x"]["q3"]) == (3, 2, 4)
 
     def test_summarize_outliers(self):
         vals = list(np.arange(1, 20.0)) + [1000.0]
-        s = summarize({"x": vals})
+        s = summarize(self.rows(vals))
         assert s["x"]["outliers"] == [1000.0]
         assert s["x"]["whisker_hi"] <= 19.0
 
     def test_summarize_lognormal_median(self):
         rng = np.random.default_rng(50)
         vals = rng.lognormal(mean=1.0, sigma=0.5, size=1750)
-        s = summarize({"x": list(vals)})
+        s = summarize(self.rows(vals))
         assert s["x"]["median"] == pytest.approx(math.exp(1.0), rel=0.03)
 
     def test_metrics_csv_roundtrip(self, tmp_path):

@@ -371,13 +371,13 @@ class TestTraceCsv:
         delays = np.array([0.0, 10.0, 25.0])
         t0 = TraceData(delays_us=delays, n00=[1, 2, 3], n01=[4, 5, 6],
                        n10=[5, 3, 1], n_total=[10, 10, 10],
-                       kind="bitflip", init_label="10", timestamp_s=100.0)
+                       init_label="10", timestamp_s=100.0)
         t1 = TraceData(delays_us=delays, n00=[0, 1, 2], n01=[9, 8, 7],
                        n10=[1, 1, 1], n_total=[10, 10, 10],
-                       kind="bitflip", init_label="01", timestamp_s=100.0)
+                       init_label="01", timestamp_s=100.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, [t0, t1])
-        back = read_trace_csv(path, kind="bitflip")
+        back = read_trace_csv(path)
         by_init = {t.init_label: t for t in back}
         assert np.array_equal(by_init["10"].n01, t0.n01)
         assert np.array_equal(by_init["01"].n00, t1.n00)

@@ -47,7 +47,7 @@ class TestFrequencySeries:
         s = FrequencySeries(values=np.sin(np.arange(40.0)), tau0_s=2.5,
                             source="logical")
         path = tmp_path / "freq.csv"
-        write_frequency_csv(path, s)
+        write_frequency_csv(path, [s])
         back = read_frequency_csv(path)
         assert len(back) == 1
         assert back[0].source == "logical"

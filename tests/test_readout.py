@@ -119,11 +119,15 @@ class TestFitGmm:
         assert np.all(np.diff(clf.ll_history) >= -1e-10)
 
     def test_label_map_is_bijection(self):
+        # shots in shuffled order still come back as one component per
+        # level, stored in level order
         rng = np.random.default_rng(5)
         means = default_blob_means(sigma=1.0, radius_sigmas=8.0)
         iq, labels = make_training_set(rng, means, 1.0, 500)
-        clf = fit_gmm(iq, labels)
-        assert sorted(lv.label for lv in clf.labels) == ["00", "01", "10"]
+        perm = rng.permutation(len(labels))
+        clf = fit_gmm(iq[perm], labels[perm])
+        dist = np.linalg.norm(clf.means[:, None] - means[None], axis=2)
+        assert np.argmin(dist, axis=1).tolist() == [0, 1, 2]
 
     def test_needs_all_classes_and_enough_shots(self):
         rng = np.random.default_rng(1)
