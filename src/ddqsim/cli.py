@@ -76,10 +76,12 @@ def _check_overwrite(path: str, force: bool) -> None:
 
 
 def _write_manifest(out_path: str, args, inputs: list, outputs: list) -> None:
+    # --threads never changes results, so the manifest leaves it out and
+    # does not depend on the machine's core count
     manifest = {
         "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("func", "command")},
+                  if k not in ("func", "command", "threads")},
         "inputs": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "outputs": outputs,
         "package_version": __version__,
@@ -91,13 +93,18 @@ def _write_manifest(out_path: str, args, inputs: list, outputs: list) -> None:
 def _parse_delays(text: str | None, kind: str) -> list:
     if not text:
         return list(DEFAULT_DELAYS_US[kind])
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--delays range form is start:stop:num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(start, stop, num))
-    return [float(x) for x in text.split(",")]
+    try:
+        if ":" in text:
+            start, stop, num = text.split(":")
+            delays = list(np.linspace(float(start), float(stop), int(num)))
+        else:
+            delays = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --delays {text!r}: give a comma list or "
+                          f"start:stop:num") from exc
+    if not delays:
+        raise ConfigError(f"--delays {text!r} holds no delay")
+    return delays
 
 
 def _load_noise(path: str | None) -> list:
@@ -151,7 +158,7 @@ def cmd_sim_shots(args) -> int:
                              init=args.init, noise=noise,
                              detuning_khz=args.detuning_khz,
                              noise_dt_us=args.noise_dt_us,
-                             readout=(model, clf), threads=args.threads or 1)
+                             readout=(model, clf), threads=args.threads)
 
     blob_labels = [lv.label for lv in READOUT_LEVELS]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -230,8 +237,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_campaign(args) -> int:
     config = CampaignConfig.from_json(args.config)
-    if args.threads:
-        config.threads = args.threads
+    config.threads = args.threads
     if not args.resume and os.path.exists(
             os.path.join(args.out, "manifest.json")) and not args.force:
         raise ConfigError(f"archive {args.out} exists (use --force or --resume)")
@@ -332,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ddqsim",
         description="Dual-rail dimon qubit simulator and analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
+    threads = os.cpu_count() or 1
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sim-shots", help="simulate measurement shots")
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leave assigned_label blank")
     p.add_argument("--trace-out", help="also write aggregated trace CSV")
     p.add_argument("--dump-trajectories", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive(int), default=threads)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sim_shots)
 
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive(int), default=threads)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_campaign)
 
@@ -385,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--source", help="series source tag to select")
     p.add_argument("--fit-out", help="write white+1/f model fit JSON")
-    p.add_argument("--max-octaves", type=int)
+    p.add_argument("--max-octaves", type=_positive(int))
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_allan)
 
@@ -409,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except FitConvergenceError as exc:

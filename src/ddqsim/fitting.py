@@ -42,10 +42,10 @@ def lm_least_squares(fun, x0):
 
     Returns ``(x, info)`` where info carries ``converged``, ``iterations``,
     ``cost`` and ``message``. Convergence is declared when the relative
-    parameter step falls below ``_STEP_TOL``, and given up after
-    ``_MAX_ITER`` iterations. The cost never increases
-    between accepted iterations; a singular or non-finite trial step counts
-    as uphill and raises the damping tenfold.
+    parameter step falls below ``_STEP_TOL``; the loop gives up after
+    ``_MAX_ITER`` iterations. The cost never increases between accepted
+    iterations; a singular or non-finite trial step counts as uphill and
+    raises the damping tenfold.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)

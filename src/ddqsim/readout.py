@@ -145,7 +145,7 @@ class GmmClassifier:
     def from_json(cls, text: str) -> "GmmClassifier":
         d = json.loads(text)
         if d["labels"] != [lv.label for lv in READOUT_LEVELS]:
-            raise ConfigError("components must be labelled 00, 01, 10 in order")
+            raise ConfigError("classifier labels must be 00, 01, 10 in order")
         return cls(means=np.array(d["means"]),
                    covariances=np.array(d["covariances"]),
                    weights=np.array(d["weights"]))

@@ -57,6 +57,14 @@ class TestSimShots:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("delays", ["0:10:0", "0:10:x", "a,b"])
+    def test_bad_delays_exit_2(self, tmp_path, delays):
+        out = tmp_path / "y.csv"
+        assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                    "--seed", "1", "--delays", delays, "--out",
+                    str(out)]) == 2
+        assert not out.exists()
+
     def test_overwrite_needs_force(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["sim-shots", "--config", "q1", "--experiment", "ramsey",
@@ -118,10 +126,13 @@ class TestOneRunner:
 
     @pytest.mark.parametrize("experiment", ["bitflip", "ramsey"])
     def test_thread_count_does_not_change_files(self, tmp_path, experiment):
-        outs = [self.sim(tmp_path, f"t{n}.csv", experiment, "--threads",
-                         str(n), "--dump-trajectories") for n in (1, 2)]
-        for suffix in ("", ".trajectories.csv", ".trace"):
-            one, two = (open(str(o) + suffix, "rb").read() for o in outs)
+        suffixes = ("", ".trajectories.csv", ".trace", ".manifest.json")
+        files = []
+        for n in (1, 2):
+            out = self.sim(tmp_path, "t.csv", experiment, "--threads", str(n),
+                           "--dump-trajectories", "--force")
+            files.append([open(str(out) + s, "rb").read() for s in suffixes])
+        for suffix, one, two in zip(suffixes, *files):
             assert one == two, suffix
 
 
@@ -323,6 +334,19 @@ class TestParser:
                   "--shots", "10", "--seed", "1", "--out", "x.csv",
                   "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sim-shots", "--config", "q1", "--experiment", "ramsey", "--seed",
+         "1", "--out", "x.csv", "--threads", "-2"],
+        ["campaign", "--config", "c.json", "--out", "arch", "--threads", "-2"],
+        ["allan", "--in", "f.csv", "--out", "a.csv", "--max-octaves", "-1"],
+    ], ids=["sim-shots-threads", "campaign-threads", "allan-max-octaves"])
+    def test_nonpositive_count_exit_2(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_seed_is_required_for_sim(self):
         with pytest.raises(SystemExit) as exc:

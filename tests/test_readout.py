@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -192,6 +193,23 @@ class TestClassify:
         same = la == lb
         mids = 0.5 * (pts_a[same] + pts_b[same])
         assert np.array_equal(classify_batch(clf, mids), la[same])
+
+    def test_classify_is_argmax_of_responsibilities(self):
+        rng = np.random.default_rng(19)
+        iq, labels = make_training_set(rng, default_blob_means(1.0, 2.0),
+                                       1.0, 300)
+        clf = fit_gmm(iq, labels)
+        pts = rng.normal(0, 4, (2000, 2))
+        assert np.array_equal(
+            classify_batch(clf, pts),
+            np.argmax(clf.log_responsibilities(pts), axis=1))
+
+    def test_from_json_rejects_permuted_labels(self):
+        clf = ideal_classifier(default_blob_means(), 1.0)
+        d = json.loads(clf.to_json())
+        d["labels"] = ["01", "00", "10"]
+        with pytest.raises(ConfigError):
+            GmmClassifier.from_json(json.dumps(d))
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(29)
