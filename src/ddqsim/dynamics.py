@@ -21,8 +21,7 @@ from scipy.linalg import expm
 from . import streams
 from .device import DeviceParams, DimonLevel, LEVEL_ORDER
 from .errors import SequenceError
-from .noise import (marginal_std, one_over_f_from_normals,
-                    telegraph_from_uniforms)
+from .noise import marginal_std
 
 DEFAULT_DETUNING_KHZ = 75.0
 DEFAULT_NOISE_DT_US = 0.5
@@ -221,15 +220,116 @@ def _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest):
         r += 1
 
 
+def _one_over_f_cov(a_1hz, n_seg, count, step_s) -> np.ndarray:
+    """Covariance (Hz^2 s^2) of the segment integrals of a 1/f grid path.
+
+    The path is `noise.one_over_f_from_normals` on ``n = count * n_seg``
+    samples of step ``step_s`` (DC bin zeroed), summed over ``n_seg`` runs
+    of ``count`` samples. Spectrum bin k then adds A/k times the Dirichlet
+    kernel |sum_{m<count} e^(2 pi i k m/n)|^2 = sin^2(pi k/n_seg) /
+    sin^2(pi k/n) to every entry, rotated by the segment lag; the real
+    Nyquist bin of an even n adds half of that. Angles are reduced in
+    integers, so a kernel that vanishes is exactly zero.
+    """
+    n = count * n_seg
+    k = np.arange(1, n // 2 + 1)
+    weight = (a_1hz / k * np.sin(np.pi * (k % n_seg) / n_seg) ** 2
+              / np.sin(np.pi * k / n) ** 2)
+    if n % 2 == 0:
+        weight[-1] *= 0.5
+    lag = np.arange(n_seg)
+    cos_lag = np.cos(2.0 * np.pi * (k[:, None] * lag % n_seg) / n_seg)
+    by_lag = step_s ** 2 * (weight[:, None] * cos_lag).sum(axis=0)
+    return by_lag[np.abs(lag[:, None] - lag[None, :])]
+
+
+def _psd_factor(cov) -> np.ndarray:
+    """Lower-triangular L with L @ L.T == cov for a semidefinite ``cov``.
+
+    Cholesky that leaves a column at zero where the remaining variance is
+    at rounding level: the echo's 1/f covariance has rank one, Ramsey's is
+    zero.
+    """
+    low = np.zeros_like(cov)
+    floor = 1e-12 * max(float(np.max(np.diag(cov))), 0.0)
+    for j in range(len(cov)):
+        rest = cov[j, j] - low[j, :j] @ low[j, :j]
+        if rest > floor:
+            low[j, j] = math.sqrt(rest)
+            low[j + 1:, j] = ((cov[j + 1:, j] - low[j + 1:, :j] @ low[j, :j])
+                              / low[j, j])
+    return low
+
+
+# Telegraph waits are drawn in blocks of at most this many per shot, over at
+# most this many elements per array, which keeps the arrays in cache.
+_MAX_BLOCK = 1 << 20
+_CHUNK = 1 << 15
+
+
+def _telegraph_integrals(key, shot_ids, bounds) -> np.ndarray:
+    """Integral of a +-1 telegraph state from 0 to each of ``bounds``.
+
+    Time is in units of the mean wait, so switches come at rate 1. The
+    start sign is uniform draw 0 of (key, shot); the waits are exponential
+    from draws 1, 2, ... and are integrated exactly. The first block of
+    waits covers the expected switch count over ``bounds[-1]``, later blocks
+    its standard deviation; block sizes depend on nothing but ``bounds``,
+    so every shot's result depends only on its own draws.
+    """
+    n = len(shot_ids)
+    out = np.empty((n, len(bounds)))
+    t0 = np.zeros(n)       # time of the last switch drawn so far
+    f0 = np.zeros(n)       # integral of the state up to t0
+    state = np.where(streams.uniforms(key, shot_ids, 0) < 0.5, 1.0, -1.0)
+    first = min(_MAX_BLOCK, math.ceil(bounds[-1]) + 1)
+    later = min(_MAX_BLOCK, math.ceil(math.sqrt(bounds[-1])) + 1)
+    live = np.arange(n)
+    draw, block = 1, first
+    while live.size:
+        alt = np.where(np.arange(block) % 2 == 0, 1.0, -1.0)
+        draw_ids = np.arange(draw, draw + block)
+        rows = max(1, _CHUNK // block)
+        for lo in range(0, live.size, rows):
+            sl = live[lo:lo + rows]
+            log_u = np.log(streams.uniforms(key, shot_ids[sl], draw_ids))
+            tau = np.subtract(t0[sl, None], np.cumsum(log_u, axis=1))
+            log_u *= -alt
+            g = np.cumsum(log_u, axis=1)   # integral from t0 per unit state
+            for b, bound in enumerate(bounds):
+                m = np.count_nonzero(tau <= bound, axis=1)
+                hit = np.nonzero((t0[sl] <= bound) & (m < block))[0]
+                mh = m[hit]
+                last = np.maximum(mh - 1, 0)
+                t_m = np.where(mh > 0, tau[hit, last], t0[sl[hit]])
+                g_m = np.where(mh > 0, g[hit, last], 0.0)
+                out[sl[hit], b] = f0[sl[hit]] + state[sl[hit]] * (
+                    g_m + alt[mh % 2] * (bound - t_m))
+            t0[sl] = tau[:, -1]
+            f0[sl] += state[sl] * g[:, -1]
+            state[sl] *= (-1.0) ** block
+        live = live[t0[live] <= bounds[-1]]
+        draw, block = draw + block, later
+    return out
+
+
+def _segment_grid(seg_us, noise_dt_us):
+    """Samples per segment and step (s) of the 1/f spectrum grid."""
+    count = max(1, math.ceil(seg_us / noise_dt_us - 1e-9))
+    return count, seg_us / count * 1e-6
+
+
 def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
                     static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
-    drawn at draw index k for delay segment k: exact for any grid. 1/f and
-    telegraph paths run through the equal segments on one grid of step at
-    most ``noise_dt_us`` and are summed per segment.
+    drawn at draw index k for delay segment k: exact for any grid. 1/f
+    segment integrals are the jointly Gaussian integrals of a spectrum on
+    one grid of step at most ``noise_dt_us`` through the equal segments,
+    drawn the same way through a factor of their covariance. Telegraph
+    integrals are exact in time, with the state carried across segments.
     """
     if mode == "logical":
         static = static_offsets_hz[1] - static_offsets_hz[0]
@@ -237,8 +337,6 @@ def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
         static = static_offsets_hz[0 if mode == "phys_D" else 1]
     dur_us = np.asarray(segments_us, dtype=float)
     n_shots, n_seg, seg_us = len(shot_ids), len(segments_us), segments_us[0]
-    count = max(1, math.ceil(seg_us / noise_dt_us - 1e-9))
-    step_s = seg_us / count * 1e-6
     frozen = np.zeros(n_shots)
     integral = np.zeros((n_shots, n_seg))   # Hz s
     for p_idx, proc in enumerate(noise):
@@ -256,23 +354,21 @@ def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
                         marginal_std(proc, dur_us.sum(), noise_dt_us))
             frozen += coeff * vals
             continue
+        if proc.kind == "telegraph":
+            rate = proc.switching_rate_hz
+            ends = np.cumsum(dur_us) * (1e-6 * rate)
+            f = np.diff(_telegraph_integrals(key, shot_ids, ends), axis=1,
+                        prepend=0.0)
+            integral += coeff * f * (0.5 * proc.amplitude / rate)
+            continue
+        z = streams.normals(key, shot_ids, np.arange(n_seg))
         if proc.kind == "white":
-            z = streams.normals(key, shot_ids, np.arange(n_seg))
             integral += coeff * z * np.sqrt(0.5 * proc.amplitude * dur_us * 1e-6)
             continue
-        n_total = count * n_seg
-        if proc.kind == "one_over_f":
-            nf = n_total // 2 + 1
-            za = streams.normals(key, shot_ids, np.arange(nf))
-            zb = streams.normals(key, shot_ids, np.arange(nf, 2 * nf))
-            path = one_over_f_from_normals(za, zb, n_total, step_s,
-                                           proc.amplitude)
-        else:
-            u = streams.uniforms(key, shot_ids, np.arange(n_total))
-            path = telegraph_from_uniforms(u, step_s, proc.amplitude,
-                                           proc.switching_rate_hz)
-        seg_sums = path.reshape(n_shots, n_seg, count).sum(axis=2)
-        integral += coeff * seg_sums * step_s
+        low = _psd_factor(_one_over_f_cov(proc.amplitude, n_seg,
+                                          *_segment_grid(seg_us, noise_dt_us)))
+        for i in range(n_seg):
+            integral += coeff * z[:, i, None] * low[:, i]
     return (2.0 * math.pi * (static + frozen)[:, None] * (dur_us * 1e-6)
             + 2.0 * math.pi * integral)
 
@@ -288,9 +384,9 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
     (params, seq, noise, seed, shot index): batching and threading never
     change results. ``static_offsets_hz`` is a constant (delta_f_D,
     delta_f_Q) frequency offset pair, used by campaigns to freeze slow noise
-    within one trace. ``noise_dt_us`` is the largest sample step of 1/f and
-    telegraph paths and sets the marginal of quasistatic white noise; white
-    FM phases do not depend on it.
+    within one trace. ``noise_dt_us`` is the largest step of the 1/f
+    spectrum grid and sets the marginals of quasistatic white and 1/f noise;
+    white FM and telegraph phases do not depend on it.
 
     During delays the pair phase accumulates 2 pi * integral of the coupled
     frequency offset; a refocusing pulse negates the accumulated phase and

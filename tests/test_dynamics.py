@@ -1,15 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
 from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence,
+                             _one_over_f_cov, _segment_grid,
                              build_rate_matrix, propagate_exact,
                              run_sequence_batch)
 from ddqsim.errors import SequenceError
 from ddqsim.metrology import fit_ramsey
-from ddqsim.noise import NoiseProcess
+from ddqsim.noise import (NoiseProcess, one_over_f_from_normals,
+                          telegraph_from_uniforms)
 
 IDX = {lv.label: i for i, lv in enumerate(LEVEL_ORDER)}
 
@@ -261,14 +264,138 @@ class TestEngine:
             assert batch.phase_rad.var() == pytest.approx(expect, rel=0.05)
 
     def test_white_phase_does_not_depend_on_noise_step(self, q1):
-        proc = NoiseProcess("white", 2000.0, coupling="differential_Q")
-        for seq in (PulseSequence.ramsey(33.0), PulseSequence.hahn_echo(41.0)):
-            coarse, fine = (run_sequence_batch(q1, seq, (proc,), seed=17,
-                                               n_shots=500, noise_dt_us=dt)
-                            for dt in (0.5, 0.37))
-            assert np.any(coarse.phase_rad != 0.0)
-            assert np.array_equal(coarse.phase_rad, fine.phase_rad)
-            assert np.array_equal(coarse.levels, fine.levels)
+        # telegraph phases are exact in time, so they do not depend on it
+        # either
+        procs = (NoiseProcess("white", 2000.0, coupling="differential_Q"),
+                 NoiseProcess("telegraph", 20e3, coupling="differential_D",
+                              switching_rate_hz=5e4))
+        for proc in procs:
+            for seq in (PulseSequence.ramsey(33.0),
+                        PulseSequence.hahn_echo(41.0)):
+                coarse, fine = (run_sequence_batch(q1, seq, (proc,), seed=17,
+                                                   n_shots=500,
+                                                   noise_dt_us=dt)
+                                for dt in (0.5, 0.37))
+                assert np.any(coarse.phase_rad != 0.0)
+                assert np.array_equal(coarse.phase_rad, fine.phase_rad)
+                assert np.array_equal(coarse.levels, fine.levels)
+
+
+def telegraph_variance(a_hz, rate_hz, t_s):
+    """Var of the integral over t_s of a symmetric +-a_hz telegraph."""
+    return a_hz ** 2 * (t_s / rate_hz
+                        - (1.0 - math.exp(-2.0 * rate_hz * t_s))
+                        / (2.0 * rate_hz ** 2))
+
+
+class TestColoredNoise:
+    """1/f and telegraph segment phases, drawn without sample paths."""
+
+    COLORED = (NoiseProcess("one_over_f", 2e6, coupling="differential_Q"),
+               NoiseProcess("telegraph", 20e3, coupling="differential_D",
+                            switching_rate_hz=2e4),
+               NoiseProcess("telegraph", 8e3, coupling="differential_Q",
+                            switching_rate_hz=3e7))
+
+    @pytest.mark.parametrize("n_seg, seg_us, dt_us", [
+        (1, 33.0, 0.5), (1, 33.0, 0.37), (1, 33.5, 0.5),
+        (2, 20.0, 0.5), (2, 20.0, 0.37), (2, 20.5, 0.5)])
+    def test_one_over_f_covariance_matches_grid_path(self, n_seg, seg_us,
+                                                     dt_us):
+        # The exact covariance of the grid path's segment integrals: push
+        # every unit spectrum through the shaper and sum per segment.
+        # 33.5 and 20.5 us at 0.5 us give odd sample counts (67, 41).
+        a = 2e6
+        count, step_s = _segment_grid(seg_us, dt_us)
+        n = count * n_seg
+        nf = n // 2 + 1
+        eye, zero = np.eye(nf), np.zeros((nf, nf))
+        rows = [one_over_f_from_normals(za, zb, n, step_s, a)
+                .reshape(nf, n_seg, count).sum(axis=2) * step_s
+                for za, zb in ((eye, zero), (zero, eye))]
+        lin = np.concatenate(rows)
+        exact = lin.T @ lin
+        cov = _one_over_f_cov(a, n_seg, count, step_s)
+        # Ramsey's exact covariance is zero up to rounding of the FFT
+        scale = a * (n_seg * seg_us * 1e-6) ** 2
+        np.testing.assert_allclose(cov, exact, rtol=1e-9, atol=1e-15 * scale)
+
+    def test_one_over_f_never_dephases_ramsey(self, q1):
+        """Kept defect, a FOUND line in CHANGES.md: the 1/f spectrum grid
+        spans exactly the one Ramsey segment and its DC bin is zeroed, so
+        the segment integral is zero and 1/f noise never dephases a Ramsey
+        sequence; the echo's cutoff moves with its delay. The path-free
+        phases keep that distribution until a fixed cutoff replaces it."""
+        proc = NoiseProcess("one_over_f", 2e6, coupling="differential_Q")
+        ramsey = run_sequence_batch(lossless(q1), PulseSequence.ramsey(40.0),
+                                    (proc,), seed=51, n_shots=2000)
+        assert ramsey.phase_rad.var() < 1e-20
+        # the echo phase, -I0 + I1, has variance (2 pi)^2 (S00 + S11 - 2 S01)
+        t = 400.0
+        echo = run_sequence_batch(lossless(q1), PulseSequence.hahn_echo(t),
+                                  (proc,), seed=52, n_shots=20_000)
+        cov = _one_over_f_cov(2e6, 2, *_segment_grid(t / 2, 0.5))
+        expect = (2 * math.pi) ** 2 * (cov[0, 0] + cov[1, 1] - 2 * cov[0, 1])
+        assert echo.phase_rad.var() == pytest.approx(expect, rel=0.03)
+
+    def test_telegraph_ramsey_variance_closed_form(self, q1):
+        proc = NoiseProcess("telegraph", 20e3, coupling="differential_D",
+                            switching_rate_hz=2e4)
+        t = 42.0
+        batch = run_sequence_batch(lossless(q1), PulseSequence.ramsey(t),
+                                   (proc,), seed=61, n_shots=50_000)
+        expect = (2 * math.pi) ** 2 * telegraph_variance(10e3, 2e4, t * 1e-6)
+        assert batch.phase_rad.var() == pytest.approx(expect, rel=0.03)
+
+    def test_telegraph_echo_matches_fine_grid(self, q1):
+        # the grid sampler at 5 ns switches at most once per step, which is
+        # exact to O(rate * dt) = 1e-3 here
+        excursion, rate, t = 20e3, 2e5, 10.0
+        proc = NoiseProcess("telegraph", excursion, coupling="differential_D",
+                            switching_rate_hz=rate)
+        batch = run_sequence_batch(lossless(q1), PulseSequence.hahn_echo(t),
+                                   (proc,), seed=62, n_shots=50_000)
+        dt_s = 5e-9
+        n = round(t * 1e-6 / dt_s)
+        rng = np.random.default_rng(62)
+        grid = []
+        for _ in range(10):
+            path = telegraph_from_uniforms(rng.random((5000, n)), dt_s,
+                                           excursion, rate)
+            grid.append(2 * math.pi * dt_s * (path[:, n // 2:].sum(axis=1)
+                                              - path[:, :n // 2].sum(axis=1)))
+        assert batch.phase_rad.var() == pytest.approx(
+            np.concatenate(grid).var(), rel=0.03)
+
+    def test_fast_telegraph_takes_few_rounds(self, q1):
+        # rate * T = 4000 switches per shot on average
+        proc = NoiseProcess("telegraph", 2e5, coupling="differential_D",
+                            switching_rate_hz=1e8)
+        seq = PulseSequence.hahn_echo(40.0)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=63,
+                                       n_shots=2000)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.5
+        # nearly independent halves of 2000 switches each
+        expect = (2 * math.pi) ** 2 * 2 * telegraph_variance(1e5, 1e8, 20e-6)
+        assert batch.phase_rad.var() == pytest.approx(expect, rel=0.1)
+
+    @pytest.mark.parametrize("seq", [PulseSequence.ramsey(37.0),
+                                     PulseSequence.hahn_echo(123.0)],
+                             ids=["ramsey", "hahn_echo"])
+    def test_colored_noise_batch_invariance(self, q1, seq):
+        whole = run_sequence_batch(q1, seq, self.COLORED, seed=9, n_shots=700)
+        parts = [run_sequence_batch(q1, seq, self.COLORED, seed=9,
+                                    n_shots=stop - start, shot_offset=start)
+                 for start, stop in ((0, 1), (1, 333), (333, 700))]
+        assert np.any(whole.phase_rad != 0.0)
+        for name in ("phase_rad", "levels", "jumped"):
+            assert np.array_equal(
+                getattr(whole, name),
+                np.concatenate([getattr(p, name) for p in parts])), name
 
 
 class TestPhysicalModeSequences:
