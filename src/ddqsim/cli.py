@@ -104,6 +104,8 @@ def _parse_delays(text: str | None, kind: str) -> list:
                           f"start:stop:num") from exc
     if not delays:
         raise ConfigError(f"--delays {text!r} holds no delay")
+    if np.any(np.diff(delays) <= 0):
+        raise ConfigError(f"--delays {text!r} must be strictly increasing")
     return delays
 
 
@@ -354,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bit-flip initialization (default: both)")
     p.add_argument("--noise", help="JSON file with noise process list")
     p.add_argument("--noise-dt-us", type=_positive(float),
-                   default=DEFAULT_NOISE_DT_US)
+                   default=DEFAULT_NOISE_DT_US,
+                   help="largest step of the 1/f spectrum grid (us)")
     p.add_argument("--readout-sigma", type=float, default=1.0)
     p.add_argument("--t-ro-us", type=float, default=1.0)
     p.add_argument("--ideal-readout", action="store_true",

@@ -65,6 +65,16 @@ class TestSimShots:
                     str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("trace_out", [False, True])
+    @pytest.mark.parametrize("delays", ["10,5", "0,0"])
+    def test_non_increasing_delays_exit_2(self, tmp_path, delays, trace_out):
+        out = tmp_path / "w.csv"
+        extra = ["--trace-out", str(tmp_path / "w.trace")] if trace_out else []
+        assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                    "--seed", "1", "--shots", "100", "--delays", delays,
+                    "--out", str(out), *extra]) == 2
+        assert not out.exists()
+
     def test_overwrite_needs_force(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["sim-shots", "--config", "q1", "--experiment", "ramsey",
@@ -96,10 +106,14 @@ class TestOneRunner:
     """sim-shots and campaigns share one experiment-point runner."""
 
     noise = [NoiseProcess("white", 3000.0, coupling="differential_Q")]
+    colored = [NoiseProcess("one_over_f", 2e6, coupling="differential_Q"),
+               NoiseProcess("telegraph", 20e3, coupling="differential_D",
+                            switching_rate_hz=2e4)]
 
-    def sim(self, tmp_path, name, experiment, *extra):
+    def sim(self, tmp_path, name, experiment, *extra, noise=None):
+        spec = self.noise if noise is None else noise
         noise = tmp_path / "noise.json"
-        noise.write_text(json.dumps([p.to_dict() for p in self.noise]))
+        noise.write_text(json.dumps([p.to_dict() for p in spec]))
         out = tmp_path / name
         assert run(["sim-shots", "--config", "q1", "--experiment",
                     experiment, "--shots", "150", "--seed", "12",
@@ -124,13 +138,19 @@ class TestOneRunner:
             for name in ("n00", "n01", "n10", "n_total"):
                 assert np.array_equal(getattr(g, name), getattr(w, name))
 
-    @pytest.mark.parametrize("experiment", ["bitflip", "ramsey"])
-    def test_thread_count_does_not_change_files(self, tmp_path, experiment):
+    @pytest.mark.parametrize("experiment, colored", [
+        pytest.param("bitflip", False, id="bitflip"),
+        pytest.param("ramsey", False, id="ramsey"),
+        pytest.param("ramsey", True, id="ramsey-colored"),
+        pytest.param("hahn-echo", True, id="hahn-echo-colored")])
+    def test_thread_count_does_not_change_files(self, tmp_path, experiment,
+                                                colored):
         suffixes = ("", ".trajectories.csv", ".trace", ".manifest.json")
         files = []
         for n in (1, 2):
             out = self.sim(tmp_path, "t.csv", experiment, "--threads", str(n),
-                           "--dump-trajectories", "--force")
+                           "--dump-trajectories", "--force",
+                           noise=self.colored if colored else None)
             files.append([open(str(out) + s, "rb").read() for s in suffixes])
         for suffix, one, two in zip(suffixes, *files):
             assert one == two, suffix
