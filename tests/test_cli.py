@@ -111,13 +111,13 @@ class TestOneRunner:
                             switching_rate_hz=2e4)]
 
     def sim(self, tmp_path, name, experiment, *extra, noise=None):
-        spec = self.noise if noise is None else noise
-        noise = tmp_path / "noise.json"
-        noise.write_text(json.dumps([p.to_dict() for p in spec]))
+        spec = tmp_path / "noise.json"
+        spec.write_text(json.dumps([p.to_dict()
+                                    for p in (noise or self.noise)]))
         out = tmp_path / name
         assert run(["sim-shots", "--config", "q1", "--experiment",
                     experiment, "--shots", "150", "--seed", "12",
-                    "--delays", "0,5,10,20", "--noise", str(noise),
+                    "--delays", "0,5,10,20", "--noise", str(spec),
                     "--out", str(out), "--trace-out", str(out) + ".trace",
                     *extra]) == 0
         return out

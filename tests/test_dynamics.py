@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
+from ddqsim import streams
 from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence,
                              _one_over_f_cov, _segment_grid,
-                             build_rate_matrix, propagate_exact,
-                             run_sequence_batch)
+                             _telegraph_integrals, build_rate_matrix,
+                             propagate_exact, run_sequence_batch)
 from ddqsim.errors import SequenceError
 from ddqsim.metrology import fit_ramsey
 from ddqsim.noise import (NoiseProcess, one_over_f_from_normals,
@@ -337,6 +338,32 @@ class TestColoredNoise:
         cov = _one_over_f_cov(2e6, 2, *_segment_grid(t / 2, 0.5))
         expect = (2 * math.pi) ** 2 * (cov[0, 0] + cov[1, 1] - 2 * cov[0, 1])
         assert echo.phase_rad.var() == pytest.approx(expect, rel=0.03)
+
+    def test_telegraph_integrals_match_one_wait_at_a_time(self):
+        # A shot's waits are its draws 1, 2, ... whatever the block sizes,
+        # so integrating them one at a time must give the same integrals.
+        # Bounds 37.5 and 75 mean waits take several blocks per shot.
+        key = streams.stream_key(4, streams.TAG_NOISE_BASE)
+        shots = np.arange(300)
+        for bounds in ([0.3], [37.5, 75.0]):
+            got = _telegraph_integrals(key, shots, np.array(bounds))
+            for i in shots:
+                state = 1.0 if streams.uniforms(key, i, 0) < 0.5 else -1.0
+                t = f = 0.0
+                draw = 1
+                want = []
+                for bound in bounds:
+                    while True:
+                        wait = -math.log(streams.uniforms(key, i, draw))
+                        if t + wait > bound:
+                            break
+                        f += state * wait
+                        t += wait
+                        state = -state
+                        draw += 1
+                    want.append(f + state * (bound - t))
+                np.testing.assert_allclose(got[i], want, rtol=1e-9,
+                                           atol=1e-9)
 
     def test_telegraph_ramsey_variance_closed_form(self, q1):
         proc = NoiseProcess("telegraph", 20e3, coupling="differential_D",
