@@ -195,34 +195,10 @@ class SimPoint:
     blobs: np.ndarray          # assigned blob per shot: 0=|00>, 1=|01>, 2=|10>
 
 
-def _inits(kind: str, init: str | None) -> list:
-    if kind == "bitflip":
-        return [init] if init else ["10", "01"]
-    if kind in ("hahn_echo", "ramsey"):
-        return ["+"]
-    if kind == "phys_t1":
-        return [init or "01"]
-    if kind in ("phys_echo", "phys_ramsey"):
-        # init selects the mode by its excited level; the prepared state is
-        # the mode superposition, recorded as +D / +Q
-        return ["+D" if (init or "01") == "10" else "+Q"]
-    raise ConfigError(f"unknown experiment kind {kind!r}")
-
-
-def _sequence(kind: str, init: str, delay: float,
-              detuning_khz: float) -> PulseSequence:
-    if kind == "bitflip":
-        return PulseSequence.bitflip(init, delay)
-    if kind == "hahn_echo":
-        return PulseSequence.hahn_echo(delay)
-    if kind == "ramsey":
-        return PulseSequence.ramsey(delay, detuning_khz=detuning_khz)
-    if kind == "phys_echo":
-        return PulseSequence.phys_echo(init[1:], delay)
-    if kind == "phys_ramsey":
-        return PulseSequence.phys_ramsey(init[1:], delay,
-                                         detuning_khz=detuning_khz)
-    return PulseSequence.relaxation("D" if init == "10" else "Q", delay)
+# prepared-state labels of each kind's traces when ``init`` names none
+DEFAULT_PREPARE = {"bitflip": ("10", "01"), "hahn_echo": ("+",),
+                   "ramsey": ("+",), "phys_t1": ("01",), "phys_echo": ("+Q",),
+                   "phys_ramsey": ("+Q",)}
 
 
 def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
@@ -233,13 +209,16 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
                     threads: int = 1) -> list[SimPoint]:
     """Simulate every (initialization, delay) point of one experiment.
 
-    The bit-flip experiment has both logical initializations unless
-    ``init`` picks one. Point (i, j) of initialization i and delay j draws
-    from the streams of ``stream_key(seed, 900 + i, j)``, so results do not
-    depend on ``threads``. ``readout`` is None, or a ``(ReadoutModel,
-    classifier)`` pair: with a model each shot emits an IQ point, which the
-    classifier assigns to a blob. Without a classifier, shots read out
-    through ``BLOB_OF_LEVEL``: doubly excited levels land on their
+    ``init`` is a prepared-state label, the trace's init label: a level for
+    bitflip and phys_t1, "+" for hahn_echo and ramsey, "+D"/"+Q" for
+    phys_echo and phys_ramsey. Without it a kind runs its
+    ``DEFAULT_PREPARE`` labels, both logical levels for bitflip. Point
+    (i, j) of initialization i and delay j draws from the streams of
+    ``stream_key(seed, 900 + i, j)``, so results do not depend on
+    ``threads``. ``readout`` is None, or a ``(ReadoutModel, classifier)``
+    pair: with a model each shot emits an IQ point, which the classifier
+    assigns to a blob. Without a classifier, shots read out through
+    ``BLOB_OF_LEVEL``: doubly excited levels land on their
     single-excitation parent blob. Points come back in (init, delay) order.
     """
     model, clf = readout if readout is not None else (None, None)
@@ -248,8 +227,8 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
         i, init_label, j, delay = work
         point_seed = int(streams.stream_key(seed, 900 + i, j))
         batch = run_sequence_batch(
-            params, _sequence(kind, init_label, delay, detuning_khz), noise,
-            seed=point_seed, n_shots=shots, noise_dt_us=noise_dt_us,
+            params, PulseSequence(kind, init_label, delay, detuning_khz),
+            noise, seed=point_seed, n_shots=shots, noise_dt_us=noise_dt_us,
             static_offsets_hz=static_offsets_hz)
         iq = None
         if model is not None:
@@ -259,7 +238,8 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
         return SimPoint(init_label, batch, iq, blobs)
 
     work = [(i, init_label, j, d)
-            for i, init_label in enumerate(_inits(kind, init))
+            for i, init_label in enumerate([init] if init
+                                           else DEFAULT_PREPARE[kind])
             for j, d in enumerate(delays_us)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -403,19 +383,21 @@ def _persistent_values(config: CampaignConfig, n_traces: int) -> np.ndarray:
     return offsets
 
 
+# plan experiment of each physical reference -> (kind, prepared-state
+# label); "t1" runs the first two, "full" all six
+_PHYSICAL_REFS = {"phys_t1_D": ("phys_t1", "10"),
+                  "phys_t1_Q": ("phys_t1", "01"),
+                  "phys_echo_D": ("phys_echo", "+D"),
+                  "phys_echo_Q": ("phys_echo", "+Q"),
+                  "phys_ramsey_D": ("phys_ramsey", "+D"),
+                  "phys_ramsey_Q": ("phys_ramsey", "+Q")}
+
+
 def _trace_plan(config: CampaignConfig) -> list:
-    plan = []
-    experiments = list(config.experiments)
-    if config.physical_refs != "none":
-        experiments += ["phys_t1_D", "phys_t1_Q"]
-    if config.physical_refs == "full":
-        experiments += ["phys_echo_D", "phys_echo_Q",
-                        "phys_ramsey_D", "phys_ramsey_Q"]
-    for rep in range(config.repetitions):
-        for dev in config.devices:
-            for exp in experiments:
-                plan.append((rep, dev, exp))
-    return plan
+    n_refs = {"none": 0, "t1": 2, "full": 6}[config.physical_refs]
+    experiments = [*config.experiments, *list(_PHYSICAL_REFS)[:n_refs]]
+    return [(rep, dev, exp) for rep in range(config.repetitions)
+            for dev in config.devices for exp in experiments]
 
 
 def _readouts(config, devices) -> dict:
@@ -510,16 +492,13 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
         ts = idx * config.interval_s
         params = devices[dev]
         trace_seed = int(streams.stream_key(config.seed, 70000 + idx))
-        if exp.startswith("phys_"):
-            kind = exp[:exp.rfind("_")]
-            init = "10" if exp.endswith("D") else "01"
-            shots, delays = config.shots_physical, config.delays_us[kind]
-        else:
-            kind, init = exp, None
-            shots, delays = config.shots_per_point, config.delays_us[exp]
+        kind, init = _PHYSICAL_REFS.get(exp, (exp, None))
+        shots = (config.shots_per_point if init is None
+                 else config.shots_physical)
         traces = simulate_counts_trace(
-            params, kind, delays, shots, seed=trace_seed, noise=shot_noise,
-            detuning_khz=config.detuning_khz, noise_dt_us=config.noise_dt_us,
+            params, kind, config.delays_us[kind], shots, seed=trace_seed,
+            noise=shot_noise, detuning_khz=config.detuning_khz,
+            noise_dt_us=config.noise_dt_us,
             static_offsets_hz=tuple(offsets[idx]),
             readout=readouts[dev], init=init, timestamp_s=ts,
             threads=config.threads)

@@ -156,8 +156,10 @@ def cmd_sim_shots(args) -> int:
     if not args.no_classify and not args.ideal_readout:
         clf = train_classifier(model, params, int(streams.stream_key(
             args.seed, streams.TAG_READOUT_TRAIN)))
+    # --init picks a bit-flip initialization; other kinds ignore it
     points = simulate_points(params, kind, delays, args.shots, seed=args.seed,
-                             init=args.init, noise=noise,
+                             init=args.init if kind == "bitflip" else None,
+                             noise=noise,
                              detuning_khz=args.detuning_khz,
                              noise_dt_us=args.noise_dt_us,
                              readout=(model, clf), threads=args.threads)

@@ -34,12 +34,13 @@ IDX_00 = _INDEX[(0, 0)]
 IDX_01 = _INDEX[(0, 1)]
 IDX_10 = _INDEX[(1, 0)]
 
-# Pole pairs for phase experiments: (plus pole, minus pole). The projection
-# gate sends a shot to the plus pole with probability (1 + cos(phi - phi_p))/2.
+# Pole pairs of the prepared superpositions: (plus pole, minus pole). The
+# projection gate sends a shot to the plus pole with probability
+# (1 + cos(phi - phi_p))/2.
 _PAIRS = {
-    "logical": (IDX_10, IDX_01),          # |0>_L, |1>_L
-    "phys_D": (IDX_10, IDX_00),
-    "phys_Q": (IDX_01, IDX_00),
+    "+": (IDX_10, IDX_01),          # |0>_L, |1>_L
+    "+D": (IDX_10, IDX_00),
+    "+Q": (IDX_01, IDX_00),
 }
 
 
@@ -87,42 +88,39 @@ def propagate_exact(rate_matrix: np.ndarray, p0, t_us: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Pulse sequences
 
-PREPARE_SUPERPOSITION = "+"
-SEQUENCE_KINDS = ("bitflip", "hahn_echo", "ramsey",
-                  "phys_t1", "phys_echo", "phys_ramsey")
+_LEVELS = tuple(lv.label for lv in LEVEL_ORDER)
+# the prepare labels each kind takes: bit-flip and T1 prepare a level, the
+# logical phase kinds "+" and the physical-mode ones "+D" or "+Q"
+_PREPARE_LABELS = {"bitflip": _LEVELS, "hahn_echo": ("+",), "ramsey": ("+",),
+                   "phys_t1": _LEVELS, "phys_echo": ("+D", "+Q"),
+                   "phys_ramsey": ("+D", "+Q")}
+SEQUENCE_KINDS = tuple(_PREPARE_LABELS)
+LEVEL_KINDS = ("bitflip", "phys_t1")
 ECHO_KINDS = ("hahn_echo", "phys_echo")
-
-
-def _prepared_index(label: str) -> int:
-    try:
-        return DimonLevel.from_label(label).index
-    except ValueError as exc:
-        raise SequenceError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class PulseSequence:
     """One experiment: prepare, wait, optionally refocus, optionally project.
 
-    ``prepare`` is a physical level ("00".."20") or "+" for the equal
-    superposition of the mode pair selected by ``mode``. Echo kinds split
-    ``delay_us`` into two equal halves around one refocusing pi pulse. A
-    projection at phase ``project_rad`` ends the sequence unless it is None.
+    ``prepare`` is the trace init label: a level ("00".."20") for the level
+    kinds, which neither refocus nor project; "+" for the logical
+    superposition; "+D"/"+Q" for the superposition of one mode's excited
+    level with |00>. Echo kinds split ``delay_us`` into two equal halves
+    around one refocusing pi pulse. The phase kinds end in a projection at
+    ``project_rad``, which advances at ``detuning_khz`` for the Ramsey kinds.
     """
 
     kind: str
     prepare: str
     delay_us: float
-    project_rad: float | None = None
-    mode: str = "logical"
+    detuning_khz: float = DEFAULT_DETUNING_KHZ
 
     def __post_init__(self):
         if self.kind not in SEQUENCE_KINDS:
             raise SequenceError(f"unknown experiment kind {self.kind!r}")
-        if self.mode not in _PAIRS:
-            raise SequenceError(f"unknown mode {self.mode!r}")
-        if self.prepare != PREPARE_SUPERPOSITION:
-            _prepared_index(self.prepare)
+        if self.prepare not in _PREPARE_LABELS[self.kind]:
+            raise SequenceError(f"{self.kind} cannot prepare {self.prepare!r}")
         if self.delay_us < 0:
             raise SequenceError("negative delay")
 
@@ -134,39 +132,15 @@ class PulseSequence:
             return (half, half)
         return (self.delay_us,)
 
-    @classmethod
-    def bitflip(cls, init: DimonLevel | str, delay_us: float) -> "PulseSequence":
-        label = init.label if isinstance(init, DimonLevel) else str(init)
-        return cls("bitflip", label, float(delay_us))
-
-    @classmethod
-    def hahn_echo(cls, delay_us: float) -> "PulseSequence":
-        return cls("hahn_echo", PREPARE_SUPERPOSITION, float(delay_us), 0.0)
-
-    @classmethod
-    def ramsey(cls, delay_us: float,
-               detuning_khz: float = DEFAULT_DETUNING_KHZ) -> "PulseSequence":
-        # Virtual detuning: the projection phase advances as 2 pi df dt.
-        phi = 2.0 * math.pi * detuning_khz * 1e-3 * float(delay_us)
-        return cls("ramsey", PREPARE_SUPERPOSITION, float(delay_us), phi)
-
-    @classmethod
-    def relaxation(cls, mode: str, delay_us: float) -> "PulseSequence":
-        """Unencoded T1 reference on one physical mode."""
-        label = "10" if mode == "D" else "01"
-        return cls("phys_t1", label, float(delay_us), mode=f"phys_{mode}")
-
-    @classmethod
-    def phys_ramsey(cls, mode: str, delay_us: float,
-                    detuning_khz: float = DEFAULT_DETUNING_KHZ) -> "PulseSequence":
-        phi = 2.0 * math.pi * detuning_khz * 1e-3 * float(delay_us)
-        return cls("phys_ramsey", PREPARE_SUPERPOSITION, float(delay_us), phi,
-                   mode=f"phys_{mode}")
-
-    @classmethod
-    def phys_echo(cls, mode: str, delay_us: float) -> "PulseSequence":
-        return cls("phys_echo", PREPARE_SUPERPOSITION, float(delay_us), 0.0,
-                   mode=f"phys_{mode}")
+    @property
+    def project_rad(self) -> float | None:
+        """Phase of the final projection, None for the level kinds."""
+        if self.kind in LEVEL_KINDS:
+            return None
+        if self.kind in ECHO_KINDS:
+            return 0.0
+        # virtual detuning: the projection phase advances as 2 pi df dt
+        return 2.0 * math.pi * self.detuning_khz * 1e-3 * float(self.delay_us)
 
 
 @dataclass
@@ -321,9 +295,12 @@ def _segment_grid(seg_us, noise_dt_us):
     return count, seg_us / count * 1e-6
 
 
-def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
+def _segment_phases(noise, prepare, segments_us, seed, shot_ids, noise_dt_us,
                     static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
+
+    ``prepare`` is the superposition label: "+" couples the logical
+    detuning, "+D"/"+Q" one mode's frequency.
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
@@ -333,17 +310,17 @@ def _segment_phases(noise, mode, segments_us, seed, shot_ids, noise_dt_us,
     drawn the same way through a factor of their covariance. Telegraph
     integrals are exact in time, with the state carried across segments.
     """
-    if mode == "logical":
+    if prepare == "+":
         static = static_offsets_hz[1] - static_offsets_hz[0]
     else:
-        static = static_offsets_hz[0 if mode == "phys_D" else 1]
+        static = static_offsets_hz[0 if prepare == "+D" else 1]
     dur_us = np.asarray(segments_us, dtype=float)
     n_shots, n_seg, seg_us = len(shot_ids), len(segments_us), segments_us[0]
     frozen = np.zeros(n_shots)
     integral = np.zeros((n_shots, n_seg))   # Hz s
     for p_idx, proc in enumerate(noise):
-        coeff = (proc.differential_weight() if mode == "logical"
-                 else proc.mode_weight(mode[-1]))
+        coeff = (proc.differential_weight() if prepare == "+"
+                 else proc.mode_weight(prepare[-1]))
         if coeff == 0.0 or proc.amplitude == 0.0 or seg_us <= 0:
             continue
         key = streams.stream_key(seed, streams.TAG_NOISE_BASE + p_idx)
@@ -403,25 +380,23 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
         raise ValueError("noise_dt_us must be positive")
     rate_matrix = build_rate_matrix(params)
     lam, cumdest = _destination_tables(rate_matrix)
-    pair_plus, pair_minus = _PAIRS[seq.mode]
 
     shot_ids = np.arange(shot_offset, shot_offset + n_shots, dtype=np.int64)
     states = np.empty(n_shots, dtype=np.int64)
     jumped = np.zeros(n_shots, dtype=bool)
     phase = np.zeros(n_shots)
-    if seq.prepare == PREPARE_SUPERPOSITION:
+    # a level kind starts in its level and never reads the phase; a phase
+    # kind starts half in each pole of its pair
+    segments = seq.segments_us
+    if seq.project_rad is None:
+        states[:] = DimonLevel.from_label(seq.prepare).index
+        seg_phase = np.zeros((n_shots, len(segments)))
+    else:
+        pair_plus, pair_minus = _PAIRS[seq.prepare]
         u0 = streams.uniforms(streams.stream_key(seed, streams.TAG_PREP),
                               shot_ids, 0)
         states[:] = np.where(u0 < 0.5, pair_plus, pair_minus)
-    else:
-        states[:] = _prepared_index(seq.prepare)
-
-    # the phase matters only when a projection reads it
-    segments = seq.segments_us
-    if seq.project_rad is None:
-        seg_phase = np.zeros((n_shots, len(segments)))
-    else:
-        seg_phase = _segment_phases(tuple(noise), seq.mode, segments, seed,
+        seg_phase = _segment_phases(tuple(noise), seq.prepare, segments, seed,
                                     shot_ids, noise_dt_us, static_offsets_hz)
 
     for k, dur_us in enumerate(segments):

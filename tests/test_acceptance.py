@@ -59,7 +59,8 @@ def test_c01_erasure_conversion_identity():
     for j, delay in enumerate(delays):
         counts = {}
         for init in ("10", "01"):
-            batch = run_sequence_batch(params, PulseSequence.bitflip(init, delay),
+            batch = run_sequence_batch(params,
+                                       PulseSequence("bitflip", init, delay),
                                        seed=1000 + j, n_shots=shots)
             c = batch.counts()
             counts[init] = (int(c[0]), int(c[1]), int(c[2]))
@@ -96,7 +97,7 @@ def test_c02_oracle_equivalence():
         for init, p0 in (("01", [0, 1, 0, 0, 0, 0]), ("11", [0, 0, 0, 1, 0, 0])):
             for t in (t_short, t_long):
                 batch = run_sequence_batch(
-                    params, PulseSequence.bitflip(init, t),
+                    params, PulseSequence("bitflip", init, t),
                     seed=2000 + k, n_shots=shots)
                 tv = 0.5 * np.abs(batch.level_fractions()
                                   - propagate_exact(rates, p0, t)).sum()
@@ -155,7 +156,8 @@ def test_c04_common_noise_protection():
                         ("telegraph", {"switching_rate_hz": 1e4})):
         for amplitude in (1e2, 1e5, 1e9):
             proc = NoiseProcess(kind, amplitude, coupling="common", **extra)
-            batch = run_sequence_batch(params, PulseSequence.ramsey(60.0),
+            batch = run_sequence_batch(params,
+                                       PulseSequence("ramsey", "+", 60.0),
                                        (proc,), seed=3000, n_shots=2000)
             phases_ok &= bool(np.all(batch.phase_rad == 0.0))
 
@@ -164,8 +166,8 @@ def test_c04_common_noise_protection():
     delays = np.arange(0.0, 150.0, 5.0)
     p0l = []
     for j, t in enumerate(delays):
-        batch = run_sequence_batch(params, PulseSequence.ramsey(t), (proc,),
-                                   seed=3100 + j, n_shots=2000)
+        batch = run_sequence_batch(params, PulseSequence("ramsey", "+", t),
+                                   (proc,), seed=3100 + j, n_shots=2000)
         p0l.append(np.mean(batch.levels == IDX_10))
     fit = fit_ramsey(delays, np.array(p0l), detuning_hint_khz=75.0)
     bounds = bootstrap_bounds(fit, seed=9)
@@ -194,7 +196,7 @@ def test_c05_white_noise_dephasing_oracle():
         p0l = []
         for j, t in enumerate(delays):
             batch = run_sequence_batch(
-                params, PulseSequence.ramsey(t, detuning_khz=detuning_khz),
+                params, PulseSequence("ramsey", "+", t, detuning_khz),
                 (proc,), seed=4000 + 100 * k + j, n_shots=3000)
             p0l.append(np.mean(batch.levels == IDX_10))
         fit = fit_ramsey(delays, np.array(p0l),

@@ -15,6 +15,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
 from ddqsim import campaign, metrology
 from ddqsim.device import load_device
 from ddqsim.errors import ConfigError, FitConvergenceError
+from ddqsim.metrology import read_trace_csv
 from ddqsim.noise import NoiseProcess
 
 
@@ -238,6 +239,19 @@ class TestRunCampaign:
         for metric in ("phys_t2e_d_us", "phys_t2e_q_us", "phys_t2r_d_us",
                        "phys_t2r_q_us", "t2rl_us"):
             assert metric in got
+        # each archived trace carries the prepared-state label of its plan
+        # experiment
+        labels = {"ramsey": ["+"], "phys_t1_D": ["10"], "phys_t1_Q": ["01"],
+                  "phys_echo_D": ["+D"], "phys_echo_Q": ["+Q"],
+                  "phys_ramsey_D": ["+D"], "phys_ramsey_Q": ["+Q"]}
+        trace_dir = tmp_path / "full" / "traces"
+        files = sorted(os.listdir(trace_dir))
+        assert len(files) == len(labels)
+        for fn in files:
+            exp = fn[len("trace_00000_q1_"):-len(".csv")]
+            got_labels = [t.init_label
+                          for t in read_trace_csv(str(trace_dir / fn))]
+            assert got_labels == labels[exp], fn
         # common noise dephases the bare modes but not the encoded qubit
         assert got["t2rl_us"] > 3 * got["phys_t2r_d_us"]
         # the Q mode sees both white processes (9000 + 500 Hz^2/Hz) and

@@ -75,6 +75,18 @@ class TestSimShots:
                     "--out", str(out), *extra]) == 2
         assert not out.exists()
 
+    def test_init_ignored_for_non_bitflip(self, tmp_path):
+        outputs = []
+        for name, extra in (("plain", []), ("init", ["--init", "10"])):
+            out = tmp_path / name
+            assert run(["sim-shots", "--config", "q1", "--experiment",
+                        "ramsey", "--shots", "100", "--seed", "4",
+                        "--delays", "0,5,10", "--out", str(out),
+                        "--trace-out", f"{out}.trace", *extra]) == 0
+            outputs.append((out.read_bytes(),
+                            (tmp_path / f"{name}.trace").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_overwrite_needs_force(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["sim-shots", "--config", "q1", "--experiment", "ramsey",

@@ -106,34 +106,49 @@ class TestPropagateExact:
 
 class TestPulseSequence:
     def test_bitflip_shape(self):
-        seq = PulseSequence.bitflip("01", 25.0)
+        seq = PulseSequence("bitflip", "01", 25.0)
         assert seq.prepare == "01"
         assert seq.project_rad is None
         assert seq.segments_us == (25.0,)
 
     def test_hahn_echo_midpoint(self):
-        seq = PulseSequence.hahn_echo(40.0)
+        seq = PulseSequence("hahn_echo", "+", 40.0)
         assert seq.segments_us == (20.0, 20.0)
         assert seq.project_rad == 0.0
 
     def test_ramsey_projection_phase(self):
-        seq = PulseSequence.ramsey(20.0, detuning_khz=75.0)
+        seq = PulseSequence("ramsey", "+", 20.0, 75.0)
         assert seq.segments_us == (20.0,)
         assert seq.project_rad == pytest.approx(2 * math.pi * 75e3 * 20e-6)
 
+    @pytest.mark.parametrize("kind, prepare, expect", [
+        ("bitflip", "10", None), ("phys_t1", "01", None),
+        ("hahn_echo", "+", 0.0), ("phys_echo", "+D", 0.0),
+        ("ramsey", "+", 2.0 * math.pi * 40.0 * 1e-3 * 30.0),
+        ("phys_ramsey", "+Q", 2.0 * math.pi * 40.0 * 1e-3 * 30.0)])
+    def test_projection_phase_of_each_kind(self, kind, prepare, expect):
+        # level kinds never project; echoes project at zero phase whatever
+        # the detuning; Ramsey kinds advance at the virtual detuning
+        seq = PulseSequence(kind, prepare, 30.0, 40.0)
+        assert seq.project_rad == expect
+
     def test_malformed_sequences_rejected(self):
         with pytest.raises(SequenceError, match="negative delay"):
-            PulseSequence.bitflip("01", -1.0)
+            PulseSequence("bitflip", "01", -1.0)
         with pytest.raises(SequenceError):
-            PulseSequence.bitflip("33", 1.0)
+            PulseSequence("bitflip", "33", 1.0)
         with pytest.raises(SequenceError, match="unknown experiment kind"):
-            PulseSequence("cpmg", "+", 10.0, 0.0)
-        with pytest.raises(SequenceError, match="unknown mode"):
-            PulseSequence.relaxation("X", 10.0)
+            PulseSequence("cpmg", "+", 10.0)
+        for kind, prepare in (("ramsey", "10"), ("phys_echo", "+"),
+                              ("bitflip", "+"), ("phys_t1", "+D"),
+                              ("hahn_echo", "+Q"), ("phys_ramsey", "01")):
+            with pytest.raises(SequenceError, match="cannot prepare"):
+                PulseSequence(kind, prepare, 10.0)
+
 
 class TestEngine:
     def test_determinism_and_batch_invariance(self, q1):
-        seq = PulseSequence.bitflip("01", 30.0)
+        seq = PulseSequence("bitflip", "01", 30.0)
         whole = run_sequence_batch(q1, seq, seed=5, n_shots=500)
         again = run_sequence_batch(q1, seq, seed=5, n_shots=500)
         assert np.array_equal(whole.levels, again.levels)
@@ -145,7 +160,7 @@ class TestEngine:
 
     def test_noiseless_bitflip_stays_put(self, q1):
         params = lossless(q1)
-        seq = PulseSequence.bitflip("01", 100.0)
+        seq = PulseSequence("bitflip", "01", 100.0)
         batch = run_sequence_batch(params, seq, seed=3, n_shots=200)
         assert np.all(batch.levels == IDX_01)
         assert not batch.jumped.any()
@@ -153,7 +168,7 @@ class TestEngine:
     def test_never_rail_swaps_in_one_jump(self, q1):
         # with no thermal excitation |01> can only reach |00>
         params = q1.with_(n_th_D=0.0, n_th_Q=0.0)
-        seq = PulseSequence.bitflip("01", 500.0)
+        seq = PulseSequence("bitflip", "01", 500.0)
         batch = run_sequence_batch(params, seq, seed=11, n_shots=20_000)
         assert not np.any(batch.levels == IDX_10)
         assert set(np.unique(batch.levels)) <= {IDX_00, IDX_01}
@@ -164,7 +179,7 @@ class TestEngine:
         for init, p0 in (("01", [0, 1, 0, 0, 0, 0]),
                          ("11", [0, 0, 0, 1, 0, 0])):
             for t in (20.0, 90.0):
-                seq = PulseSequence.bitflip(init, t)
+                seq = PulseSequence("bitflip", init, t)
                 batch = run_sequence_batch(q1, seq, seed=101, n_shots=n)
                 emp = batch.level_fractions()
                 exact = propagate_exact(rates, p0, t)
@@ -175,7 +190,7 @@ class TestEngine:
 
     def test_superposition_prepares_half_half(self, q1):
         params = lossless(q1)
-        seq = PulseSequence.ramsey(0.0)
+        seq = PulseSequence("ramsey", "+", 0.0)
         batch = run_sequence_batch(params, seq, seed=4, n_shots=40_000)
         # phase 0 at zero delay: projection restores the plus pole exactly
         assert np.all(batch.levels == IDX_10)
@@ -183,7 +198,7 @@ class TestEngine:
     def test_noiseless_ramsey_oscillation(self, q1):
         params = lossless(q1)
         for t in (5.0, 10.0, 17.0):
-            seq = PulseSequence.ramsey(t, detuning_khz=75.0)
+            seq = PulseSequence("ramsey", "+", t, 75.0)
             batch = run_sequence_batch(params, seq, seed=29, n_shots=30_000)
             p0l = np.mean(batch.levels == IDX_10)
             expect = 0.5 * (1 + math.cos(2 * math.pi * 0.075 * t))
@@ -191,20 +206,22 @@ class TestEngine:
 
     def test_projection_at_pi_lands_on_minus_pole(self, q1):
         params = lossless(q1)
-        seq = PulseSequence("ramsey", "+", 10.0, project_rad=math.pi)
+        # 50 kHz over 10 us is half a turn
+        seq = PulseSequence("ramsey", "+", 10.0, 50.0)
+        assert seq.project_rad == pytest.approx(math.pi)
         batch = run_sequence_batch(params, seq, seed=2, n_shots=5000)
         assert np.all(batch.levels == IDX_01)
 
     def test_common_noise_exact_cancellation(self, q1):
         proc = NoiseProcess("white", 1e8, coupling="common")
-        seq = PulseSequence.ramsey(80.0)
+        seq = PulseSequence("ramsey", "+", 80.0)
         batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=8,
                                    n_shots=2000)
         assert np.all(batch.phase_rad == 0.0)
 
     def test_unbalanced_common_noise_dephases(self, q1):
         proc = NoiseProcess("white", 1e5, coupling="common", w_D=1.0, w_Q=1.3)
-        seq = PulseSequence.ramsey(80.0)
+        seq = PulseSequence("ramsey", "+", 80.0)
         batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=8,
                                    n_shots=2000)
         assert np.any(batch.phase_rad != 0.0)
@@ -212,7 +229,7 @@ class TestEngine:
     def test_echo_cancels_quasistatic_noise_exactly(self, q1):
         proc = NoiseProcess("one_over_f", 1e6, coupling="differential_D",
                             quasistatic=True)
-        seq = PulseSequence.hahn_echo(120.0)
+        seq = PulseSequence("hahn_echo", "+", 120.0)
         batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=13,
                                    n_shots=3000)
         assert np.all(batch.phase_rad == 0.0)
@@ -221,7 +238,7 @@ class TestEngine:
     def test_ramsey_does_not_cancel_quasistatic_noise(self, q1):
         proc = NoiseProcess("one_over_f", 1e6, coupling="differential_D",
                             quasistatic=True)
-        seq = PulseSequence.ramsey(120.0, detuning_khz=0.0)
+        seq = PulseSequence("ramsey", "+", 120.0, 0.0)
         batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=13,
                                    n_shots=3000)
         assert np.mean(batch.phase_rad != 0.0) > 0.99
@@ -229,7 +246,7 @@ class TestEngine:
     def test_static_offset_shifts_ramsey_frequency(self, q1):
         params = lossless(q1)
         t = 10.0
-        seq = PulseSequence.ramsey(t, detuning_khz=0.0)
+        seq = PulseSequence("ramsey", "+", t, 0.0)
         batch = run_sequence_batch(params, seq, seed=6, n_shots=20_000,
                                    static_offsets_hz=(0.0, 40e3))
         p0l = np.mean(batch.levels == IDX_10)
@@ -244,7 +261,7 @@ class TestEngine:
         delays = np.arange(2.0, 92.0, 3.0)
         p0l = []
         for j, t in enumerate(delays):
-            seq = PulseSequence.ramsey(t, detuning_khz=75.0)
+            seq = PulseSequence("ramsey", "+", t, 75.0)
             batch = run_sequence_batch(params, seq, (proc,), seed=300 + j,
                                        n_shots=3000)
             p0l.append(np.mean(batch.levels == IDX_10))
@@ -259,7 +276,8 @@ class TestEngine:
         t = 50.0
         proc = NoiseProcess("white", s_f, coupling="differential_D")
         expect = (2 * math.pi) ** 2 * 0.5 * s_f * t * 1e-6
-        for seq in (PulseSequence.ramsey(t), PulseSequence.hahn_echo(t)):
+        for seq in (PulseSequence("ramsey", "+", t),
+                    PulseSequence("hahn_echo", "+", t)):
             batch = run_sequence_batch(lossless(q1), seq, (proc,), seed=44,
                                        n_shots=50_000)
             assert batch.phase_rad.var() == pytest.approx(expect, rel=0.05)
@@ -271,8 +289,8 @@ class TestEngine:
                  NoiseProcess("telegraph", 20e3, coupling="differential_D",
                               switching_rate_hz=5e4))
         for proc in procs:
-            for seq in (PulseSequence.ramsey(33.0),
-                        PulseSequence.hahn_echo(41.0)):
+            for seq in (PulseSequence("ramsey", "+", 33.0),
+                        PulseSequence("hahn_echo", "+", 41.0)):
                 coarse, fine = (run_sequence_batch(q1, seq, (proc,), seed=17,
                                                    n_shots=500,
                                                    noise_dt_us=dt)
@@ -328,12 +346,14 @@ class TestColoredNoise:
         sequence; the echo's cutoff moves with its delay. The path-free
         phases keep that distribution until a fixed cutoff replaces it."""
         proc = NoiseProcess("one_over_f", 2e6, coupling="differential_Q")
-        ramsey = run_sequence_batch(lossless(q1), PulseSequence.ramsey(40.0),
+        ramsey = run_sequence_batch(lossless(q1),
+                                    PulseSequence("ramsey", "+", 40.0),
                                     (proc,), seed=51, n_shots=2000)
         assert ramsey.phase_rad.var() < 1e-20
         # the echo phase, -I0 + I1, has variance (2 pi)^2 (S00 + S11 - 2 S01)
         t = 400.0
-        echo = run_sequence_batch(lossless(q1), PulseSequence.hahn_echo(t),
+        echo = run_sequence_batch(lossless(q1),
+                                  PulseSequence("hahn_echo", "+", t),
                                   (proc,), seed=52, n_shots=20_000)
         cov = _one_over_f_cov(2e6, 2, *_segment_grid(t / 2, 0.5))
         expect = (2 * math.pi) ** 2 * (cov[0, 0] + cov[1, 1] - 2 * cov[0, 1])
@@ -369,7 +389,8 @@ class TestColoredNoise:
         proc = NoiseProcess("telegraph", 20e3, coupling="differential_D",
                             switching_rate_hz=2e4)
         t = 42.0
-        batch = run_sequence_batch(lossless(q1), PulseSequence.ramsey(t),
+        batch = run_sequence_batch(lossless(q1),
+                                   PulseSequence("ramsey", "+", t),
                                    (proc,), seed=61, n_shots=50_000)
         expect = (2 * math.pi) ** 2 * telegraph_variance(10e3, 2e4, t * 1e-6)
         assert batch.phase_rad.var() == pytest.approx(expect, rel=0.03)
@@ -380,7 +401,8 @@ class TestColoredNoise:
         excursion, rate, t = 20e3, 2e5, 10.0
         proc = NoiseProcess("telegraph", excursion, coupling="differential_D",
                             switching_rate_hz=rate)
-        batch = run_sequence_batch(lossless(q1), PulseSequence.hahn_echo(t),
+        batch = run_sequence_batch(lossless(q1),
+                                   PulseSequence("hahn_echo", "+", t),
                                    (proc,), seed=62, n_shots=50_000)
         dt_s = 5e-9
         n = round(t * 1e-6 / dt_s)
@@ -398,7 +420,7 @@ class TestColoredNoise:
         # rate * T = 4000 switches per shot on average
         proc = NoiseProcess("telegraph", 2e5, coupling="differential_D",
                             switching_rate_hz=1e8)
-        seq = PulseSequence.hahn_echo(40.0)
+        seq = PulseSequence("hahn_echo", "+", 40.0)
         times = []
         for _ in range(3):
             start = time.perf_counter()
@@ -410,8 +432,8 @@ class TestColoredNoise:
         expect = (2 * math.pi) ** 2 * 2 * telegraph_variance(1e5, 1e8, 20e-6)
         assert batch.phase_rad.var() == pytest.approx(expect, rel=0.1)
 
-    @pytest.mark.parametrize("seq", [PulseSequence.ramsey(37.0),
-                                     PulseSequence.hahn_echo(123.0)],
+    @pytest.mark.parametrize("seq", [PulseSequence("ramsey", "+", 37.0),
+                                     PulseSequence("hahn_echo", "+", 123.0)],
                              ids=["ramsey", "hahn_echo"])
     def test_colored_noise_batch_invariance(self, q1, seq):
         whole = run_sequence_batch(q1, seq, self.COLORED, seed=9, n_shots=700)
@@ -429,7 +451,7 @@ class TestPhysicalModeSequences:
     def test_relaxation_reference(self, q2):
         params = q2.with_(n_th_D=0.0, n_th_Q=0.0)
         rates = build_rate_matrix(params)
-        seq = PulseSequence.relaxation("Q", 55.4)
+        seq = PulseSequence("phys_t1", "01", 55.4)
         batch = run_sequence_batch(params, seq, seed=21, n_shots=40_000)
         p01 = np.mean(batch.levels == IDX_01)
         assert p01 == pytest.approx(math.exp(-1), abs=0.01)
@@ -437,11 +459,11 @@ class TestPhysicalModeSequences:
     def test_phys_ramsey_oscillates_on_mode_noise(self, q2):
         params = lossless(q2)
         proc = NoiseProcess("white", 5000.0, coupling="differential_Q")
-        seq = PulseSequence.phys_ramsey("Q", 40.0, detuning_khz=0.0)
+        seq = PulseSequence("phys_ramsey", "+Q", 40.0, 0.0)
         batch = run_sequence_batch(params, seq, (proc,), seed=31, n_shots=2000)
         assert np.any(batch.phase_rad != 0.0)
         # the same process leaves the D mode untouched
-        seq_d = PulseSequence.phys_ramsey("D", 40.0, detuning_khz=0.0)
+        seq_d = PulseSequence("phys_ramsey", "+D", 40.0, 0.0)
         batch_d = run_sequence_batch(params, seq_d, (proc,), seed=31,
                                      n_shots=2000)
         assert np.all(batch_d.phase_rad == 0.0)
