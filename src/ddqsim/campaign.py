@@ -93,13 +93,19 @@ class CampaignConfig:
         delays = {k: [float(x) for x in v]
                   for k, v in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
         for kind, grid in delays.items():
+            if not np.all(np.isfinite(grid)):
+                raise ConfigError(f"delay grid for {kind} must be finite")
             if not grid or np.any(np.diff(grid) <= 0):
                 raise ConfigError(f"delay grid for {kind} must be ascending")
             if grid[0] < 0:
                 raise ConfigError(f"delay grid for {kind} has a negative delay")
         self.delays_us = delays
-        if not (self.noise_dt_us > 0 and self.interval_s > 0):
-            raise ConfigError("noise_dt_us and interval_s must be positive")
+        if not (0 < self.noise_dt_us < math.inf and
+                0 < self.interval_s < math.inf):
+            raise ConfigError("noise_dt_us and interval_s must be positive "
+                              "and finite")
+        if not math.isfinite(self.detuning_khz):
+            raise ConfigError("detuning_khz must be finite")
         try:
             self.noise = [p if isinstance(p, NoiseProcess) else
                           NoiseProcess.from_dict(p) for p in self.noise]

@@ -104,6 +104,8 @@ def _parse_delays(text: str | None, kind: str) -> list:
                           f"start:stop:num") from exc
     if not delays:
         raise ConfigError(f"--delays {text!r} holds no delay")
+    if not np.all(np.isfinite(delays)):
+        raise ConfigError(f"--delays {text!r} must be finite")
     if np.any(np.diff(delays) <= 0):
         raise ConfigError(f"--delays {text!r} must be strictly increasing")
     return delays

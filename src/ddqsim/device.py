@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 
@@ -119,6 +119,9 @@ class DeviceParams:
     name: str = "device"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "name" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if not self.omega_Q > self.omega_D:
             raise ConfigError("require omega_Q > omega_D (positive detuning)")
         for field in ("T1_D_us", "T1_Q_us", "T2E_D_us", "T2E_Q_us",

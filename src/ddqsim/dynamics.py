@@ -121,6 +121,9 @@ class PulseSequence:
             raise SequenceError(f"unknown experiment kind {self.kind!r}")
         if self.prepare not in _PREPARE_LABELS[self.kind]:
             raise SequenceError(f"{self.kind} cannot prepare {self.prepare!r}")
+        if not (math.isfinite(self.delay_us) and
+                math.isfinite(self.detuning_khz)):
+            raise SequenceError("delay and detuning must be finite")
         if self.delay_us < 0:
             raise SequenceError("negative delay")
 

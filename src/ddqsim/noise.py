@@ -50,6 +50,9 @@ class NoiseProcess:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.coupling not in COUPLINGS:
             raise ValueError(f"coupling must be one of {COUPLINGS}")
+        for name in ("amplitude", "switching_rate_hz", "w_D", "w_Q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.kind == "telegraph" and not self.switching_rate_hz > 0:

@@ -56,6 +56,13 @@ class TestConfig:
             tiny_config(devices=[])
         with pytest.raises(ConfigError):
             tiny_config(delays_us={"ramsey": [5, 5, 10]})
+        for change in ({"delays_us": {"ramsey": [0.0, math.nan, 10.0]}},
+                       {"delays_us": {"ramsey": [0.0, 5.0, math.inf]}},
+                       {"detuning_khz": math.nan},
+                       {"detuning_khz": -math.inf},
+                       {"interval_s": math.inf}):
+            with pytest.raises(ConfigError, match="finite"):
+                tiny_config(**change)
 
     def test_defaults_fill_missing_grids(self):
         cfg = tiny_config(delays_us={})
@@ -84,7 +91,11 @@ class TestConfig:
                 ({"noise_dt_us": 0.0}, "noise_dt_us"),
                 ({"interval_s": 0.0}, "interval_s"),
                 ({"delays_us": {"ramsey": [-3.0, 0.0, 3.0]}}, "negative"),
+                ({"delays_us": {"ramsey": [0.0, 3.0, math.nan]}}, "finite"),
+                ({"detuning_khz": math.nan}, "finite"),
                 ({"noise": [{"kind": "pink", "amplitude": 1.0}]}, "noise"),
+                ({"noise": [{"kind": "white", "amplitude": math.nan}]},
+                 "finite"),
                 ({"shots_physical": 0}, "physical shots"),
                 ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma")):
             with pytest.raises(ConfigError, match=message):

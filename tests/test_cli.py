@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -57,7 +58,8 @@ class TestSimShots:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("delays", ["0:10:0", "0:10:x", "a,b"])
+    @pytest.mark.parametrize("delays", ["0:10:0", "0:10:x", "a,b",
+                                        "nan,5,10", "0,5,inf"])
     def test_bad_delays_exit_2(self, tmp_path, delays):
         out = tmp_path / "y.csv"
         assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
@@ -73,6 +75,26 @@ class TestSimShots:
         assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
                     "--seed", "1", "--shots", "100", "--delays", delays,
                     "--out", str(out), *extra]) == 2
+        assert not out.exists()
+
+    def test_non_finite_detuning_exit_2(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                    "--seed", "1", "--shots", "100", "--delays", "0,5",
+                    "--detuning-khz", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "white", "amplitude": math.nan},
+        {"kind": "telegraph", "amplitude": 2e4,
+         "switching_rate_hz": math.inf}], ids=["nan", "inf"])
+    def test_non_finite_noise_exit_2(self, tmp_path, spec):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps([spec]))
+        out = tmp_path / "u.csv"
+        assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                    "--seed", "1", "--shots", "100", "--delays", "0,5",
+                    "--noise", str(noise), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_init_ignored_for_non_bitflip(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestConfigLoading:
         cfg = dict(Q1_CONFIG, omega_Q_GHz=4.0)
         with pytest.raises(ConfigError):
             DeviceParams.from_config(cfg)
+
+    @pytest.mark.parametrize("key", ["n_th", "T1_D_us", "omega_D_GHz",
+                                     "kappa_R_MHz", "r_junction"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        # a NaN n_th used to switch relaxation off: every rate was NaN
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(dict(Q1_CONFIG, **{key: value})))
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_device(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

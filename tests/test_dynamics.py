@@ -144,6 +144,10 @@ class TestPulseSequence:
                               ("hahn_echo", "+Q"), ("phys_ramsey", "01")):
             with pytest.raises(SequenceError, match="cannot prepare"):
                 PulseSequence(kind, prepare, 10.0)
+        for delay, detuning in ((math.nan, 75.0), (math.inf, 75.0),
+                                (10.0, math.nan), (10.0, -math.inf)):
+            with pytest.raises(SequenceError, match="finite"):
+                PulseSequence("ramsey", "+", delay, detuning)
 
 
 class TestEngine:

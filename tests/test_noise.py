@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ class TestNoiseProcess:
             NoiseProcess("telegraph", 1.0)  # needs a switching rate
         with pytest.raises(ValueError):
             NoiseProcess("white", 1.0, coupling="differential_X")
+        for extra in ({"amplitude": math.nan}, {"amplitude": math.inf},
+                      {"switching_rate_hz": math.inf},
+                      {"switching_rate_hz": math.nan}, {"w_D": math.nan},
+                      {"w_Q": -math.inf}):
+            spec = {"kind": "telegraph", "amplitude": 2e4,
+                    "switching_rate_hz": 1e3, **extra}
+            with pytest.raises(ValueError, match="finite"):
+                NoiseProcess.from_dict(spec)
 
     def test_coupling_weights(self):
         common = NoiseProcess("white", 1.0, coupling="common", w_D=0.7, w_Q=1.2)
