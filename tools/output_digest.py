@@ -1,0 +1,161 @@
+"""Digest of ddqsim's outputs over a fixed set of CLI commands.
+
+Runs ``sim-shots``, ``analyze`` and ``campaign``/``summarize`` through
+``ddqsim.cli.main`` only, the stable contract, in a temporary directory with
+relative paths so manifests do not depend on where it runs. Prints one
+sha256 per command group and a total over the groups. Two checkouts that
+print the same total wrote the same bytes.
+
+    python3 tools/output_digest.py            # ddqsim from ../src
+    python3 tools/output_digest.py --src DIR  # ddqsim from another tree
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SEED = "7"
+DELAYS = {"bitflip": "0,10,30,60", "hahn-echo": "0,10,25,40,70",
+          "ramsey": "0:30:11"}
+NOISE = {
+    "white": [{"kind": "white", "amplitude": 3000.0,
+               "coupling": "differential_Q"}],
+    "colored": [{"kind": "one_over_f", "amplitude": 2e6,
+                 "coupling": "differential_Q"},
+                {"kind": "telegraph", "amplitude": 20e3,
+                 "coupling": "differential_D", "switching_rate_hz": 2e4}],
+    "quasistatic": [{"kind": "one_over_f", "amplitude": 1e6,
+                     "coupling": "differential_D", "quasistatic": True},
+                    {"kind": "telegraph", "amplitude": 10e3,
+                     "coupling": "common", "w_D": 1.0, "w_Q": 1.4,
+                     "switching_rate_hz": 1e3, "quasistatic": True}],
+}
+CAMPAIGN = {
+    "devices": ["q1", "q2"], "experiments": ["bitflip", "hahn_echo", "ramsey"],
+    "repetitions": 2, "seed": 11, "shots_per_point": 150,
+    "shots_physical": 120, "physical_refs": "full", "bootstrap_resamples": 20,
+    "noise": [{"kind": "white", "amplitude": 2000.0, "coupling": "common",
+               "w_D": 1.0, "w_Q": 1.2},
+              {"kind": "telegraph", "amplitude": 30e3,
+               "coupling": "differential_D",
+               "switching_rate_hz": 1.0 / 2000.0, "persistent": True}],
+    "delays_us": {"bitflip": [0, 10, 20, 30, 60],
+                  "hahn_echo": [0, 10, 20, 30, 60],
+                  "ramsey": list(range(0, 45, 3)),
+                  "phys_t1": [0, 20, 50, 100, 160],
+                  "phys_echo": [0, 5, 10, 20, 40],
+                  "phys_ramsey": list(range(0, 45, 3))},
+}
+
+
+def sim_shots_commands() -> list:
+    argvs = []
+    for exp, delays in DELAYS.items():
+        for noise in NOISE:
+            for threads in ("1", "2"):
+                stem = f"{exp}_{noise}_t{threads}"
+                argvs.append(["sim-shots", "--config", "q1", "--experiment",
+                              exp, "--shots", "200", "--seed", SEED,
+                              "--delays", delays, "--noise", f"{noise}.json",
+                              "--threads", threads, "--dump-trajectories",
+                              "--out", f"{stem}.csv",
+                              "--trace-out", f"{stem}.trace.csv"])
+    argvs.append(["sim-shots", "--config", "q2", "--experiment", "ramsey",
+                  "--shots", "200", "--seed", SEED, "--delays", "0:30:11",
+                  "--noise", "colored.json", "--noise-dt-us", "0.37",
+                  "--threads", "1", "--out", "ramsey_dt.csv",
+                  "--trace-out", "ramsey_dt.trace.csv"])
+    return argvs
+
+
+def analyze_commands() -> list:
+    kinds = {"bitflip": "bitflip", "hahn-echo": "hahn-echo",
+             "ramsey": "ramsey", "erasure": "hahn-echo"}
+    return [["analyze", "--trace", f"{exp}_white_t1.trace.csv", "--kind", kind,
+             "--bootstrap", "40", "--seed", SEED, "--emit-plot-data",
+             "--out", f"fit_{kind}.json"]
+            for kind, exp in kinds.items()]
+
+
+def campaign_commands() -> list:
+    return [["campaign", "--config", "campaign.json", "--out", "archive",
+             "--threads", "2"],
+            ["summarize", "--in", "archive/metrics.csv",
+             "--out", "summary.json"]]
+
+
+GROUPS = (("sim-shots", sim_shots_commands), ("analyze", analyze_commands),
+          ("campaign", campaign_commands))
+
+
+def tree_files(root: str) -> list:
+    out = []
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        out += [os.path.relpath(os.path.join(dirpath, f), root)
+                for f in sorted(files)]
+    return out
+
+
+def run_group(main, argvs, seen: set) -> tuple:
+    """Run the commands; hash their exit codes, stdout and new files.
+
+    Returns the digest and the number of commands that exited non-zero.
+    """
+    h = hashlib.sha256()
+    failed = 0
+    for argv in argvs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        failed += code != 0
+        h.update(f"{' '.join(argv)}\0{code}\0{stdout.getvalue()}\0".encode())
+    for path in tree_files("."):
+        if path not in seen:
+            seen.add(path)
+            with open(path, "rb") as fh:
+                h.update(f"{path}\0".encode() + fh.read() + b"\0")
+    return h.hexdigest(), failed
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="directory holding the ddqsim package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from ddqsim.cli import main as ddqsim_main
+
+    total = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, spec in NOISE.items():
+                with open(f"{name}.json", "w", encoding="utf-8") as fh:
+                    json.dump(spec, fh)
+            with open("campaign.json", "w", encoding="utf-8") as fh:
+                json.dump(CAMPAIGN, fh)
+            seen = set(tree_files("."))
+            for name, commands in GROUPS:
+                argvs = commands()
+                digest, failed = run_group(ddqsim_main, argvs, seen)
+                total.update(digest.encode())
+                print(f"{name:<10} {digest}  ({len(argvs)} commands, "
+                      f"{failed} non-zero exits)")
+        finally:
+            os.chdir(cwd)
+    print(f"{'total':<10} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
