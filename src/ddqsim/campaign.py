@@ -31,6 +31,7 @@ from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
 from .noise import NoiseProcess
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
+from .tables import FREQUENCY, METRICS, read_table, write_table
 
 MOVING_AVERAGE_WINDOW = 50
 
@@ -44,9 +45,6 @@ DEFAULT_DELAYS_US = {
     "phys_echo": [0, 5, 10, 15, 20, 25, 30, 50, 80, 120, 180, 260],
     "phys_ramsey": [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42],
 }
-
-METRICS_CSV_HEADER = ("timestamp_s", "device", "metric", "estimate",
-                      "lower", "upper")
 
 @dataclass
 class CampaignConfig:
@@ -151,41 +149,13 @@ class MetricPoint:
     upper: float = math.nan
 
 
-def _fmt(x: float) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else repr(float(x))
-
-
 def write_metrics_csv(path, rows, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        if not append:
-            fh.write(",".join(METRICS_CSV_HEADER) + "\n")
-        for r in rows:
-            fh.write(",".join([repr(float(r.timestamp_s)), r.device, r.metric,
-                               _fmt(r.estimate), _fmt(r.lower),
-                               _fmt(r.upper)]) + "\n")
+    write_table(path, METRICS, [[[getattr(r, name) for r in rows]
+                                 for name in METRICS]], append=append)
 
 
 def read_metrics_csv(path) -> list:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(METRICS_CSV_HEADER):
-            raise ConfigError(f"{path}: bad metrics header {header}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append(MetricPoint(
-                    timestamp_s=float(parts[0]), device=parts[1],
-                    metric=parts[2], estimate=float(parts[3]),
-                    lower=float(parts[4]) if parts[4] else math.nan,
-                    upper=float(parts[5]) if parts[5] else math.nan))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: line {ln}: {exc}") from exc
-    return rows
+    return [MetricPoint(*row) for row in read_table(path, METRICS)]
 
 
 # --------------------------------------------------------------------------
@@ -529,16 +499,13 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
 
 
 def _write_freq_series(out_dir, config, rows) -> None:
-    from .noise_analysis import FREQ_CSV_HEADER
     for dev in config.devices:
         sel = [r for r in rows if r.device == dev and r.metric == "delta_f_hz"]
         if len(sel) < 2:
             continue
-        path = os.path.join(out_dir, f"freq_{dev}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(FREQ_CSV_HEADER) + "\n")
-            for r in sel:
-                fh.write(f"{r.timestamp_s!r},{r.estimate!r},logical\n")
+        write_table(os.path.join(out_dir, f"freq_{dev}.csv"), FREQUENCY,
+                    [([r.timestamp_s for r in sel], [r.estimate for r in sel],
+                      ["logical"] * len(sel))])
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .noise_analysis import (FrequencySeries, default_taus, fit_allan_model,
                              write_allan_csv, write_psd_csv)
 from .readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
                       train_classifier)
+from .tables import CURVE, SHOTS, TRAJECTORIES, write_table
 from . import streams
 
 
@@ -166,27 +167,21 @@ def cmd_sim_shots(args) -> int:
                              noise_dt_us=args.noise_dt_us,
                              readout=(model, clf), threads=args.threads)
 
-    blob_labels = [lv.label for lv in READOUT_LEVELS]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("shot_index,prep_label,i,q,assigned_label\n")
-        for k, p in enumerate(points):
-            shots = zip(p.iq.tolist(), p.blobs.tolist())
-            for s, ((i, q), blob) in enumerate(shots, start=k * args.shots):
-                lab = "" if args.no_classify else blob_labels[blob]
-                fh.write(f"{s},{p.init},{i!r},{q!r},{lab}\n")
+    # one block of rows per point; shot indices run on across points
+    n = args.shots
+    blob_labels = np.array([lv.label for lv in READOUT_LEVELS])
+    write_table(args.out, SHOTS, (
+        (range(k * n, (k + 1) * n), [p.init] * n, p.iq[:, 0], p.iq[:, 1],
+         [""] * n if args.no_classify else blob_labels[p.blobs])
+        for k, p in enumerate(points)))
     outputs = [args.out]
     if args.dump_trajectories:
         tpath = args.out + ".trajectories.csv"
-        with open(tpath, "w", encoding="utf-8", newline="") as fh:
-            fh.write("shot_index,final_level,phase_rad,erased\n")
-            for k, p in enumerate(points):
-                b = p.batch
-                shots = zip(b.levels.tolist(), b.phase_rad.tolist(),
-                            b.erased.tolist())
-                for s, (lv, phase, erased) in enumerate(shots,
-                                                         start=k * args.shots):
-                    fh.write(f"{s},{LEVEL_ORDER[lv].label},{phase!r},"
-                             f"{int(erased)}\n")
+        level_labels = np.array([lv.label for lv in LEVEL_ORDER])
+        write_table(tpath, TRAJECTORIES, (
+            (range(k * n, (k + 1) * n), level_labels[p.batch.levels],
+             p.batch.phase_rad, p.batch.erased)
+            for k, p in enumerate(points)))
         outputs.append(tpath)
     if args.trace_out:
         write_trace_csv(args.trace_out,
@@ -228,11 +223,8 @@ def cmd_analyze(args) -> int:
     outputs = [args.out]
     if args.emit_plot_data:
         curve = args.out + ".curve.csv"
-        with open(curve, "w", encoding="utf-8", newline="") as fh:
-            fh.write("delay_us,data,fitted\n")
-            data = fit.fitted + fit.residuals
-            for t, y, m in zip(fit.delays_us, data, fit.fitted):
-                fh.write(f"{t!r},{y!r},{m!r}\n")
+        write_table(curve, CURVE, [(fit.delays_us, fit.fitted + fit.residuals,
+                                    fit.fitted)])
         outputs.append(curve)
     _write_manifest(args.out + ".manifest.json", args, [args.trace], outputs)
     return 0

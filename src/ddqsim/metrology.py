@@ -14,7 +14,6 @@ single Levenberg-Marquardt loop (`fitting.lm_least_squares`).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,13 +23,11 @@ import numpy as np
 from .errors import (ConfigError, EmptyLogicalSubspaceError,
                      FitConvergenceError, ResampleError)
 from .fitting import lm_least_squares
+from .tables import TRACE, read_table, write_table
 
 DEFAULT_FIT_WINDOW_US = 30.0
 BOOTSTRAP_RESAMPLES = 250
 BOOTSTRAP_QUANTILE = 0.05
-
-TRACE_CSV_HEADER = ("delay_us", "n00", "n01", "n10", "n_total",
-                    "init_label", "timestamp_s")
 
 
 @dataclass
@@ -49,6 +46,9 @@ class TraceData:
         self.delays_us = np.asarray(self.delays_us, dtype=float)
         for name in ("n00", "n01", "n10", "n_total"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if not (np.all(np.isfinite(self.delays_us)) and
+                math.isfinite(self.timestamp_s)):
+            raise ConfigError("delays and timestamp must be finite")
         if np.any(np.diff(self.delays_us) <= 0):
             raise ConfigError("delays must be strictly increasing")
         if np.any(self.n00 + self.n01 + self.n10 > self.n_total):
@@ -60,44 +60,24 @@ class TraceData:
 
 def write_trace_csv(path, traces) -> None:
     """Write a list of traces (e.g. both bit-flip initializations)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_CSV_HEADER)
-        for tr in traces:
-            for i in range(len(tr.delays_us)):
-                w.writerow([repr(float(tr.delays_us[i])), int(tr.n00[i]),
-                            int(tr.n01[i]), int(tr.n10[i]), int(tr.n_total[i]),
-                            tr.init_label, repr(float(tr.timestamp_s))])
+    write_table(path, TRACE, ((tr.delays_us, tr.n00, tr.n01, tr.n10,
+                               tr.n_total, [tr.init_label] * len(tr.n00),
+                               [tr.timestamp_s] * len(tr.n00))
+                              for tr in traces))
 
 
 def read_trace_csv(path) -> list[TraceData]:
     """Read a trace file; one TraceData per init_label, in file order."""
     groups: dict[str, list] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(TRACE_CSV_HEADER):
-            raise ConfigError(f"{path}: line 1: bad trace header {header}")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                delay = float(row[0])
-                counts = [int(row[i]) for i in range(1, 5)]
-                ts = float(row[6])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: line {ln}: {exc}") from exc
-            groups.setdefault(row[5], []).append((delay, *counts, ts))
+    for row in read_table(path, TRACE):
+        groups.setdefault(row[5], []).append(row)
     if not groups:
         raise ConfigError(f"{path}: no trace rows")
     traces = []
     for init, rows in groups.items():
         rows.sort(key=lambda r: r[0])
-        arr = np.array([r[:5] for r in rows])
-        traces.append(TraceData(delays_us=arr[:, 0], n00=arr[:, 1],
-                                n01=arr[:, 2], n10=arr[:, 3], n_total=arr[:, 4],
-                                init_label=init,
-                                timestamp_s=rows[0][5]))
+        delays, n00, n01, n10, n_total, _, ts = zip(*rows)
+        traces.append(TraceData(delays, n00, n01, n10, n_total, init, ts[0]))
     return traces
 
 

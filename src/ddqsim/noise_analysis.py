@@ -11,7 +11,6 @@ estimators, so the two fits can cross-check each other. Slow Lorentzian
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,8 +21,7 @@ from scipy.signal import welch
 
 from .errors import ConfigError, FitConvergenceError
 from .fitting import lm_least_squares
-
-FREQ_CSV_HEADER = ("timestamp_s", "delta_f_hz", "source")
+from .tables import ALLAN, FREQUENCY, PSD, read_table, write_table
 
 
 @dataclass
@@ -42,6 +40,8 @@ class FrequencySeries:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.values) < 16:
             raise ConfigError("need at least 16 samples")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("frequency values must be finite")
         if not self.tau0_s > 0:
             raise ConfigError("sample spacing must be > 0")
         self.values = self.values - self.values.mean()
@@ -68,33 +68,12 @@ class FrequencySeries:
 def read_frequency_csv(path) -> list[FrequencySeries]:
     """Read `timestamp_s,delta_f_hz,source` rows; one series per source."""
     groups: dict[str, list] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(FREQ_CSV_HEADER):
-            raise ConfigError(f"{path}: line 1: bad header {header}")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                groups.setdefault(row[2], []).append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: line {ln}: {exc}") from exc
-    out = []
-    for source, rows in groups.items():
-        rows.sort(key=lambda r: r[0])
-        arr = np.array(rows)
-        out.append(FrequencySeries.from_timestamps(arr[:, 0], arr[:, 1], source))
-    return out
-
-
-def write_frequency_csv(path, series_list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FREQ_CSV_HEADER)
-        for s in series_list:
-            for i, v in enumerate(s.values):
-                w.writerow([repr(i * s.tau0_s), repr(float(v)), s.source])
+    for ts, value, source in read_table(path, FREQUENCY):
+        groups.setdefault(source, []).append((ts, value))
+    if not groups:
+        raise ConfigError(f"{path}: no frequency rows")
+    return [FrequencySeries.from_timestamps(*zip(*sorted(rows)), source)
+            for source, rows in groups.items()]
 
 
 @dataclass
@@ -280,16 +259,8 @@ def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
 
 
 def write_allan_csv(path, curve: AllanCurve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("tau_s", "sigma_hz"))
-        for tau, sig in zip(curve.tau_s, curve.sigma_hz):
-            w.writerow([repr(float(tau)), repr(float(sig))])
+    write_table(path, ALLAN, [(curve.tau_s, curve.sigma_hz)])
 
 
 def write_psd_csv(path, freqs, psd) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("freq_hz", "psd_hz2_per_hz"))
-        for f, s in zip(freqs, psd):
-            w.writerow([repr(float(f)), repr(float(s))])
+    write_table(path, PSD, [(freqs, psd)])

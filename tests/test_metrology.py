@@ -18,6 +18,7 @@ from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               fit_ramsey, fit_trace, postselect,
                               postselect_trace, read_trace_csv,
                               write_trace_csv)
+from ddqsim.tables import TRACE
 
 
 class TestPostselect:
@@ -395,6 +396,16 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError, match="line 1"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,1,2,3,10,01,0.0",
+                                     ",1,2,3,10,01,0.0",
+                                     "5.0,1,2,3,10,01,inf",
+                                     "5.0,1,2,3,10,01,"])
+    def test_non_finite_delay_or_timestamp_rejected(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(",".join(TRACE) + "\n" + row + "\n")
+        with pytest.raises(ConfigError, match="finite"):
             read_trace_csv(path)
 
     def test_count_invariants(self):

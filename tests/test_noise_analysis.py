@@ -9,8 +9,8 @@ from ddqsim.noise import NoiseProcess, synthesize_noise
 from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, default_taus,
                                    fit_allan_model, fit_psd_model,
                                    flag_allan_bumps, overlapping_allan,
-                                   read_frequency_csv, welch_psd,
-                                   write_frequency_csv)
+                                   read_frequency_csv, welch_psd)
+from ddqsim.tables import FREQUENCY, write_table
 
 
 def allan_model_curve(a, b, taus):
@@ -47,12 +47,22 @@ class TestFrequencySeries:
         s = FrequencySeries(values=np.sin(np.arange(40.0)), tau0_s=2.5,
                             source="logical")
         path = tmp_path / "freq.csv"
-        write_frequency_csv(path, [s])
+        write_table(path, FREQUENCY, [(2.5 * np.arange(40), s.values,
+                                       ["logical"] * 40)])
         back = read_frequency_csv(path)
         assert len(back) == 1
         assert back[0].source == "logical"
         assert np.allclose(back[0].values, s.values, atol=1e-12)
         assert back[0].tau0_s == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("rows", ["", "0.0,,logical\n"],
+                             ids=["header-only", "empty-value"])
+    def test_csv_without_usable_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "freq.csv"
+        path.write_text("timestamp_s,delta_f_hz,source\n" + rows + "".join(
+            f"{i + 1.0},{i},logical\n" for i in range(20 if rows else 0)))
+        with pytest.raises(ConfigError):
+            read_frequency_csv(path)
 
 
 class TestOverlappingAllan:
