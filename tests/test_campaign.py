@@ -1,5 +1,6 @@
 import filecmp
 import json
+from importlib import resources
 import math
 import os
 import shutil
@@ -13,6 +14,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              simulate_counts_trace, summarize,
                              write_metrics_csv)
 from ddqsim import campaign, metrology
+from ddqsim.cli import main
 from ddqsim.device import load_device
 from ddqsim.errors import ConfigError, FitConvergenceError
 from ddqsim.metrology import read_trace_csv
@@ -270,6 +272,34 @@ class TestRunCampaign:
         t1_q = load_device("q1").T1_Q_us
         t2r_expect = 1.0 / (np.pi**2 * 9500.0 * 1e-6 + 1.0 / (2.0 * t1_q))
         assert got["phys_t2r_q_us"] == pytest.approx(t2r_expect, rel=0.25)
+
+
+def lossless_device(path):
+    """q1 without relaxation or thermal excitation, as a config file."""
+    cfg = json.loads((resources.files("ddqsim") / "configs" /
+                      "q1.json").read_text())
+    cfg.update(T1_D_us=1e12, T1_Q_us=1e12, n_th=0.0)
+    path.write_text(json.dumps(cfg))
+
+
+class TestLosslessDevice:
+    """A linear fit with no resolvable decay gives a NaN estimate, and its
+    archive must still complete, resume and summarize."""
+
+    def test_campaign_completes_resumes_and_summarizes(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lossless_device(tmp_path / "lossless.json")
+        cfg = tiny_config(devices=["lossless.json"],
+                          experiments=["bitflip", "hahn_echo"], noise=[],
+                          bootstrap_resamples=0, physical_refs=False)
+        rows = run_campaign(cfg, "full")
+        assert json.load(open("full/manifest.json"))["completed"]
+        assert "t2el_us" in {r.metric for r in rows if math.isnan(r.estimate)}
+        run_campaign(cfg, "parts", stop_after=3)
+        run_campaign(cfg, "parts", resume=True)
+        assert archive_digest("full") == archive_digest("parts")
+        assert main(["summarize", "--in", "full/metrics.csv"]) == 0
 
 
 class TestFitGaps:

@@ -5,11 +5,15 @@ import os
 import numpy as np
 import pytest
 
+from ddqsim import streams, tables
 from ddqsim.cli import main
-from ddqsim.campaign import CampaignConfig, simulate_counts_trace
-from ddqsim.device import load_device
-from ddqsim.metrology import read_trace_csv
+from ddqsim.campaign import (CampaignConfig, simulate_counts_trace,
+                             simulate_points)
+from ddqsim.device import LEVEL_ORDER, load_device
+from ddqsim.metrology import DEFAULT_FIT_WINDOW_US, fit_trace, read_trace_csv
 from ddqsim.noise import NoiseProcess
+from ddqsim.readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
+                            train_classifier)
 
 
 def run(args):
@@ -172,6 +176,34 @@ class TestOneRunner:
             for name in ("n00", "n01", "n10", "n_total"):
                 assert np.array_equal(getattr(g, name), getattr(w, name))
 
+    def test_shot_and_trajectory_rows_hold_the_simulated_values(self,
+                                                                tmp_path):
+        out = self.sim(tmp_path, "v.csv", "bitflip", "--dump-trajectories")
+        params = load_device("q1")
+        model = ReadoutModel(means=default_blob_means(1.0, 5.0))
+        clf = train_classifier(model, params, int(streams.stream_key(
+            12, streams.TAG_READOUT_TRAIN)))
+        points = simulate_points(params, "bitflip", [0.0, 5.0, 10.0, 20.0],
+                                 150, seed=12, noise=self.noise,
+                                 readout=(model, clf))
+        shots = tables.read_table(out, tables.SHOTS)
+        paths = tables.read_table(f"{out}.trajectories.csv",
+                                  tables.TRAJECTORIES)
+        assert len(shots) == len(paths) == 8 * 150
+        blob = [lv.label for lv in READOUT_LEVELS]
+        want_shots, want_paths = [], []
+        for p in points:
+            b = p.batch
+            want_shots += [(p.init, i, q, blob[k]) for (i, q), k in
+                           zip(p.iq.tolist(), p.blobs.tolist())]
+            want_paths += [(LEVEL_ORDER[lv].label, ph, int(e)) for lv, ph, e
+                           in zip(b.levels.tolist(), b.phase_rad.tolist(),
+                                  b.erased.tolist())]
+        assert [r[0] for r in shots] == [r[0] for r in paths] == \
+            list(range(8 * 150))
+        assert [r[1:] for r in shots] == want_shots
+        assert [r[1:] for r in paths] == want_paths
+
     @pytest.mark.parametrize("experiment, colored", [
         pytest.param("bitflip", False, id="bitflip"),
         pytest.param("ramsey", False, id="ramsey"),
@@ -285,6 +317,12 @@ class TestAnalyze:
         curve = (tmp_path / "fit2.json.curve.csv").read_text().splitlines()
         assert curve[0] == "delay_us,data,fitted"
         assert len(curve) == 17
+        values = np.array([[float(x) for x in line.split(",")]
+                           for line in curve[1:]])
+        fit = fit_trace("ramsey", read_trace_csv(trace), DEFAULT_FIT_WINDOW_US)
+        assert np.array_equal(values[:, 0], fit.delays_us)
+        assert np.array_equal(values[:, 1], fit.fitted + fit.residuals)
+        assert np.array_equal(values[:, 2], fit.fitted)
 
 
 class TestNoiseAnalysisCommands:
