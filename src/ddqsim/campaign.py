@@ -31,7 +31,7 @@ from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
 from .noise import NoiseProcess
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
-from .tables import FREQUENCY, METRICS, read_table, write_table
+from .tables import FREQUENCY, METRICS, read_appended, read_table, write_table
 
 MOVING_AVERAGE_WINDOW = 50
 
@@ -442,9 +442,11 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             if fn.endswith(".tmp"):     # a trace cut off while being written
                 os.remove(os.path.join(trace_dir, fn))
         if os.path.exists(metrics_path):
+            # rows of completed traces stay; a row cut off mid-write goes
             t_cut = start * config.interval_s
-            rows = [r for r in read_metrics_csv(metrics_path)
-                    if r.timestamp_s < t_cut - 1e-9]
+            rows = [MetricPoint(*row)
+                    for row in read_appended(metrics_path, METRICS)
+                    if row[0] < t_cut - 1e-9]
             write_metrics_csv(metrics_path, rows)
         else:
             write_metrics_csv(metrics_path, [])

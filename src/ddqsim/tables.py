@@ -77,10 +77,20 @@ def _parse(path, table: dict, lines: list) -> list[tuple]:
     return rows
 
 
+def _lines(path) -> list:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read().split("\n")
+
+
 def read_table(path, table: dict) -> list[tuple]:
     """The rows of a table as tuples of typed values, in file order.
 
     Blank lines are skipped and "\\r\\n" line ends are read as "\\n".
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse(path, table, fh.read().split("\n"))
+    return _parse(path, table, _lines(path))
+
+
+def read_appended(path, table: dict) -> list[tuple]:
+    """The rows of an append-only table: a last line without its line end,
+    cut off by a crash while it was appended, is dropped."""
+    return _parse(path, table, _lines(path)[:-1])

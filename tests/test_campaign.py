@@ -190,6 +190,25 @@ class TestRunCampaign:
         assert archive_digest(tmp_path / "full") == \
             archive_digest(tmp_path / "parts")
 
+    def test_resume_drops_a_metrics_row_cut_off_mid_write(self, tmp_path):
+        cfg = tiny_config(repetitions=1)
+        run_campaign(cfg, tmp_path / "full")
+        run_campaign(cfg, tmp_path / "parts", stop_after=2)
+        with open(tmp_path / "parts" / "metrics.csv", "a") as fh:
+            fh.write("200.0,q1,t1l")
+        run_campaign(cfg, tmp_path / "parts", resume=True)
+        assert archive_digest(tmp_path / "full") == \
+            archive_digest(tmp_path / "parts")
+
+    def test_resume_rejects_a_malformed_earlier_metrics_line(self, tmp_path):
+        cfg = tiny_config(repetitions=1)
+        run_campaign(cfg, tmp_path / "d", stop_after=2)
+        path = tmp_path / "d" / "metrics.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines[:2], "0.0,q1\n", *lines[2:]]))
+        with pytest.raises(ConfigError, match="metrics.csv: line 3"):
+            run_campaign(cfg, tmp_path / "d", resume=True)
+
     def test_resume_rejects_changed_config(self, tmp_path):
         cfg = tiny_config()
         run_campaign(cfg, tmp_path / "d", stop_after=2)

@@ -95,6 +95,16 @@ def test_bad_integer_field(tmp_path):
         tables.read_table(path, tables.TRACE)
 
 
+def test_read_appended_drops_only_a_cut_off_last_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("tau_s,sigma_hz\n1.0,2.0\n3.0,4")
+    assert tables.read_appended(path, tables.ALLAN) == [(1.0, 2.0)]
+    assert tables.read_table(path, tables.ALLAN) == [(1.0, 2.0), (3.0, 4.0)]
+    path.write_text("tau_s,sigma_hz\n1.0,2.0\nbroken\n3.0,4.0\n5.0")
+    with pytest.raises(ConfigError, match="line 3"):
+        tables.read_appended(path, tables.ALLAN)
+
+
 class TestModuleTables:
     """The public writers and readers keep every value."""
 
