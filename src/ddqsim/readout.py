@@ -52,12 +52,14 @@ class ReadoutModel:
         means = np.asarray(self.means, dtype=float)
         if means.shape != (3, 2):
             raise ConfigError("readout model needs three 2-d blob means")
+        if not np.all(np.isfinite(means)):
+            raise ConfigError("blob means must be finite")
         if len({tuple(m) for m in means.tolist()}) != 3:
             raise ConfigError("blob means must be distinct")
-        if not self.sigma > 0:
-            raise ConfigError("sigma must be > 0")
-        if self.t_ro_us < 0:
-            raise ConfigError("integration time must be >= 0")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError("sigma must be > 0 and finite")
+        if not 0 <= self.t_ro_us < math.inf:
+            raise ConfigError("integration time must be >= 0 and finite")
         object.__setattr__(self, "means", means)
 
     @staticmethod

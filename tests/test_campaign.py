@@ -99,7 +99,9 @@ class TestConfig:
                 ({"noise": [{"kind": "white", "amplitude": math.nan}]},
                  "finite"),
                 ({"shots_physical": 0}, "physical shots"),
-                ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma")):
+                ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma"),
+                ({"readout_enabled": True, "readout_t_ro_us": math.nan},
+                 "integration time")):
             with pytest.raises(ConfigError, match=message):
                 run_campaign(CampaignConfig.from_dict(
                     {**cfg.to_dict(), **change}), tmp_path)

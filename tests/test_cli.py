@@ -101,6 +101,16 @@ class TestSimShots:
                     "--noise", str(noise), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--t-ro-us", "nan"),
+                                             ("--t-ro-us", "inf"),
+                                             ("--readout-sigma", "inf")])
+    def test_non_finite_readout_exit_2(self, tmp_path, flag, value):
+        assert run(["sim-shots", "--config", "q1", "--experiment", "bitflip",
+                    "--seed", "1", "--delays", "0", "--shots", "200",
+                    "--out", str(tmp_path / "r.csv"), "--trace-out",
+                    str(tmp_path / "r.trace"), flag, value]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_init_ignored_for_non_bitflip(self, tmp_path):
         outputs = []
         for name, extra in (("plain", []), ("init", ["--init", "10"])):

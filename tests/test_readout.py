@@ -42,6 +42,11 @@ class TestReadoutModel:
             ReadoutModel(means=np.zeros((3, 2)))
         with pytest.raises(ConfigError):
             ReadoutModel(sigma=0.0)
+        for bad in ({"sigma": math.inf}, {"t_ro_us": math.nan},
+                    {"t_ro_us": math.inf},
+                    {"means": [[0.0, 0.0], [1.0, 0.0], [math.inf, 1.0]]}):
+            with pytest.raises(ConfigError, match="finite"):
+                ReadoutModel(**bad)
 
     def test_drive_frequency_rule(self, q1):
         drive = ReadoutModel.drive_frequency(q1)
