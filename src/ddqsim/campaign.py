@@ -369,11 +369,27 @@ _PHYSICAL_REFS = {"phys_t1_D": ("phys_t1", "10"),
                   "phys_ramsey_Q": ("phys_ramsey", "+Q")}
 
 
-def _trace_plan(config: CampaignConfig) -> list:
+def _trace_plan(config: CampaignConfig, devices) -> list:
     n_refs = {"none": 0, "t1": 2, "full": 6}[config.physical_refs]
     experiments = [*config.experiments, *list(_PHYSICAL_REFS)[:n_refs]]
     return [(rep, dev, exp) for rep in range(config.repetitions)
-            for dev in config.devices for exp in experiments]
+            for dev in devices for exp in experiments]
+
+
+def _load_devices(config: CampaignConfig) -> dict:
+    """Device label -> DeviceParams. A label is ``DeviceParams.name``, the
+    builtin name or the config file's stem; it names the device's trace
+    files and metrics rows, so it must be unique and hold no comma or line
+    break."""
+    devices = {}
+    for params in map(load_device, config.devices):
+        if params.name in devices:
+            raise ConfigError(f"two devices are labelled {params.name!r}")
+        if any(c in params.name for c in ",\r\n"):
+            raise ConfigError(f"device label {params.name!r} holds a comma "
+                              f"or line break")
+        devices[params.name] = params
+    return devices
 
 
 def _readouts(config, devices) -> dict:
@@ -420,9 +436,9 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     # everything that can reject the config runs before the archive changes
-    devices = {name: load_device(name) for name in config.devices}
+    devices = _load_devices(config)
     readouts = _readouts(config, devices)
-    plan = _trace_plan(config)
+    plan = _trace_plan(config, devices)
     n_traces = len(plan)
     manifest = {"seed": config.seed, "config": config.to_dict(),
                 "config_sha256": config.config_hash(),
@@ -493,15 +509,15 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
 
     all_rows = read_metrics_csv(metrics_path)
     if done == n_traces:
-        _write_freq_series(out_dir, config, all_rows)
+        _write_freq_series(out_dir, devices, all_rows)
         manifest["completed"] = True
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
     return all_rows
 
 
-def _write_freq_series(out_dir, config, rows) -> None:
-    for dev in config.devices:
+def _write_freq_series(out_dir, devices, rows) -> None:
+    for dev in devices:
         sel = [r for r in rows if r.device == dev and r.metric == "delta_f_hz"]
         if len(sel) < 2:
             continue

@@ -4,6 +4,8 @@ from importlib import resources
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              read_metrics_csv, run_campaign,
                              simulate_counts_trace, summarize,
                              write_metrics_csv)
+import ddqsim
 from ddqsim import campaign, metrology
 from ddqsim.cli import main
 from ddqsim.device import load_device
@@ -108,6 +111,48 @@ class TestConfig:
             assert archive_digest(tmp_path) == before
 
 
+class TestDeviceLabels:
+    """A device is labelled by its DeviceParams.name: the builtin name or
+    its config file's stem."""
+
+    @staticmethod
+    def q1_copy(path):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text((resources.files("ddqsim") / "configs" /
+                         "q1.json").read_text())
+        return str(path)
+
+    def test_config_path_is_labelled_by_its_stem(self, tmp_path):
+        path = self.q1_copy(tmp_path / "configs" / "mydev.json")
+        kw = dict(experiments=["ramsey"], physical_refs=False,
+                  bootstrap_resamples=0)
+        rows = run_campaign(tiny_config(devices=[path], **kw),
+                            tmp_path / "path")
+        run_campaign(tiny_config(devices=["q1"], **kw), tmp_path / "q1")
+        assert {r.device for r in rows} == {"mydev"}
+        got = archive_digest(tmp_path / "path")
+        want = archive_digest(tmp_path / "q1")
+        del got["manifest.json"], want["manifest.json"]
+        assert sorted(got) == sorted(k.replace("q1", "mydev") for k in want)
+        for name, data in want.items():
+            assert got[name.replace("q1", "mydev")] == \
+                data.replace(b",q1,", b",mydev,")
+
+    def test_clashing_or_comma_labels_fail_before_archive_changes(
+            self, tmp_path):
+        run_campaign(tiny_config(repetitions=1), tmp_path / "arch")
+        before = archive_digest(tmp_path / "arch")
+        q1_file = self.q1_copy(tmp_path / "configs" / "q1.json")
+        comma = self.q1_copy(tmp_path / "configs" / "a,b.json")
+        for devices, message in ((["q1", "Q1"], "two devices"),
+                                 ([q1_file, "q1"], "two devices"),
+                                 ([comma], "comma")):
+            with pytest.raises(ConfigError, match=message):
+                run_campaign(tiny_config(repetitions=1, devices=devices),
+                             tmp_path / "arch")
+            assert archive_digest(tmp_path / "arch") == before
+
+
 class TestSimulateCountsTrace:
     def test_bitflip_returns_both_inits(self):
         params = load_device("q1")
@@ -145,6 +190,26 @@ class TestRunCampaign:
         rows2 = run_campaign(cfg, tmp_path / "b")
         assert archive_digest(tmp_path / "a") == archive_digest(tmp_path / "b")
         assert len(rows1) == len(rows2)
+
+    def test_campaign_loads_no_spectral_analysis(self, tmp_path):
+        # a campaign writes its frequency series without noise_analysis,
+        # whose scipy.signal import costs about 0.9 s and 40 MB
+        code = (
+            "import sys\n"
+            "from ddqsim.campaign import CampaignConfig, run_campaign\n"
+            "run_campaign(CampaignConfig(devices=['q1'], "
+            "experiments=['ramsey'], repetitions=2, seed=3, "
+            "shots_per_point=200, physical_refs='none', "
+            "bootstrap_resamples=0), sys.argv[1])\n"
+            "print([m for m in ('scipy.signal', 'ddqsim.noise_analysis') "
+            "if m in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert (tmp_path / "freq_q1.csv").exists()
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_interleaving_fairness(self, tmp_path):
         cfg = tiny_config(repetitions=3)
