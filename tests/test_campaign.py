@@ -39,6 +39,16 @@ def tiny_config(seed=42, **overrides):
     return CampaignConfig(**base)
 
 
+def q1_config(path, **changes):
+    """q1's device config with ``changes``, written as a JSON file."""
+    cfg = json.loads((resources.files("ddqsim") / "configs" /
+                      "q1.json").read_text())
+    cfg.update(changes)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def archive_digest(root):
     digest = {}
     for dirpath, _, files in os.walk(root):
@@ -115,15 +125,8 @@ class TestDeviceLabels:
     """A device is labelled by its DeviceParams.name: the builtin name or
     its config file's stem."""
 
-    @staticmethod
-    def q1_copy(path):
-        path.parent.mkdir(exist_ok=True)
-        path.write_text((resources.files("ddqsim") / "configs" /
-                         "q1.json").read_text())
-        return str(path)
-
     def test_config_path_is_labelled_by_its_stem(self, tmp_path):
-        path = self.q1_copy(tmp_path / "configs" / "mydev.json")
+        path = q1_config(tmp_path / "configs" / "mydev.json")
         kw = dict(experiments=["ramsey"], physical_refs=False,
                   bootstrap_resamples=0)
         rows = run_campaign(tiny_config(devices=[path], **kw),
@@ -142,8 +145,8 @@ class TestDeviceLabels:
             self, tmp_path):
         run_campaign(tiny_config(repetitions=1), tmp_path / "arch")
         before = archive_digest(tmp_path / "arch")
-        q1_file = self.q1_copy(tmp_path / "configs" / "q1.json")
-        comma = self.q1_copy(tmp_path / "configs" / "a,b.json")
+        q1_file = q1_config(tmp_path / "configs" / "q1.json")
+        comma = q1_config(tmp_path / "configs" / "a,b.json")
         for devices, message in ((["q1", "Q1"], "two devices"),
                                  ([q1_file, "q1"], "two devices"),
                                  ([comma], "comma")):
@@ -192,8 +195,8 @@ class TestRunCampaign:
         assert len(rows1) == len(rows2)
 
     def test_campaign_loads_no_spectral_analysis(self, tmp_path):
-        # a campaign writes its frequency series without noise_analysis,
-        # whose scipy.signal import costs about 0.9 s and 40 MB
+        # the spectral analysis (scipy.signal) serves only the allan and
+        # psd commands; a campaign writes its frequency series without it
         code = (
             "import sys\n"
             "from ddqsim.campaign import CampaignConfig, run_campaign\n"
@@ -360,14 +363,6 @@ class TestRunCampaign:
         assert got["phys_t2r_q_us"] == pytest.approx(t2r_expect, rel=0.25)
 
 
-def lossless_device(path):
-    """q1 without relaxation or thermal excitation, as a config file."""
-    cfg = json.loads((resources.files("ddqsim") / "configs" /
-                      "q1.json").read_text())
-    cfg.update(T1_D_us=1e12, T1_Q_us=1e12, n_th=0.0)
-    path.write_text(json.dumps(cfg))
-
-
 class TestLosslessDevice:
     """A linear fit with no resolvable decay gives a NaN estimate, and its
     archive must still complete, resume and summarize."""
@@ -375,7 +370,9 @@ class TestLosslessDevice:
     def test_campaign_completes_resumes_and_summarizes(self, tmp_path,
                                                        monkeypatch):
         monkeypatch.chdir(tmp_path)
-        lossless_device(tmp_path / "lossless.json")
+        # q1 without relaxation or thermal excitation
+        q1_config(tmp_path / "lossless.json", T1_D_us=1e12, T1_Q_us=1e12,
+                  n_th=0.0)
         cfg = tiny_config(devices=["lossless.json"],
                           experiments=["bitflip", "hahn_echo"], noise=[],
                           bootstrap_resamples=0, physical_refs=False)

@@ -80,19 +80,14 @@ def test_crlf_line_ends_and_blank_lines_are_read(tmp_path):
     ("tau_s,sigma_hz\n1.0,2.0\n1.0,x\n", 3),
     ("tau_s,sigma_hz\n1.0,2.0,3.0\n", 2),
     ("tau_s,sigma_hz\n1.0\n", 2),
-], ids=["empty", "header", "field", "too-many", "too-few"])
+    (",".join(tables.TRACE) + "\n0.0,1,2,3.5,10,+,0.0\n", 2),
+], ids=["empty", "header", "field", "too-many", "too-few", "integer"])
 def test_bad_header_or_field_names_path_and_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
     path.write_text(text)
+    table = tables.TRACE if text.startswith("delay_us") else tables.ALLAN
     with pytest.raises(ConfigError, match=f"bad.csv: line {line}:"):
-        tables.read_table(path, tables.ALLAN)
-
-
-def test_bad_integer_field(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(",".join(tables.TRACE) + "\n0.0,1,2,3.5,10,+,0.0\n")
-    with pytest.raises(ConfigError, match="line 2"):
-        tables.read_table(path, tables.TRACE)
+        tables.read_table(path, table)
 
 
 def test_read_appended_drops_only_a_cut_off_last_line(tmp_path):
