@@ -55,13 +55,16 @@ class TestFrequencySeries:
         assert np.allclose(back[0].values, s.values, atol=1e-12)
         assert back[0].tau0_s == pytest.approx(2.5)
 
-    @pytest.mark.parametrize("rows", ["", "0.0,,logical\n"],
-                             ids=["header-only", "empty-value"])
-    def test_csv_without_usable_rows_rejected(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, message", [
+        ([], "no frequency rows"),
+        (["0.0,,logical"] + [f"{i}.0,{i},logical" for i in range(1, 20)],
+         "finite"),
+    ], ids=["header-only", "empty-value"])
+    def test_csv_without_usable_rows_rejected(self, tmp_path, rows, message):
         path = tmp_path / "freq.csv"
-        path.write_text("timestamp_s,delta_f_hz,source\n" + rows + "".join(
-            f"{i + 1.0},{i},logical\n" for i in range(20 if rows else 0)))
-        with pytest.raises(ConfigError):
+        path.write_text("\n".join(["timestamp_s,delta_f_hz,source", *rows])
+                        + "\n")
+        with pytest.raises(ConfigError, match=message):
             read_frequency_csv(path)
 
 
