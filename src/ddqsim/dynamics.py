@@ -12,6 +12,7 @@ and each column sums to zero, so p(t) = expm(R t) @ p(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -173,21 +174,38 @@ def _destination_tables(rate_matrix):
     return lam, cum
 
 
+@functools.lru_cache(maxsize=32)
+def _rate_tables(params: DeviceParams):
+    """Read-only (exit rates, cumulative destination table) of a device.
+
+    Built once per (frozen, hashable) ``DeviceParams``; every batch of the
+    same device shares them.
+    """
+    lam, cum = _destination_tables(build_rate_matrix(params))
+    lam.flags.writeable = False
+    cum.flags.writeable = False
+    return lam, cum
+
+
 def _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest):
-    """Advance all shots through one delay segment by jump sampling."""
+    """Advance all shots through one delay segment by jump sampling.
+
+    Round r reads draw 2r (the wait) and draw 2r + 1 (the destination) of
+    every shot still active, in one stream call.
+    """
     if dur_us <= 0:
         return
     t_rem = np.full(states.shape, float(dur_us))
     active = np.nonzero(lam[states] > 0)[0]
     r = 0
     while active.size:
-        u_wait = streams.uniforms(key, shot_ids[active], 2 * r)
-        wait = -np.log(u_wait) / lam[states[active]]
+        u = streams.uniforms(key, shot_ids[active], (2 * r, 2 * r + 1))
+        wait = -np.log(u[:, 0]) / lam[states[active]]
         hop = wait < t_rem[active]
         jumpers = active[hop]
         if jumpers.size:
             t_rem[jumpers] -= wait[hop]
-            u_dest = streams.uniforms(key, shot_ids[jumpers], 2 * r + 1)
+            u_dest = u[hop, 1]
             dest = (u_dest[:, None] > cumdest[states[jumpers]]).sum(axis=1)
             states[jumpers] = dest
             jumped[jumpers] = True
@@ -381,8 +399,7 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
         raise ValueError("n_shots must be positive")
     if noise_dt_us <= 0:
         raise ValueError("noise_dt_us must be positive")
-    rate_matrix = build_rate_matrix(params)
-    lam, cumdest = _destination_tables(rate_matrix)
+    lam, cumdest = _rate_tables(params)
 
     shot_ids = np.arange(shot_offset, shot_offset + n_shots, dtype=np.int64)
     states = np.empty(n_shots, dtype=np.int64)

@@ -3,12 +3,19 @@
 Every random variate consumed by the trajectory engine is addressed by
 (seed, stream tag, shot index, draw index) through a SplitMix64-style hash,
 so a shot's outcome never depends on batch boundaries or thread count.
+
+Keys are hashed on Python ints; shot and draw ids are hashed in place on one
+uint64 array per call. Integer array arithmetic wraps mod 2^64 without a
+warning (only numpy scalar arithmetic warns), so every array path keeps its
+operands as arrays, 0-d ones included.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLD = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLD)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
@@ -24,28 +31,36 @@ TAG_NOISE_BASE = 4096     # + noise-process index
 TAG_PERSISTENT = 8192     # + process index (campaign slow-noise states)
 
 
-def _mix(z):
-    """SplitMix64 finalizer on uint64 scalars/arrays (wraps mod 2^64)."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+def _mix_int(z: int) -> int:
+    """SplitMix64 finalizer on a Python int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (wraps mod 2^64)."""
+    z ^= z >> 30
+    z *= _MIX_A
+    z ^= z >> 27
+    z *= _MIX_B
+    z ^= z >> 31
+    return z
 
 
 def stream_key(seed, *tags):
-    """Derive a 64-bit stream key from a seed and integer tags."""
-    with np.errstate(over="ignore"):
-        h = _mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        for t in tags:
-            h = _mix(h ^ (np.uint64(int(t) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
-    return h
+    """Derive a 64-bit stream key (``np.uint64``) from a seed and int tags."""
+    h = _mix_int(((int(seed) & _MASK) + _GOLD) & _MASK)
+    for t in tags:
+        h = _mix_int(h ^ (((int(t) & _MASK) + _GOLD) & _MASK))
+    return np.uint64(h)
 
 
 def _shot_base(key, shot_ids):
-    ids = np.asarray(shot_ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix(np.uint64(key) + ids * _GOLDEN)
+    z = np.array(shot_ids, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(key)
+    return _mix(z)
 
 
 def uniforms(key, shot_ids, draw_ids):
@@ -56,13 +71,18 @@ def uniforms(key, shot_ids, draw_ids):
     (key, shot, draw) address is immutable across calls and batch layouts.
     """
     base = _shot_base(key, shot_ids)
-    draws = np.asarray(draw_ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        if draws.ndim == 0 or base.ndim == 0:
-            v = _mix(base + draws * _GOLDEN)
-        else:
-            v = _mix(base[..., None] + draws[None, :] * _GOLDEN)
-    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    draws = np.array(draw_ids, dtype=np.uint64)
+    draws *= _GOLDEN
+    if draws.ndim and base.ndim:
+        v = base[..., None] + draws
+    else:
+        v = np.add(base, draws, out=draws if draws.ndim else base)
+    _mix(v)
+    v >>= 11
+    out = v.astype(np.float64)
+    out += 0.5
+    out *= _INV_2_53
+    return out if out.ndim else out[()]
 
 
 def normals(key, shot_ids, draw_ids):

@@ -1,13 +1,18 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import ddqsim
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
 from ddqsim import streams
 from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence,
-                             _one_over_f_cov, _segment_grid,
+                             _one_over_f_cov, _rate_tables, _segment_grid,
                              _telegraph_integrals, build_rate_matrix,
                              propagate_exact, run_sequence_batch)
 from ddqsim.errors import SequenceError
@@ -69,6 +74,46 @@ class TestRateMatrix:
             2 * q1.n_th_Q / q1.T1_Q_us)
         assert rates[IDX["11"], IDX["10"]] == pytest.approx(
             q1.n_th_Q / q1.T1_Q_us)
+
+
+def batch_digest(device):
+    """sha256 of the levels and phases of two batches on a builtin device."""
+    h = hashlib.sha256()
+    for seq in (PulseSequence("bitflip", "10", 80.0),
+                PulseSequence("ramsey", "+", 40.0)):
+        b = run_sequence_batch(load_device(device), seq, seed=9, n_shots=400)
+        h.update(b.levels.tobytes())
+        h.update(b.phase_rad.tobytes())
+    return h.hexdigest()
+
+
+class TestRateTableCache:
+    def test_distinct_params_get_distinct_tables(self, q1):
+        lam, cum = _rate_tables(q1)
+        lam0, cum0 = _rate_tables(q1.with_(n_th_D=0.0))
+        assert _rate_tables(q1)[0] is lam
+        assert not np.array_equal(lam, lam0)
+        assert not np.array_equal(cum, cum0)
+
+    def test_cached_tables_are_read_only(self, q1):
+        for table in _rate_tables(q1):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_shared_tables_match_a_fresh_process(self):
+        got = [batch_digest(d) for d in ("q1", "q2", "q1")]
+        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        tests = os.path.dirname(__file__)
+        fresh = {}
+        for device in ("q1", "q2"):
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from test_dynamics import batch_digest; "
+                 "print(batch_digest(sys.argv[1]))", device],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])},
+                capture_output=True, text=True, timeout=300, check=True)
+            fresh[device] = out.stdout.split()[-1]
+        assert got == [fresh["q1"], fresh["q2"], fresh["q1"]]
 
 
 class TestPropagateExact:

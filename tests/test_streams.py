@@ -1,4 +1,8 @@
+import warnings
+
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
 from ddqsim import streams
 
@@ -56,3 +60,96 @@ def test_draw_index_advances_stream():
     u0 = streams.uniforms(key, np.arange(100), 0)
     u1 = streams.uniforms(key, np.arange(100), 1)
     assert not np.array_equal(u0, u1)
+
+
+# --------------------------------------------------------------------------
+# Golden values: a pure-Python SplitMix64 reference, bit for bit
+
+MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def ref_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def ref_key(seed, *tags):
+    h = ref_mix(((seed & MASK) + GOLDEN) & MASK)
+    for t in tags:
+        h = ref_mix(h ^ (((t & MASK) + GOLDEN) & MASK))
+    return h
+
+
+def ref_uniform(key, shot, draw):
+    base = ref_mix((key + (shot & MASK) * GOLDEN) & MASK)
+    v = ref_mix((base + (draw & MASK) * GOLDEN) & MASK)
+    return (float(v >> 11) + 0.5) * (1.0 / float(1 << 53))
+
+
+EDGE = (0, -1, 1 << 63, MASK)
+
+
+@pytest.fixture
+def warnings_are_errors():
+    # an overflow RuntimeWarning means a path left uint64 arrays for numpy
+    # scalars
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestGolden:
+    @pytest.mark.parametrize("seed", EDGE)
+    @pytest.mark.parametrize("tags", [(), (0,), (-1, 1 << 63), (MASK, 5, 7)])
+    def test_stream_key(self, seed, tags):
+        key = streams.stream_key(seed, *tags)
+        assert isinstance(key, np.uint64)
+        assert int(key) == ref_key(seed, *tags)
+
+    @pytest.mark.parametrize("shots", [3, np.int64(3), np.array(3),
+                                       np.arange(5), np.array([0, 1 << 63,
+                                                               MASK],
+                                                              dtype=np.uint64)])
+    @pytest.mark.parametrize("draws", [0, np.array(MASK, dtype=np.uint64),
+                                       np.arange(4), (1 << 63, MASK)])
+    @pytest.mark.parametrize("seed", EDGE)
+    def test_uniforms_and_normals(self, seed, shots, draws):
+        key = streams.stream_key(seed, 16)
+        u = streams.uniforms(key, shots, draws)
+        shot_list = np.atleast_1d(np.asarray(shots, dtype=np.uint64))
+        draw_list = np.atleast_1d(np.asarray(draws, dtype=np.uint64))
+        want = np.array([[ref_uniform(int(key), int(s), int(d))
+                          for d in draw_list] for s in shot_list])
+        assert np.array_equal(np.reshape(u, want.shape), want)
+        assert np.array_equal(
+            np.reshape(streams.normals(key, shots, draws), want.shape),
+            ndtri(want))
+
+    def test_shapes(self):
+        key = streams.stream_key(1)
+        assert isinstance(streams.uniforms(key, 3, 0), np.float64)
+        assert isinstance(streams.uniforms(key, np.array(3), np.array(0)),
+                          np.float64)
+        assert streams.uniforms(key, np.arange(4), 0).shape == (4,)
+        assert streams.uniforms(key, 2, np.arange(3)).shape == (3,)
+        assert streams.uniforms(key, np.arange(4), np.arange(3)).shape == \
+            (4, 3)
+
+    def test_values_pinned(self):
+        # computed with the numpy-scalar implementation this one replaced
+        assert int(streams.stream_key(0)) == 0xe220a8397b1dcdaf
+        assert int(streams.stream_key(-1, 1 << 63)) == 0x5806bdf972901fb
+        assert int(streams.stream_key(MASK, 0, MASK)) == 0x36dae2acdae48d53
+        key = streams.stream_key(42, 16)
+        assert int(key) == 0xb21262bb363a2c6f
+        hexes = lambda a: [float(x).hex() for x in a]
+        assert hexes(streams.uniforms(key, np.arange(3), 0)) == [
+            "0x1.985448583dd14p-1", "0x1.657d635516221p-2",
+            "0x1.4c97386fdda88p-1"]
+        assert hexes(streams.uniforms(key, 1 << 63, np.arange(2))) == [
+            "0x1.f41236bf83f04p-1", "0x1.f879386272fbdp-2"]
+        assert hexes(streams.normals(key, np.arange(2), 5)) == [
+            "-0x1.b3635bc88052ap-5", "-0x1.3aebcc18df1d6p-1"]
