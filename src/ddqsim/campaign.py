@@ -279,10 +279,12 @@ _RATE_OF_MODEL = {"linear": ("gamma_per_ms", 1e3),
 
 
 def _time_us(fit) -> float:
-    """The fit's time constant in us (NaN for a linear fit without decay)."""
+    """The fit's time constant in us (NaN for a linear fit that resolved no
+    decay)."""
     if fit.model == "linear":
-        gamma = fit.params["gamma_per_ms"]
-        return 1e3 / gamma if gamma > 0 else math.nan
+        if fit.diagnostics.get("warning") == "no decay resolvable":
+            return math.nan
+        return 1e3 / fit.params["gamma_per_ms"]
     return fit.params["T2R_us" if fit.model == "ramsey" else "T_erasure_us"]
 
 
@@ -449,8 +451,13 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     if resume:
         if not os.path.exists(manifest_path):
             raise ConfigError("nothing to resume: no manifest in archive")
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                old = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unreadable archive manifest: {exc}") from exc
+        if not isinstance(old, dict):
+            raise ConfigError("unreadable archive manifest: not an object")
         if old.get("config_sha256") != manifest["config_sha256"]:
             raise ConfigError("archive was produced by a different config")
         start = _completed_prefix(trace_dir, n_traces)
@@ -472,8 +479,7 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
         for fn in os.listdir(trace_dir):
             os.remove(os.path.join(trace_dir, fn))
         write_metrics_csv(metrics_path, [])
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_manifest(manifest_path, manifest)
 
     offsets = _persistent_values(config, n_traces)
     shot_noise = [p for p in config.noise if not p.persistent]
@@ -511,9 +517,15 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     if done == n_traces:
         _write_freq_series(out_dir, devices, all_rows)
         manifest["completed"] = True
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        _write_manifest(manifest_path, manifest)
     return all_rows
+
+
+def _write_manifest(path, manifest) -> None:
+    """Write the manifest whole: to ``<path>.tmp``, then moved into place."""
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    os.replace(path + ".tmp", path)
 
 
 def _write_freq_series(out_dir, devices, rows) -> None:

@@ -279,6 +279,22 @@ class TestRunCampaign:
         with pytest.raises(ConfigError, match="metrics.csv: line 3"):
             run_campaign(cfg, tmp_path / "d", resume=True)
 
+    def test_resume_rejects_a_truncated_manifest(self, tmp_path, capsys):
+        cfg = tiny_config(repetitions=1)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "d"
+        run_campaign(cfg, out, stop_after=1)
+        assert not os.path.exists(out / "manifest.json.tmp")
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:manifest.stat().st_size
+                                                   // 2])
+        before = archive_digest(out)
+        assert main(["campaign", "--config", str(cfg_path), "--out", str(out),
+                     "--resume"]) == 2
+        assert "manifest" in capsys.readouterr().err
+        assert archive_digest(out) == before
+
     def test_resume_rejects_changed_config(self, tmp_path):
         cfg = tiny_config()
         run_campaign(cfg, tmp_path / "d", stop_after=2)
@@ -383,6 +399,23 @@ class TestLosslessDevice:
         run_campaign(cfg, "parts", resume=True)
         assert archive_digest("full") == archive_digest("parts")
         assert main(["summarize", "--in", "full/metrics.csv"]) == 0
+
+
+    @pytest.mark.parametrize("readout", [False, True])
+    def test_bitflip_without_decay_archives_nan(self, tmp_path, monkeypatch,
+                                                readout):
+        # the bit-flip difference is constant, so fit_linear_short finds
+        # no decay; its slope rounds to about -5e-19, which must not become
+        # a time constant of 1e18 us
+        monkeypatch.chdir(tmp_path)
+        q1_config(tmp_path / "lossless.json", T1_D_us=1e12, T1_Q_us=1e12,
+                  n_th=0.0)
+        cfg = tiny_config(devices=["lossless.json"], experiments=["bitflip"],
+                          repetitions=1, noise=[], physical_refs="none",
+                          readout_enabled=readout)
+        rows = run_campaign(cfg, "arch")
+        t1l = [r for r in rows if r.metric == "t1l_us"]
+        assert len(t1l) == 1 and math.isnan(t1l[0].estimate)
 
 
 class TestFitGaps:
