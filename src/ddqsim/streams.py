@@ -13,11 +13,9 @@ operands as arrays, 0-d ones included.
 import numpy as np
 from scipy.special import ndtri
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GOLD = 0x9E3779B97F4A7C15
-_GOLDEN = np.uint64(_GOLD)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_GOLD, _A, _B = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _MIX_A, _MIX_B = np.uint64(_GOLD), np.uint64(_A), np.uint64(_B)
 _INV_2_53 = 1.0 / float(1 << 53)
 
 # Stream tags used by the simulation engine. Kept here so independent
@@ -33,8 +31,8 @@ TAG_PERSISTENT = 8192     # + process index (campaign slow-noise states)
 
 def _mix_int(z: int) -> int:
     """SplitMix64 finalizer on a Python int in [0, 2^64)."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _A) & _MASK
+    z = ((z ^ (z >> 27)) * _B) & _MASK
     return z ^ (z >> 31)
 
 
