@@ -304,14 +304,16 @@ def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
         except (FitConvergenceError, ConfigError):
             pass
         else:
+            estimate = _time_us(fit)
             lo = hi = math.nan
-            if kind in EXPERIMENT_KINDS:
+            # a fit without a time constant has nothing to bound
+            if kind in EXPERIMENT_KINDS and not math.isnan(estimate):
                 lo, hi = _bounds_for(fit, resamples, seed,
                                      *_RATE_OF_MODEL[fit.model])
             mode = "d" if tr.init_label in ("10", "+D") else "q"
             rows.append(MetricPoint(ts, device,
                                     _METRIC_OF_KIND[kind].format(mode),
-                                    _time_us(fit), lo, hi))
+                                    estimate, lo, hi))
             if kind == "ramsey":
                 flo, fhi = (math.nan, math.nan)
                 if fit.bounds and "delta_f_khz" in fit.bounds:

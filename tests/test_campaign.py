@@ -400,13 +400,12 @@ class TestLosslessDevice:
         assert archive_digest("full") == archive_digest("parts")
         assert main(["summarize", "--in", "full/metrics.csv"]) == 0
 
-
     @pytest.mark.parametrize("readout", [False, True])
     def test_bitflip_without_decay_archives_nan(self, tmp_path, monkeypatch,
                                                 readout):
         # the bit-flip difference is constant, so fit_linear_short finds
-        # no decay; its slope rounds to about -5e-19, which must not become
-        # a time constant of 1e18 us
+        # no decay; its slope rounds to about -5e-19, which must become
+        # neither a time constant nor bounds of 1e18 us
         monkeypatch.chdir(tmp_path)
         q1_config(tmp_path / "lossless.json", T1_D_us=1e12, T1_Q_us=1e12,
                   n_th=0.0)
@@ -415,7 +414,9 @@ class TestLosslessDevice:
                           readout_enabled=readout)
         rows = run_campaign(cfg, "arch")
         t1l = [r for r in rows if r.metric == "t1l_us"]
-        assert len(t1l) == 1 and math.isnan(t1l[0].estimate)
+        assert len(t1l) == 1
+        assert all(map(math.isnan, (t1l[0].estimate, t1l[0].lower,
+                                    t1l[0].upper)))
 
 
 class TestFitGaps:

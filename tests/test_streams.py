@@ -89,6 +89,10 @@ def ref_uniform(key, shot, draw):
 
 
 EDGE = (0, -1, 1 << 63, MASK)
+# scalar, 0-d and array ids
+SHOTS = (3, np.int64(3), np.array(3), np.arange(5),
+         np.array([0, 1 << 63, MASK], dtype=np.uint64))
+DRAWS = (0, np.array(MASK, dtype=np.uint64), np.arange(4), (1 << 63, MASK))
 
 
 @pytest.fixture
@@ -109,12 +113,8 @@ class TestGolden:
         assert isinstance(key, np.uint64)
         assert int(key) == ref_key(seed, *tags)
 
-    @pytest.mark.parametrize("shots", [3, np.int64(3), np.array(3),
-                                       np.arange(5), np.array([0, 1 << 63,
-                                                               MASK],
-                                                              dtype=np.uint64)])
-    @pytest.mark.parametrize("draws", [0, np.array(MASK, dtype=np.uint64),
-                                       np.arange(4), (1 << 63, MASK)])
+    @pytest.mark.parametrize("shots", SHOTS)
+    @pytest.mark.parametrize("draws", DRAWS)
     @pytest.mark.parametrize("seed", EDGE)
     def test_uniforms_and_normals(self, seed, shots, draws):
         key = streams.stream_key(seed, 16)
