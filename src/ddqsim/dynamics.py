@@ -163,17 +163,6 @@ class ShotBatch:
         return np.bincount(self.levels, minlength=N_LEVELS)
 
 
-def _destination_tables(rate_matrix):
-    lam = -np.diag(rate_matrix).copy()
-    q = rate_matrix.T.copy()          # q[s, d]: rate s -> d
-    np.fill_diagonal(q, 0.0)
-    cum = np.cumsum(q, axis=1)
-    tot = cum[:, -1].copy()
-    safe = np.where(tot > 0, tot, 1.0)
-    cum /= safe[:, None]
-    return lam, cum
-
-
 @functools.lru_cache(maxsize=32)
 def _rate_tables(params: DeviceParams):
     """Read-only (exit rates, cumulative destination table) of a device.
@@ -181,7 +170,14 @@ def _rate_tables(params: DeviceParams):
     Built once per (frozen, hashable) ``DeviceParams``; every batch of the
     same device shares them.
     """
-    lam, cum = _destination_tables(build_rate_matrix(params))
+    rate_matrix = build_rate_matrix(params)
+    lam = -np.diag(rate_matrix)
+    q = rate_matrix.T.copy()          # q[s, d]: rate s -> d
+    np.fill_diagonal(q, 0.0)
+    cum = np.cumsum(q, axis=1)
+    tot = cum[:, -1].copy()
+    safe = np.where(tot > 0, tot, 1.0)
+    cum /= safe[:, None]
     lam.flags.writeable = False
     cum.flags.writeable = False
     return lam, cum
