@@ -31,7 +31,8 @@ from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
 from .noise import NoiseProcess
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
-from .tables import FREQUENCY, METRICS, read_appended, read_table, write_table
+from .tables import (FREQUENCY, METRICS, read_appended, read_table,
+                     write_json, write_table)
 
 MOVING_AVERAGE_WINDOW = 50
 
@@ -410,21 +411,6 @@ def _readouts(config, devices) -> dict:
             for d_idx, (name, params) in enumerate(devices.items())}
 
 
-def _completed_prefix(trace_dir: str, n_traces: int) -> int:
-    present = set()
-    if os.path.isdir(trace_dir):
-        for fn in os.listdir(trace_dir):
-            if fn.startswith("trace_") and fn.endswith(".csv"):
-                try:
-                    present.add(int(fn.split("_")[1]))
-                except ValueError:
-                    continue
-    k = 0
-    while k in present and k < n_traces:
-        k += 1
-    return k
-
-
 def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
                  stop_after: int | None = None) -> list:
     """Execute (or resume) a campaign; returns all metric rows.
@@ -433,7 +419,6 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     ``metrics.csv``, one CSV per trace under ``traces/`` and per-device
     fitted-frequency series. Fully deterministic given the campaign seed.
     """
-    os.makedirs(out_dir, exist_ok=True)
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -444,12 +429,14 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     readouts = _readouts(config, devices)
     plan = _trace_plan(config, devices)
     n_traces = len(plan)
+    trace_paths = [os.path.join(trace_dir, f"trace_{idx:05d}_{dev}_{exp}.csv")
+                   for idx, (_, dev, exp) in enumerate(plan)]
     manifest = {"seed": config.seed, "config": config.to_dict(),
                 "config_sha256": config.config_hash(),
                 "package_version": __version__, "n_traces": n_traces,
                 "completed": False}
 
-    start = 0
+    start, rows = 0, []
     if resume:
         if not os.path.exists(manifest_path):
             raise ConfigError("nothing to resume: no manifest in archive")
@@ -462,26 +449,19 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             raise ConfigError("unreadable archive manifest: not an object")
         if old.get("config_sha256") != manifest["config_sha256"]:
             raise ConfigError("archive was produced by a different config")
-        start = _completed_prefix(trace_dir, n_traces)
-        for fn in os.listdir(trace_dir):
-            if fn.endswith(".tmp"):     # a trace cut off while being written
-                os.remove(os.path.join(trace_dir, fn))
+        start = next((idx for idx, path in enumerate(trace_paths)
+                      if not os.path.exists(path)), n_traces)
         if os.path.exists(metrics_path):
             # rows of completed traces stay; a row cut off mid-write goes
             t_cut = start * config.interval_s
             rows = [MetricPoint(*row)
                     for row in read_appended(metrics_path, METRICS)
                     if row[0] < t_cut - 1e-9]
-            write_metrics_csv(metrics_path, rows)
-        else:
-            write_metrics_csv(metrics_path, [])
     else:
-        if os.path.exists(metrics_path):
-            os.remove(metrics_path)
         for fn in os.listdir(trace_dir):
             os.remove(os.path.join(trace_dir, fn))
-        write_metrics_csv(metrics_path, [])
-    _write_manifest(manifest_path, manifest)
+    write_metrics_csv(metrics_path, rows)
+    write_json(manifest_path, manifest, sort_keys=True)
 
     offsets = _persistent_values(config, n_traces)
     shot_noise = [p for p in config.noise if not p.persistent]
@@ -510,24 +490,15 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
         write_metrics_csv(metrics_path, rows, append=True)
         # the trace file lands last and whole: its presence marks the trace
         # complete
-        path = os.path.join(trace_dir, f"trace_{idx:05d}_{dev}_{exp}.csv")
-        write_trace_csv(path + ".tmp", traces)
-        os.replace(path + ".tmp", path)
+        write_trace_csv(trace_paths[idx], traces)
         done += 1
 
     all_rows = read_metrics_csv(metrics_path)
     if done == n_traces:
         _write_freq_series(out_dir, devices, all_rows)
         manifest["completed"] = True
-        _write_manifest(manifest_path, manifest)
+        write_json(manifest_path, manifest, sort_keys=True)
     return all_rows
-
-
-def _write_manifest(path, manifest) -> None:
-    """Write the manifest whole: to ``<path>.tmp``, then moved into place."""
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(path + ".tmp", path)
 
 
 def _write_freq_series(out_dir, devices, rows) -> None:

@@ -36,7 +36,7 @@ from .noise_analysis import (FrequencySeries, default_taus, fit_allan_model,
                              write_allan_csv, write_psd_csv)
 from .readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
                       train_classifier)
-from .tables import CURVE, SHOTS, TRAJECTORIES, write_table
+from .tables import CURVE, SHOTS, TRAJECTORIES, write_json, write_table
 from . import streams
 
 
@@ -87,8 +87,7 @@ def _write_manifest(out_path: str, args, inputs: list, outputs: list) -> None:
         "outputs": outputs,
         "package_version": __version__,
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+    write_json(out_path, manifest, sort_keys=True)
 
 
 def _parse_delays(text: str | None, kind: str) -> list:
@@ -205,10 +204,9 @@ def cmd_analyze(args) -> int:
     try:
         fit = fit_trace(kind, traces, args.window_us)
     except FitConvergenceError as exc:
-        payload = {"model": kind, "converged": False, "error": str(exc),
-                   "diagnostics": exc.diagnostics}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+        write_json(args.out, {"model": kind, "converged": False,
+                              "error": str(exc),
+                              "diagnostics": exc.diagnostics})
         print(f"fit did not converge; diagnostics in {args.out}",
               file=sys.stderr)
         return 4
@@ -218,8 +216,7 @@ def cmd_analyze(args) -> int:
     payload = fit.to_dict()
     if args.bootstrap <= 0:
         payload["bounds"] = None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)
+    write_json(args.out, payload)
     outputs = [args.out]
     if args.emit_plot_data:
         curve = args.out + ".curve.csv"
@@ -257,6 +254,7 @@ def _pick_series(path: str, source: str | None) -> FrequencySeries:
 def cmd_allan(args) -> int:
     series = _pick_series(args.infile, args.source)
     _check_overwrite(args.out, args.force)
+    _check_overwrite(args.fit_out, args.force)
     taus = None
     if args.max_octaves:
         taus = default_taus(len(series.values), series.tau0_s)[:args.max_octaves]
@@ -264,7 +262,6 @@ def cmd_allan(args) -> int:
     write_allan_csv(args.out, curve)
     outputs = [args.out]
     if args.fit_out:
-        _check_overwrite(args.fit_out, args.force)
         a, b, diag = fit_allan_model(curve.tau_s, curve.sigma_hz)
         mask, a_rob, b_rob = flag_allan_bumps(curve)
         payload = {"model": "allan_white_plus_oneoverf",
@@ -273,8 +270,7 @@ def cmd_allan(args) -> int:
                              "robust_A_hz2": a_rob,
                              "robust_B_hz2_per_hz": b_rob},
                    "diagnostics": diag}
-        with open(args.fit_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+        write_json(args.fit_out, payload)
         outputs.append(args.fit_out)
     _write_manifest(args.out + ".manifest.json", args, [args.infile], outputs)
     return 0
@@ -283,17 +279,15 @@ def cmd_allan(args) -> int:
 def cmd_psd(args) -> int:
     series = _pick_series(args.infile, args.source)
     _check_overwrite(args.out, args.force)
+    _check_overwrite(args.fit_out, args.force)
     freqs, psd = welch_psd(series, segment_length=args.segment_length)
     write_psd_csv(args.out, freqs, psd)
     outputs = [args.out]
     if args.fit_out:
-        _check_overwrite(args.fit_out, args.force)
         a, b, diag = fit_psd_model(freqs, psd)
-        payload = {"model": "psd_white_plus_oneoverf",
-                   "params": {"A_hz2": a, "B_hz2_per_hz": b},
-                   "diagnostics": diag}
-        with open(args.fit_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+        write_json(args.fit_out, {"model": "psd_white_plus_oneoverf",
+                                  "params": {"A_hz2": a, "B_hz2_per_hz": b},
+                                  "diagnostics": diag})
         outputs.append(args.fit_out)
     _write_manifest(args.out + ".manifest.json", args, [args.infile], outputs)
     return 0
@@ -322,8 +316,7 @@ def cmd_summarize(args) -> int:
                           f"physical modes")
     if args.out:
         _check_overwrite(args.out, args.force)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+        write_json(args.out, payload)
         _write_manifest(args.out + ".manifest.json", args, [args.infile],
                         [args.out])
     return 0

@@ -43,7 +43,8 @@ def lm_least_squares(fun, x0):
     Returns ``(x, info)`` where info carries ``converged``, ``iterations``,
     ``cost`` and ``message``. Convergence is declared when the relative
     parameter step falls below ``_STEP_TOL``; the loop gives up after
-    ``_MAX_ITER`` iterations. The cost never increases between accepted
+    ``_MAX_ITER`` iterations, and at once, unconverged, when the cost at
+    ``x0`` is not finite. The cost never increases between accepted
     iterations; a singular or non-finite trial step counts as uphill and
     raises the damping tenfold.
     """
@@ -53,6 +54,8 @@ def lm_least_squares(fun, x0):
     lam = 1e-3
     info = {"converged": False, "iterations": 0, "cost": cost,
             "message": "max iterations reached", "initial_cost": cost}
+    if not math.isfinite(cost):
+        return x, {**info, "message": "initial cost is not finite"}
     for it in range(1, _MAX_ITER + 1):
         info["iterations"] = it
         jac = numeric_jacobian(fun, x)

@@ -51,7 +51,10 @@ class TraceData:
             raise ConfigError("delays and timestamp must be finite")
         if np.any(np.diff(self.delays_us) <= 0):
             raise ConfigError("delays must be strictly increasing")
-        if np.any(self.n00 + self.n01 + self.n10 > self.n_total):
+        counts = (self.n00, self.n01, self.n10)
+        if np.any(self.n_total < 1) or any(np.any(n < 0) for n in counts):
+            raise ConfigError("counts must be >= 0 and n_total >= 1")
+        if np.any(sum(counts) > self.n_total):
             raise ConfigError("level counts exceed total shots")
 
     def p00(self) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""CSV tables: the columns of every table ddqsim reads or writes, and the one
-writer and one reader they all go through.
+"""Output files: the columns of every CSV table ddqsim reads or writes, the
+one table writer and reader they all go through, and the one way a whole
+file reaches disk.
 
 A table is a header line, then one comma-separated row per line, each ending
 in "\\n". A float field is ``repr(float(x))``, the shortest text that reads
@@ -7,11 +8,19 @@ back to the same float, and NaN is an empty field, so every float
 round-trips. Integers are decimal; text is written as given and holds no
 comma or line break. A bad header or field is a ConfigError naming
 ``path: line N``.
+
+A whole file, table or JSON, is written to ``<path>.tmp`` and then moved
+onto ``path`` with ``os.replace``, so ``path`` holds the old file or the
+whole new one; a crash leaves at most a stray ``.tmp`` that the next write
+of the file replaces. Only appended rows go to the file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 
 from .errors import ConfigError
 
@@ -35,16 +44,33 @@ _FORMAT = {float: lambda v: [repr(x) if x == x else "" for x in map(float, v)],
 _PARSE = {float: lambda s: float(s) if s else math.nan, int: int, str: str}
 
 
+@contextlib.contextmanager
+def _whole_file(path):
+    """A text file to write ``path`` through: ``<path>.tmp``, moved onto
+    ``path`` once the block ends without an exception."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    """Write ``obj`` as indented JSON, whole; values JSON cannot hold are
+    written as their ``str``."""
+    with _whole_file(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys, default=str)
+
+
 def write_table(path, table: dict, blocks, append: bool = False) -> None:
     """Write ``blocks`` of rows, each block given column by column.
 
     A block holds one column per table column: lists, ranges or numpy
-    arrays, all of one length. The header comes first unless ``append``
-    adds rows to an existing table.
+    arrays, all of one length. The table is written whole, header first,
+    unless ``append`` adds rows to an existing table in place.
     """
     formats = [_FORMAT[kind] for kind in table.values()]
-    with open(path, "a" if append else "w", encoding="utf-8",
-              newline="") as fh:
+    with (open(path, "a", encoding="utf-8", newline="") if append
+          else _whole_file(path)) as fh:
         if not append:
             fh.write(",".join(table) + "\n")
         for block in blocks:

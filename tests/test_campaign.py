@@ -1,4 +1,6 @@
+import builtins
 import filecmp
+import itertools
 import json
 from importlib import resources
 import math
@@ -16,7 +18,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              simulate_counts_trace, summarize,
                              write_metrics_csv)
 import ddqsim
-from ddqsim import campaign, metrology
+from ddqsim import metrology
 from ddqsim.cli import main
 from ddqsim.device import load_device
 from ddqsim.errors import ConfigError, FitConvergenceError
@@ -47,6 +49,66 @@ def q1_config(path, **changes):
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+class Crash(BaseException):
+    """A kill at a file operation: no handler in ddqsim catches it."""
+
+
+class HalfWritten:
+    """A file opened for writing that, when its ``with`` block ends, keeps
+    only half of the bytes written to it (an append keeps its earlier
+    bytes), then crashes."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.before = os.path.getsize(path) if "a" in fh.mode else 0
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        written = os.path.getsize(self.path) - self.before
+        os.truncate(self.path, self.before + written // 2)
+        raise Crash
+
+
+def crash_at(monkeypatch, k, half):
+    """Count file operations (opens for writing, os.replace and os.remove)
+    and crash at the k-th: before it, or with ``half`` as it ends (an open
+    leaves its file half written, a replace or remove is done). Returns a
+    one-item list holding the number of operations so far."""
+    ops = [0]
+    real_open = builtins.open
+
+    def reached():
+        ops[0] += 1
+        return ops[0] == k
+
+    def open_(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+") or not reached():
+            return real_open(file, mode, *args, **kwargs)
+        if not half:
+            raise Crash
+        return HalfWritten(real_open(file, mode, *args, **kwargs), file)
+
+    def counted(real):
+        def op(*args, **kwargs):
+            if not reached():
+                return real(*args, **kwargs)
+            if half:
+                real(*args, **kwargs)
+            raise Crash
+        return op
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(os, "replace", counted(os.replace))
+    monkeypatch.setattr(os, "remove", counted(os.remove))
+    return ops
 
 
 def archive_digest(root):
@@ -237,28 +299,39 @@ class TestRunCampaign:
         assert archive_digest(tmp_path / "one") == \
             archive_digest(tmp_path / "two")
 
-    def test_resume_ignores_a_partly_written_trace(self, tmp_path,
-                                                   monkeypatch):
-        cfg = tiny_config(repetitions=1)
+    @pytest.mark.parametrize("begun", [False, True], ids=["fresh", "resume"])
+    def test_a_crash_at_any_file_operation_resumes_to_the_same_archive(
+            self, tmp_path, monkeypatch, begun):
+        # a fresh run, or a resume of a run stopped after two traces,
+        # crashes at its k-th file operation for every k; resuming (or
+        # rerunning, before a manifest exists) must give the uninterrupted
+        # archive byte for byte, with no stray .tmp file
+        cfg = tiny_config()
         run_campaign(cfg, tmp_path / "full")
-        write = campaign.write_trace_csv
-        calls = []
-
-        def crash_halfway(path, traces):
-            calls.append(path)
-            write(path, traces)
-            if len(calls) == 3:
-                with open(path, "r+b") as fh:
-                    fh.truncate(os.path.getsize(path) // 2)
-                raise KeyboardInterrupt("killed while writing a trace")
-
-        monkeypatch.setattr(campaign, "write_trace_csv", crash_halfway)
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(cfg, tmp_path / "parts")
-        monkeypatch.undo()
-        run_campaign(cfg, tmp_path / "parts", resume=True)
-        assert archive_digest(tmp_path / "full") == \
-            archive_digest(tmp_path / "parts")
+        want = archive_digest(tmp_path / "full")
+        if begun:
+            run_campaign(cfg, tmp_path / "begun", stop_after=2)
+        for half in (False, True):
+            for k in itertools.count(1):
+                out = tmp_path / f"{'half' if half else 'before'}_{k}"
+                if begun:
+                    shutil.copytree(tmp_path / "begun", out)
+                ops = crash_at(monkeypatch, k, half)
+                try:
+                    run_campaign(cfg, out, resume=begun)
+                except Crash:
+                    pass
+                finally:
+                    monkeypatch.undo()
+                if ops[0] < k:      # the run ended before its k-th operation
+                    break
+                run_campaign(cfg, out,
+                             resume=os.path.exists(out / "manifest.json"))
+                assert archive_digest(out) == want, f"crash at operation {k}"
+            # every trace run appends its metric rows and writes its file
+            # through a .tmp name: three operations at least
+            n_run = len(os.listdir(tmp_path / "full" / "traces")) - 2 * begun
+            assert k > 3 * n_run
 
     def test_resume_drops_a_metrics_row_cut_off_mid_write(self, tmp_path):
         cfg = tiny_config(repetitions=1)

@@ -303,6 +303,17 @@ class TestAnalyze:
                     str(tmp_path / "g.json")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_negative_or_zero_counts_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "neg.csv"
+        trace.write_text(
+            "delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n" +
+            "".join(f"{t}.0,-50,0,0,0,+,0.0\n" for t in range(6)))
+        out = tmp_path / "neg.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "erasure",
+                    "--bootstrap", "0", "--out", str(out)]) == 2
+        assert "n_total >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergent_fit_exit_4_with_diagnostics(self, tmp_path):
         import csv
         trace = tmp_path / "flat.csv"
@@ -364,6 +375,17 @@ class TestNoiseAnalysisCommands:
         payload = json.loads(fit_out.read_text())
         assert payload["params"]["B_hz2_per_hz"] == pytest.approx(
             2 * 50.0**2 * 10.0, rel=0.2)
+
+    @pytest.mark.parametrize("command", ["allan", "psd"])
+    def test_existing_fit_out_refused_before_any_output(self, tmp_path,
+                                                        command):
+        path = self.write_freq(tmp_path, np.arange(64.0) % 7)
+        out, fit_out = tmp_path / "o.csv", tmp_path / "fit.json"
+        fit_out.write_text("{}")
+        assert run([command, "--in", str(path), "--out", str(out),
+                    "--fit-out", str(fit_out)]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["fit.json", "freq.csv"]
+        assert fit_out.read_text() == "{}"
 
     def test_missing_source_rejected(self, tmp_path):
         path = self.write_freq(tmp_path, np.zeros(32))

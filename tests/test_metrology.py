@@ -416,6 +416,15 @@ class TestTraceCsv:
             TraceData(delays_us=[1, 1], n00=[0, 0], n01=[1, 1], n10=[1, 1],
                       n_total=[5, 5])
 
+    @pytest.mark.parametrize("counts", [
+        dict(n00=[-50, 0], n01=[0, 0], n10=[0, 0], n_total=[0, 10]),
+        dict(n00=[0, 0], n01=[0, -1], n10=[5, 5], n_total=[10, 10]),
+        dict(n00=[0, 0], n01=[0, 0], n10=[0, 0], n_total=[0, 10]),
+    ], ids=["negative-n00", "negative-n01", "zero-total"])
+    def test_negative_counts_or_empty_points_rejected(self, counts):
+        with pytest.raises(ConfigError, match="n_total >= 1"):
+            TraceData(delays_us=[0, 1], **counts)
+
 
 class TestSolver:
     def test_jacobian_matches_analytic(self):
@@ -492,3 +501,14 @@ class TestSolver:
         assert not all(finite)
         assert info["converged"]
         assert x[0] == pytest.approx(0.02, rel=1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_cost_is_not_converged(self, bad):
+        def resid(theta):
+            return np.array([theta[0] - 1.0, bad])
+
+        x, info = lm_least_squares(resid, np.array([3.0]))
+        assert not info["converged"]
+        assert info["message"] == "initial cost is not finite"
+        assert info["iterations"] == 0
+        assert x.tolist() == [3.0]

@@ -67,6 +67,31 @@ def test_columns_of_one_block_must_match(tmp_path):
         tables.write_table(tmp_path / "b.csv", tables.ALLAN, [([1.0],)])
 
 
+def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path):
+    # the first block is written before the second one is found bad
+    blocks = [([1.0], [2.0]), ([3.0, 4.0], [5.0])]
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"tau_s,sigma_hz\n9.0,8.0\n")
+    for path in (old, tmp_path / "absent.csv"):
+        with pytest.raises(ValueError, match="one length"):
+            tables.write_table(path, tables.ALLAN, blocks)
+    assert old.read_bytes() == b"tau_s,sigma_hz\n9.0,8.0\n"
+    assert not (tmp_path / "absent.csv").exists()
+
+
+def test_whole_files_land_through_a_tmp_name(tmp_path, monkeypatch):
+    replaced = []
+    monkeypatch.setattr(tables.os, "replace",
+                        lambda src, dst: replaced.append((src, dst)))
+    tables.write_json(tmp_path / "a.json", {"b": 1, "a": [math.nan]},
+                      sort_keys=True)
+    tables.write_table(tmp_path / "t.csv", tables.ALLAN, [([1.0], [2.0])])
+    assert replaced == [(f"{tmp_path / name}.tmp", tmp_path / name)
+                        for name in ("a.json", "t.csv")]
+    assert (tmp_path / "a.json.tmp").read_text() == \
+        '{\n  "a": [\n    NaN\n  ],\n  "b": 1\n}'
+
+
 def test_crlf_line_ends_and_blank_lines_are_read(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_bytes(b"freq_hz,psd_hz2_per_hz\r\n0.5,2.0\r\n\r\n1.0,\r\n")

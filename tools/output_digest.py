@@ -1,6 +1,7 @@
 """Digest of ddqsim's outputs over a fixed set of CLI commands.
 
-Runs ``sim-shots``, ``analyze`` and ``campaign``/``summarize`` through
+Runs ``sim-shots``, ``analyze``, ``campaign``/``summarize`` and
+``allan``/``psd`` (with ``--fit-out``, on a fixed frequency series) through
 ``ddqsim.cli.main`` only, the stable contract, in a temporary directory with
 relative paths so manifests do not depend on where it runs. Prints one
 sha256 per command group and a total over the groups. Two checkouts that
@@ -18,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -91,8 +93,30 @@ def campaign_commands() -> list:
              "--out", "summary.json"]]
 
 
+def frequency_csv() -> str:
+    """A frequency series of white noise on a random walk, 100 s apart,
+    drawn from Python's own seeded generator and written with repr floats."""
+    rng = random.Random(int(SEED))
+    lines, walk = ["timestamp_s,delta_f_hz,source"], 0.0
+    for i in range(1024):
+        walk += rng.gauss(0.0, 5.0)
+        lines.append(f"{i * 100.0!r},{walk + rng.gauss(0.0, 50.0)!r},logical")
+    return "\n".join(lines) + "\n"
+
+
+def noise_commands() -> list:
+    return [["allan", "--in", "freq.csv", "--out", "allan.csv",
+             "--fit-out", "allan_fit.json"],
+            ["allan", "--in", "freq.csv", "--out", "allan6.csv",
+             "--max-octaves", "6", "--fit-out", "allan6_fit.json"],
+            ["psd", "--in", "freq.csv", "--out", "psd.csv",
+             "--fit-out", "psd_fit.json"],
+            ["psd", "--in", "freq.csv", "--out", "psd256.csv",
+             "--segment-length", "256", "--fit-out", "psd256_fit.json"]]
+
+
 GROUPS = (("sim-shots", sim_shots_commands), ("analyze", analyze_commands),
-          ("campaign", campaign_commands))
+          ("campaign", campaign_commands), ("noise", noise_commands))
 
 
 def tree_files(root: str) -> list:
@@ -144,6 +168,8 @@ def main(argv=None) -> int:
                     json.dump(spec, fh)
             with open("campaign.json", "w", encoding="utf-8") as fh:
                 json.dump(CAMPAIGN, fh)
+            with open("freq.csv", "w", encoding="utf-8", newline="") as fh:
+                fh.write(frequency_csv())
             seen = set(tree_files("."))
             for name, commands in GROUPS:
                 argvs = commands()
