@@ -259,8 +259,7 @@ def cmd_allan(args) -> int:
     if args.max_octaves:
         taus = default_taus(len(series.values), series.tau0_s)[:args.max_octaves]
     curve = overlapping_allan(series, taus=taus)
-    write_allan_csv(args.out, curve)
-    outputs = [args.out]
+    payload = None
     if args.fit_out:
         a, b, diag = fit_allan_model(curve.tau_s, curve.sigma_hz)
         mask, a_rob, b_rob = flag_allan_bumps(curve)
@@ -270,9 +269,8 @@ def cmd_allan(args) -> int:
                              "robust_A_hz2": a_rob,
                              "robust_B_hz2_per_hz": b_rob},
                    "diagnostics": diag}
-        write_json(args.fit_out, payload)
-        outputs.append(args.fit_out)
-    _write_manifest(args.out + ".manifest.json", args, [args.infile], outputs)
+    write_allan_csv(args.out, curve)
+    _write_fit_and_manifest(args, payload)
     return 0
 
 
@@ -281,16 +279,23 @@ def cmd_psd(args) -> int:
     _check_overwrite(args.out, args.force)
     _check_overwrite(args.fit_out, args.force)
     freqs, psd = welch_psd(series, segment_length=args.segment_length)
-    write_psd_csv(args.out, freqs, psd)
-    outputs = [args.out]
+    payload = None
     if args.fit_out:
         a, b, diag = fit_psd_model(freqs, psd)
-        write_json(args.fit_out, {"model": "psd_white_plus_oneoverf",
-                                  "params": {"A_hz2": a, "B_hz2_per_hz": b},
-                                  "diagnostics": diag})
-        outputs.append(args.fit_out)
-    _write_manifest(args.out + ".manifest.json", args, [args.infile], outputs)
+        payload = {"model": "psd_white_plus_oneoverf",
+                   "params": {"A_hz2": a, "B_hz2_per_hz": b},
+                   "diagnostics": diag}
+    write_psd_csv(args.out, freqs, psd)
+    _write_fit_and_manifest(args, payload)
     return 0
+
+
+def _write_fit_and_manifest(args, payload) -> None:
+    # allan/psd fit before they write --out, so a failing fit writes nothing
+    if args.fit_out:
+        write_json(args.fit_out, payload)
+    _write_manifest(args.out + ".manifest.json", args, [args.infile],
+                    [p for p in (args.out, args.fit_out) if p])
 
 
 def cmd_summarize(args) -> int:

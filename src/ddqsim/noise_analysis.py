@@ -7,6 +7,8 @@ Handbook of Frequency Stability Analysis, NIST SP 1065, 2008). B is the
 one-sided white PSD (Hz^2/Hz) and A the 1/f amplitude (Hz^2 at 1 Hz) in both
 estimators, so the two fits can cross-check each other. Slow Lorentzian
 (telegraph) features are detected as bumps above the fitted model, not fit.
+SciPy's optimize and signal stacks are imported inside the functions that use
+them, so importing this module (as every CLI command does) stays cheap.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.signal import welch
 
 from .errors import ConfigError, FitConvergenceError
 from .fitting import lm_least_squares
@@ -148,6 +148,7 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
         raise ConfigError("tau grid must span >= 1.5 decades")
     if np.all(sig <= 0):
         return 0.0, 0.0, {"converged": True, "warning": "zero curve"}
+    from scipy.optimize import nnls
     design = np.stack([1.0 / tau, np.ones_like(tau)], axis=1)
     (half_b, flicker), _ = nnls(design, sig ** 2)
     a, b = flicker / (2.0 * math.log(2.0)), 2.0 * half_b
@@ -225,6 +226,7 @@ def welch_psd(series: FrequencySeries, segment_length: int | None = None):
         raise ConfigError("segment length must be >= 8")
     if segment_length > n:
         raise ConfigError("segment length exceeds series length")
+    from scipy.signal import welch
     freqs, psd = welch(y, fs=1.0 / series.tau0_s, window="hann",
                        nperseg=segment_length,
                        noverlap=int(0.5 * segment_length),
@@ -240,6 +242,7 @@ def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
     f, s = f[sel], s[sel]
     if len(f) < 6:
         raise ConfigError("need >= 6 nonzero frequency bins")
+    from scipy.optimize import nnls
     design = np.stack([1.0 / f, np.ones_like(f)], axis=1)
     coeffs, _ = nnls(design, s)
     a0, b0 = coeffs

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ddqsim
 from ddqsim import streams, tables
 from ddqsim.cli import main
 from ddqsim.campaign import (CampaignConfig, simulate_counts_trace,
@@ -387,6 +390,20 @@ class TestNoiseAnalysisCommands:
         assert sorted(os.listdir(tmp_path)) == ["fit.json", "freq.csv"]
         assert fit_out.read_text() == "{}"
 
+    @pytest.mark.parametrize("command, option",
+                             [("allan", ["--max-octaves", "4"]),
+                              ("psd", ["--segment-length", "8"])])
+    def test_failing_fit_writes_no_output(self, tmp_path, command, option):
+        # 4 octaves of tau span < 1.5 decades and 8-sample segments give
+        # < 6 nonzero bins, so neither model can be fit; the fit runs before
+        # the first write
+        rng = np.random.default_rng(4)
+        path = self.write_freq(tmp_path, rng.normal(0.0, 50.0, 1024))
+        assert run([command, "--in", str(path), "--out",
+                    str(tmp_path / "o.csv"), *option, "--fit-out",
+                    str(tmp_path / "fit.json")]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["freq.csv"]
+
     def test_missing_source_rejected(self, tmp_path):
         path = self.write_freq(tmp_path, np.zeros(32))
         assert run(["allan", "--in", str(path), "--out",
@@ -449,6 +466,40 @@ class TestCampaignCli:
                     "--resume", "--threads", "1"]) == 0
         assert {p.name: p.read_bytes() for p in out.rglob("*")
                 if p.is_file()} == whole
+
+
+class TestImports:
+    def test_commands_without_spectral_analysis_load_no_signal_or_optimize(
+            self, tmp_path):
+        # scipy.signal and scipy.optimize serve only allan and psd; the
+        # other commands run through cli.main without loading either
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["ramsey"], repetitions=2, seed=3,
+            shots_per_point=150, physical_refs=False, readout_enabled=False,
+            bootstrap_resamples=10,
+            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
+        (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
+        argvs = [
+            ["sim-shots", "--config", "q1", "--experiment", "ramsey",
+             "--shots", "200", "--seed", "1", "--delays", "0:30:11",
+             "--out", "shots.csv", "--trace-out", "trace.csv"],
+            ["analyze", "--trace", "trace.csv", "--kind", "ramsey",
+             "--bootstrap", "10", "--seed", "1", "--out", "fit.json"],
+            ["campaign", "--config", "c.json", "--out", "archive"],
+            ["summarize", "--in", "archive/metrics.csv",
+             "--out", "summary.json"]]
+        code = ("import json, sys\n"
+                "from ddqsim.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(codes, [m for m in ('scipy.signal', 'scipy.optimize') "
+                "if m in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                             cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert (tmp_path / "archive" / "freq_q1.csv").exists()
+        assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 class TestParser:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import ddqsim
 from ddqsim.errors import ConfigError
 from ddqsim.noise import NoiseProcess, synthesize_noise
 from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, default_taus,
@@ -339,3 +343,36 @@ class TestBumpFlagging:
         mask, _, _ = flag_allan_bumps(AllanCurve(taus, sigma,
                                                  np.ones_like(taus)))
         assert not mask.any()
+
+
+# run first in a fresh process, where scipy.signal and scipy.optimize are not
+# loaded yet, and again in the test process
+FIRST_CALLS = """
+import sys
+import numpy as np
+from ddqsim.noise_analysis import (FrequencySeries, fit_allan_model,
+                                   fit_psd_model, overlapping_allan, welch_psd)
+loaded = sorted({"scipy.signal", "scipy.optimize"} & set(sys.modules))
+rng = np.random.default_rng(5)
+series = FrequencySeries(np.cumsum(rng.normal(0.0, 5.0, 1024))
+                         + rng.normal(0.0, 50.0, 1024), 10.0)
+freqs, psd = welch_psd(series)
+curve = overlapping_allan(series)
+values = repr((freqs.tolist(), psd.tolist(),
+               fit_allan_model(curve.tau_s, curve.sigma_hz),
+               fit_psd_model(freqs, psd)))
+"""
+
+
+class TestDeferredScipyImports:
+    def test_first_calls_in_a_fresh_process_give_the_same_values(self):
+        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", FIRST_CALLS + "print(loaded)\nprint(values)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=300, check=True)
+        loaded, values = out.stdout.splitlines()[-2:]
+        here = {}
+        exec(FIRST_CALLS, here)
+        assert loaded == "[]"
+        assert values == here["values"]
