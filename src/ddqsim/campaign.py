@@ -458,8 +458,13 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
                     for row in read_appended(metrics_path, METRICS)
                     if row[0] < t_cut - 1e-9]
     else:
+        # nothing of an earlier run's traces or frequency series stays, nor
+        # the .tmp of a series whose write a crash cut off
         for fn in os.listdir(trace_dir):
             os.remove(os.path.join(trace_dir, fn))
+        for fn in os.listdir(out_dir):
+            if fn.startswith("freq_") and fn.endswith((".csv", ".csv.tmp")):
+                os.remove(os.path.join(out_dir, fn))
     write_metrics_csv(metrics_path, rows)
     write_json(manifest_path, manifest, sort_keys=True)
 

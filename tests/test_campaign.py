@@ -333,6 +333,18 @@ class TestRunCampaign:
             n_run = len(os.listdir(tmp_path / "full" / "traces")) - 2 * begun
             assert k > 3 * n_run
 
+    def test_fresh_run_removes_an_earlier_frequency_series(self, tmp_path):
+        # two repetitions write freq_q1.csv and one writes none, so a fresh
+        # run of one repetition over the older archive must remove it, and
+        # the .tmp a crash leaves while writing a series
+        run_campaign(tiny_config(repetitions=2), tmp_path / "d")
+        assert (tmp_path / "d" / "freq_q1.csv").exists()
+        (tmp_path / "d" / "freq_q2.csv.tmp").write_text("timestamp_s,")
+        run_campaign(tiny_config(repetitions=1), tmp_path / "d")
+        run_campaign(tiny_config(repetitions=1), tmp_path / "new")
+        assert archive_digest(tmp_path / "d") == \
+            archive_digest(tmp_path / "new")
+
     def test_resume_drops_a_metrics_row_cut_off_mid_write(self, tmp_path):
         cfg = tiny_config(repetitions=1)
         run_campaign(cfg, tmp_path / "full")
