@@ -495,7 +495,8 @@ class TestImports:
                 "if m in sys.modules])\n")
         src = os.path.dirname(os.path.dirname(ddqsim.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                             cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                             cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=300,
                              check=True)
         assert (tmp_path / "archive" / "freq_q1.csv").exists()

@@ -368,7 +368,8 @@ class TestDeferredScipyImports:
     def test_first_calls_in_a_fresh_process_give_the_same_values(self):
         src = os.path.dirname(os.path.dirname(ddqsim.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", FIRST_CALLS + "print(loaded)\nprint(values)"],
+            [sys.executable, "-c",
+             FIRST_CALLS + "print(loaded)\nprint(values)"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=300, check=True)
         loaded, values = out.stdout.splitlines()[-2:]
