@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, streams
 from .device import DeviceParams, load_device
 from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
-                       PulseSequence, ShotBatch, run_sequence_batch)
+                       PulseSequence, ShotBatch, run_sequence_batch,
+                       run_trace_batch)
 from .errors import ConfigError, DdqError, FitConvergenceError
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
                         bootstrap_bounds, fit_erasure, fit_trace,
@@ -72,6 +73,15 @@ class CampaignConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("repetitions", "seed", "shots_per_point",
+                     "shots_physical", "bootstrap_resamples", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if self.bootstrap_resamples < 0:
+            raise ConfigError("bootstrap_resamples must be >= 0")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.shots_per_point < 100:
@@ -192,36 +202,59 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     ``DEFAULT_PREPARE`` labels, both logical levels for bitflip. Point
     (i, j) of initialization i and delay j draws from the streams of
     ``stream_key(seed, 900 + i, j)``, so results do not depend on
-    ``threads``. ``readout`` is None, or a ``(ReadoutModel, classifier)``
-    pair: with a model each shot emits an IQ point, which the classifier
-    assigns to a blob. Without a classifier, shots read out through
-    ``BLOB_OF_LEVEL``: doubly excited levels land on their
-    single-excitation parent blob. Points come back in (init, delay) order.
+    ``threads``. With one thread each initialization's points run in one
+    `run_trace_batch` call and are classified together; with more, each
+    point is one `run_sequence_batch` on a pool of ``threads`` workers.
+    ``readout`` is None, or a ``(ReadoutModel, classifier)`` pair: with a
+    model each shot emits an IQ point, which the classifier assigns to a
+    blob. Without a classifier, shots read out through ``BLOB_OF_LEVEL``:
+    doubly excited levels land on their single-excitation parent blob.
+    Points come back in (init, delay) order; the points of one
+    initialization may be views into shared trace arrays.
     """
+    if len(delays_us) == 0:
+        raise ConfigError("an experiment needs at least one delay")
     model, clf = readout if readout is not None else (None, None)
+    labels = [init] if init else DEFAULT_PREPARE[kind]
+    seqs = [[PulseSequence(kind, label, d, detuning_khz) for d in delays_us]
+            for label in labels]
+    seeds = [[int(streams.stream_key(seed, 900 + i, j))
+              for j in range(len(delays_us))] for i in range(len(labels))]
+    engine = dict(n_shots=shots, noise_dt_us=noise_dt_us,
+                  static_offsets_hz=static_offsets_hz)
 
-    def run_point(work):
-        i, init_label, j, delay = work
-        point_seed = int(streams.stream_key(seed, 900 + i, j))
-        batch = run_sequence_batch(
-            params, PulseSequence(kind, init_label, delay, detuning_khz),
-            noise, seed=point_seed, n_shots=shots, noise_dt_us=noise_dt_us,
-            static_offsets_hz=static_offsets_hz)
+    def points_of(i, b, point_seeds):
+        """The points of initialization i whose shots ``b`` holds; each
+        point's IQ points are emitted on its own streams."""
         iq = None
         if model is not None:
-            iq = sample_iq_batch(batch.levels, model, params, seed=point_seed)
-        blobs = (BLOB_OF_LEVEL[batch.levels] if clf is None
+            iq = np.concatenate([
+                sample_iq_batch(lv, model, params, seed=s) for lv, s in
+                zip(np.split(b.levels, len(point_seeds)), point_seeds)])
+        blobs = (BLOB_OF_LEVEL[b.levels] if clf is None
                  else classify_batch(clf, iq))
-        return SimPoint(init_label, batch, iq, blobs)
+        return [SimPoint(labels[i], ShotBatch(b.levels[sl], b.phase_rad[sl],
+                                              b.erased[sl], b.jumped[sl]),
+                         None if iq is None else iq[sl], blobs[sl])
+                for sl in (slice(lo, lo + shots)
+                           for lo in range(0, len(blobs), shots))]
 
-    work = [(i, init_label, j, d)
-            for i, init_label in enumerate([init] if init
-                                           else DEFAULT_PREPARE[kind])
-            for j, d in enumerate(delays_us)]
     if threads > 1:
+        def run_point(work):
+            i, j = work
+            return points_of(i, run_sequence_batch(
+                params, seqs[i][j], noise, seed=seeds[i][j], **engine),
+                [seeds[i][j]])
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_point, work))
-    return [run_point(w) for w in work]
+            groups = list(pool.map(run_point, [
+                (i, j) for i in range(len(labels))
+                for j in range(len(delays_us))]))
+    else:
+        groups = [points_of(i, run_trace_batch(params, seqs[i], noise,
+                                               seeds=seeds[i], **engine),
+                            seeds[i]) for i in range(len(labels))]
+    return [p for group in groups for p in group]
 
 
 def counts_traces(points, delays_us, shots,

@@ -183,19 +183,19 @@ def _rate_tables(params: DeviceParams):
     return lam, cum
 
 
-def _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest):
+def _jump_segment(states, jumped, t_rem, keys, shot_ids, lam, cumdest):
     """Advance all shots through one delay segment by jump sampling.
 
-    Round r reads draw 2r (the wait) and draw 2r + 1 (the destination) of
-    every shot still active, in one stream call.
+    ``t_rem`` holds each shot's segment length (us) and is used up in
+    place; a shot with none draws nothing. Round r reads draw 2r (the wait)
+    and draw 2r + 1 (the destination) of every shot still active, in one
+    stream call.
     """
-    if dur_us <= 0:
-        return
-    t_rem = np.full(states.shape, float(dur_us))
-    active = np.nonzero(lam[states] > 0)[0]
+    active = np.nonzero((lam[states] > 0) & (t_rem > 0))[0]
     r = 0
     while active.size:
-        u = streams.uniforms(key, shot_ids[active], (2 * r, 2 * r + 1))
+        u = streams.uniforms(keys[active], shot_ids[active],
+                             (2 * r, 2 * r + 1))
         wait = -np.log(u[:, 0]) / lam[states[active]]
         hop = wait < t_rem[active]
         jumpers = active[hop]
@@ -312,12 +312,22 @@ def _segment_grid(seg_us, noise_dt_us):
     return count, seg_us / count * 1e-6
 
 
-def _segment_phases(noise, prepare, segments_us, seed, shot_ids, noise_dt_us,
+def _point_keys(seeds, tag, n_shots) -> np.ndarray:
+    """Per-shot stream keys: the (seed, tag) key of each point, repeated
+    over its ``n_shots`` shots."""
+    return np.repeat(np.array([streams.stream_key(s, tag) for s in seeds],
+                              dtype=np.uint64), n_shots)
+
+
+def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
                     static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
 
     ``prepare`` is the superposition label: "+" couples the logical
-    detuning, "+D"/"+Q" one mode's frequency.
+    detuning, "+D"/"+Q" one mode's frequency. ``dur`` holds the segment
+    lengths (us) of each shot; shots come in equal blocks, one per point,
+    and block p draws from the streams of ``seeds[p]``. A 0 us point draws
+    no noise.
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
@@ -326,63 +336,82 @@ def _segment_phases(noise, prepare, segments_us, seed, shot_ids, noise_dt_us,
     one grid of step at most ``noise_dt_us`` through the equal segments,
     drawn the same way through a factor of their covariance. Telegraph
     integrals are exact in time, with the state carried across segments.
+    1/f and telegraph phases run one point at a time: their covariance and
+    draw blocks depend on the delay.
     """
     if prepare == "+":
         static = static_offsets_hz[1] - static_offsets_hz[0]
     else:
         static = static_offsets_hz[0 if prepare == "+D" else 1]
-    dur_us = np.asarray(segments_us, dtype=float)
-    n_shots, n_seg, seg_us = len(shot_ids), len(segments_us), segments_us[0]
-    frozen = np.zeros(n_shots)
-    integral = np.zeros((n_shots, n_seg))   # Hz s
+    n_total, n_seg = dur.shape
+    n_shots = n_total // len(seeds)
+    moving = dur[:, 0] > 0
+    frozen = np.zeros(n_total)
+    integral = np.zeros((n_total, n_seg))   # Hz s
     for p_idx, proc in enumerate(noise):
         coeff = (proc.differential_weight() if prepare == "+"
                  else proc.mode_weight(prepare[-1]))
-        if coeff == 0.0 or proc.amplitude == 0.0 or seg_us <= 0:
+        if coeff == 0.0 or proc.amplitude == 0.0:
             continue
-        key = streams.stream_key(seed, streams.TAG_NOISE_BASE + p_idx)
+        keys = _point_keys(seeds, streams.TAG_NOISE_BASE + p_idx, n_shots)
         if proc.quasistatic:
             if proc.kind == "telegraph":
-                u = streams.uniforms(key, shot_ids, 1)
+                u = streams.uniforms(keys[moving], shot_ids[moving], 1)
                 vals = np.where(u < 0.5, 1.0, -1.0) * (0.5 * proc.amplitude)
             else:
-                vals = (streams.normals(key, shot_ids, 0) *
-                        marginal_std(proc, dur_us.sum(), noise_dt_us))
-            frozen += coeff * vals
+                std = np.repeat([marginal_std(proc, total, noise_dt_us)
+                                 for total in dur[::n_shots].sum(axis=1)],
+                                n_shots)
+                vals = (streams.normals(keys[moving], shot_ids[moving], 0) *
+                        std[moving])
+            frozen[moving] += coeff * vals
             continue
-        if proc.kind == "telegraph":
-            rate = proc.switching_rate_hz
-            ends = np.cumsum(dur_us) * (1e-6 * rate)
-            f = np.diff(_telegraph_integrals(key, shot_ids, ends), axis=1,
-                        prepend=0.0)
-            integral += coeff * f * (0.5 * proc.amplitude / rate)
-            continue
-        z = streams.normals(key, shot_ids, np.arange(n_seg))
         if proc.kind == "white":
-            integral += coeff * z * np.sqrt(0.5 * proc.amplitude * dur_us * 1e-6)
+            z = streams.normals(keys[moving], shot_ids[moving],
+                                np.arange(n_seg))
+            integral[moving] += coeff * z * np.sqrt(
+                0.5 * proc.amplitude * dur[moving] * 1e-6)
             continue
-        low = _psd_factor(_one_over_f_cov(proc.amplitude, n_seg,
-                                          *_segment_grid(seg_us, noise_dt_us)))
-        for i in range(n_seg):
-            integral += coeff * z[:, i, None] * low[:, i]
-    return (2.0 * math.pi * (static + frozen)[:, None] * (dur_us * 1e-6)
+        for lo in range(0, n_total, n_shots):
+            sl = slice(lo, lo + n_shots)
+            dur_us = dur[lo]
+            if dur_us[0] <= 0:
+                continue
+            if proc.kind == "telegraph":
+                rate = proc.switching_rate_hz
+                ends = np.cumsum(dur_us) * (1e-6 * rate)
+                f = np.diff(_telegraph_integrals(keys[lo], shot_ids[sl], ends),
+                            axis=1, prepend=0.0)
+                integral[sl] += coeff * f * (0.5 * proc.amplitude / rate)
+                continue
+            z = streams.normals(keys[lo], shot_ids[sl], np.arange(n_seg))
+            low = _psd_factor(_one_over_f_cov(
+                proc.amplitude, n_seg, *_segment_grid(dur_us[0], noise_dt_us)))
+            for i in range(n_seg):
+                integral[sl] += coeff * z[:, i, None] * low[:, i]
+    return (2.0 * math.pi * (static + frozen)[:, None] * (dur * 1e-6)
             + 2.0 * math.pi * integral)
 
 
-def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
-                       noise=(), *, seed: int, n_shots: int,
-                       shot_offset: int = 0,
-                       noise_dt_us: float = DEFAULT_NOISE_DT_US,
-                       static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
-    """Simulate ``n_shots`` independent shots of one pulse sequence.
+def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
+                    n_shots: int, shot_offset: int = 0,
+                    noise_dt_us: float = DEFAULT_NOISE_DT_US,
+                    static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
+    """Simulate ``n_shots`` independent shots of each point of one trace.
 
-    The outcome of shot ``shot_offset + i`` depends only on
-    (params, seq, noise, seed, shot index): batching and threading never
-    change results. ``static_offsets_hz`` is a constant (delta_f_D,
-    delta_f_Q) frequency offset pair, used by campaigns to freeze slow noise
-    within one trace. ``noise_dt_us`` is the largest step of the 1/f
-    spectrum grid and sets the marginals of quasistatic white and 1/f noise;
-    white FM and telegraph phases do not depend on it.
+    ``seqs`` is a list of sequences of one kind and one prepare label,
+    which may differ in delay and detuning; ``seeds`` holds one seed per
+    sequence. The result holds
+    the shots point by point: row ``p * n_shots + i`` is shot
+    ``shot_offset + i`` of ``seqs[p]``, which reads its variates from the
+    streams of ``seeds[p]`` at its own (key, shot, draw) addresses. So a
+    shot depends only on (params, its sequence, noise, its seed, its shot
+    index): how points and shots are batched or threaded never changes
+    results. ``static_offsets_hz`` is a constant (delta_f_D, delta_f_Q)
+    frequency offset pair, used by campaigns to freeze slow noise within
+    one trace. ``noise_dt_us`` is the largest step of the 1/f spectrum grid
+    and sets the marginals of quasistatic white and 1/f noise; white FM and
+    telegraph phases do not depend on it.
 
     During delays the pair phase accumulates 2 pi * integral of the coupled
     frequency offset; a refocusing pulse negates the accumulated phase and
@@ -395,47 +424,71 @@ def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
         raise ValueError("n_shots must be positive")
     if noise_dt_us <= 0:
         raise ValueError("noise_dt_us must be positive")
+    if not seqs or len(seeds) != len(seqs):
+        raise ValueError("need one seed per pulse sequence")
+    first = seqs[0]
+    if any((s.kind, s.prepare) != (first.kind, first.prepare) for s in seqs):
+        raise ValueError("a trace runs one kind and one prepare label")
     lam, cumdest = _rate_tables(params)
 
-    shot_ids = np.arange(shot_offset, shot_offset + n_shots, dtype=np.int64)
-    states = np.empty(n_shots, dtype=np.int64)
-    jumped = np.zeros(n_shots, dtype=bool)
-    phase = np.zeros(n_shots)
+    n_total = len(seqs) * n_shots
+    shot_ids = np.tile(np.arange(shot_offset, shot_offset + n_shots,
+                                 dtype=np.int64), len(seqs))
+    dur = np.repeat(np.array([s.segments_us for s in seqs], dtype=float),
+                    n_shots, axis=0)
+    states = np.empty(n_total, dtype=np.int64)
+    jumped = np.zeros(n_total, dtype=bool)
+    phase = np.zeros(n_total)
     # a level kind starts in its level and never reads the phase; a phase
     # kind starts half in each pole of its pair
-    segments = seq.segments_us
-    if seq.project_rad is None:
-        states[:] = DimonLevel.from_label(seq.prepare).index
-        seg_phase = np.zeros((n_shots, len(segments)))
+    if first.project_rad is None:
+        states[:] = DimonLevel.from_label(first.prepare).index
+        seg_phase = np.zeros(dur.shape)
     else:
-        pair_plus, pair_minus = _PAIRS[seq.prepare]
-        u0 = streams.uniforms(streams.stream_key(seed, streams.TAG_PREP),
+        pair_plus, pair_minus = _PAIRS[first.prepare]
+        u0 = streams.uniforms(_point_keys(seeds, streams.TAG_PREP, n_shots),
                               shot_ids, 0)
         states[:] = np.where(u0 < 0.5, pair_plus, pair_minus)
-        seg_phase = _segment_phases(tuple(noise), seq.prepare, segments, seed,
+        seg_phase = _segment_phases(tuple(noise), first.prepare, dur, seeds,
                                     shot_ids, noise_dt_us, static_offsets_hz)
 
-    for k, dur_us in enumerate(segments):
+    for k in range(dur.shape[1]):
         if k:   # the refocusing pi pulse between the echo halves
             phase = -phase
             plus = states == pair_plus
             minus = states == pair_minus
             states[plus] = pair_minus
             states[minus] = pair_plus
-        key = streams.stream_key(seed, streams.TAG_JUMP_BASE + k)
-        _jump_segment(states, jumped, dur_us, key, shot_ids, lam, cumdest)
+        keys = _point_keys(seeds, streams.TAG_JUMP_BASE + k, n_shots)
+        _jump_segment(states, jumped, dur[:, k].copy(), keys, shot_ids, lam,
+                      cumdest)
         phase += seg_phase[:, k]
 
-    if seq.project_rad is not None:
+    if first.project_rad is not None:
+        project = np.repeat([s.project_rad for s in seqs], n_shots)
         in_pair = (states == pair_plus) | (states == pair_minus)
-        p_plus = np.full(n_shots, 0.5)
+        p_plus = np.full(n_total, 0.5)
         coherent = in_pair & ~jumped
         p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] -
-                                               seq.project_rad))
-        u = streams.uniforms(streams.stream_key(seed, streams.TAG_PROJECT),
-                             shot_ids, len(segments))
+                                               project[coherent]))
+        u = streams.uniforms(_point_keys(seeds, streams.TAG_PROJECT, n_shots),
+                             shot_ids, dur.shape[1])
         states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
                                    pair_plus, pair_minus)
 
     return ShotBatch(levels=states, phase_rad=phase,
                      erased=states == IDX_00, jumped=jumped)
+
+
+def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
+                       noise=(), *, seed: int, n_shots: int,
+                       shot_offset: int = 0,
+                       noise_dt_us: float = DEFAULT_NOISE_DT_US,
+                       static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
+    """Simulate ``n_shots`` independent shots of one pulse sequence: the
+    one-point case of `run_trace_batch`, whose row i is shot
+    ``shot_offset + i`` on the streams of ``seed``."""
+    return run_trace_batch(params, [seq], noise, seeds=[seed],
+                           n_shots=n_shots, shot_offset=shot_offset,
+                           noise_dt_us=noise_dt_us,
+                           static_offsets_hz=static_offsets_hz)

@@ -65,8 +65,11 @@ def uniforms(key, shot_ids, draw_ids):
     """Uniforms in (0, 1) addressed by (key, shot, draw).
 
     ``shot_ids`` is a scalar or (n,) int array; ``draw_ids`` a scalar or
-    (m,) int array. Arrays broadcast to (n,) or (n, m). The value at a given
-    (key, shot, draw) address is immutable across calls and batch layouts.
+    (m,) int array. Arrays broadcast to (n,) or (n, m). ``key`` is one
+    stream key, or an (n,) uint64 array of per-shot keys: shot i then
+    draws from ``key[i]``, and row i equals the scalar-key call on
+    ``(key[i], shot_ids[i])``. The value at a given (key, shot, draw)
+    address is immutable across calls and batch layouts.
     """
     base = _shot_base(key, shot_ids)
     draws = np.array(draw_ids, dtype=np.uint64)

@@ -15,15 +15,20 @@ import pytest
 from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              MOVING_AVERAGE_WINDOW, moving_average,
                              read_metrics_csv, run_campaign,
-                             simulate_counts_trace, summarize,
-                             write_metrics_csv)
+                             simulate_counts_trace, simulate_points,
+                             summarize, write_metrics_csv)
 import ddqsim
-from ddqsim import metrology
+from ddqsim import metrology, streams
 from ddqsim.cli import main
 from ddqsim.device import load_device
+from ddqsim.dynamics import (_PREPARE_LABELS, SEQUENCE_KINDS, PulseSequence,
+                             run_sequence_batch)
 from ddqsim.errors import ConfigError, FitConvergenceError
 from ddqsim.metrology import read_trace_csv
 from ddqsim.noise import NoiseProcess
+from ddqsim.readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
+                            default_blob_means, sample_iq_batch,
+                            train_classifier)
 
 
 def tiny_config(seed=42, **overrides):
@@ -239,6 +244,12 @@ class TestSimulateCountsTrace:
             assert np.array_equal(ta.n01, tb.n01)
             assert np.array_equal(ta.n10, tb.n10)
 
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_an_empty_delay_grid_is_rejected(self, threads):
+        with pytest.raises(ConfigError, match="at least one delay"):
+            simulate_counts_trace(load_device("q1"), "ramsey", [], 100,
+                                  seed=1, threads=threads)
+
     def test_phys_t1_trace_decays(self):
         params = load_device("q1")
         tr, = simulate_counts_trace(params, "phys_t1", [0, 30, 60, 120, 250],
@@ -246,6 +257,75 @@ class TestSimulateCountsTrace:
         p00 = tr.p00()
         assert p00[0] < 0.05
         assert p00[-1] > 0.9
+
+
+class TestTraceBatchedPath:
+    """One thread runs each trace in one engine call; every shot must equal
+    the shot of a per-point loop over the public one-point functions."""
+
+    NOISE = {
+        "white": [NoiseProcess("white", 3000.0, coupling="common",
+                               w_D=1.0, w_Q=1.3)],
+        "one_over_f": [NoiseProcess("one_over_f", 2e6,
+                                    coupling="differential_Q")],
+        "telegraph": [NoiseProcess("telegraph", 20e3,
+                                   coupling="differential_D",
+                                   switching_rate_hz=2e4)],
+        "quasistatic": [
+            NoiseProcess("one_over_f", 1e6, coupling="differential_D",
+                         quasistatic=True),
+            NoiseProcess("telegraph", 10e3, coupling="common", w_D=1.0,
+                         w_Q=1.4, switching_rate_hz=1e3, quasistatic=True),
+            NoiseProcess("white", 500.0, coupling="differential_Q",
+                         quasistatic=True)],
+        "static_offsets": [],
+    }
+    DELAYS = [0.0, 4.0, 13.5, 30.0]
+    SHOTS = 60
+
+    @pytest.fixture(scope="class")
+    def readout(self):
+        params = load_device("q2")
+        model = ReadoutModel(means=default_blob_means(1.0, 5.0))
+        return model, train_classifier(model, params, 17)
+
+    @pytest.mark.parametrize("with_readout", (False, True),
+                             ids=("levels", "readout"))
+    @pytest.mark.parametrize("noise_set", list(NOISE))
+    def test_matches_a_per_point_loop(self, noise_set, with_readout, readout):
+        params = load_device("q2")
+        model, clf = readout if with_readout else (None, None)
+        offsets = ((1500.0, -800.0) if noise_set == "static_offsets"
+                   else (0.0, 0.0))
+        kw = dict(noise=self.NOISE[noise_set], noise_dt_us=0.37,
+                  static_offsets_hz=offsets)
+        for kind in SEQUENCE_KINDS:
+            for label in _PREPARE_LABELS[kind]:
+                points = simulate_points(
+                    params, kind, self.DELAYS, self.SHOTS, seed=21,
+                    init=label, detuning_khz=60.0, threads=1,
+                    readout=(model, clf) if with_readout else None, **kw)
+                assert len(points) == len(self.DELAYS)
+                for j, (point, delay) in enumerate(zip(points, self.DELAYS)):
+                    seed = int(streams.stream_key(21, 900, j))
+                    want = run_sequence_batch(
+                        params, PulseSequence(kind, label, delay, 60.0),
+                        seed=seed, n_shots=self.SHOTS, **kw)
+                    where = (kind, label, delay)
+                    assert point.init == label
+                    for name in ("levels", "phase_rad", "erased", "jumped"):
+                        assert np.array_equal(getattr(point.batch, name),
+                                              getattr(want, name)), where
+                    if with_readout:
+                        iq = sample_iq_batch(want.levels, model, params,
+                                             seed=seed)
+                        assert np.array_equal(point.iq, iq), where
+                        assert np.array_equal(point.blobs,
+                                              classify_batch(clf, iq)), where
+                    else:
+                        assert point.iq is None
+                        assert np.array_equal(point.blobs,
+                                              BLOB_OF_LEVEL[want.levels])
 
 
 class TestRunCampaign:

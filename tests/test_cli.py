@@ -446,6 +446,30 @@ class TestCampaignCli:
                     "--out", str(out)]) == 2
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("shots_per_point", 150.5), ("bootstrap_resamples", 2.5),
+        ("bootstrap_resamples", -1), ("repetitions", True), ("seed", 6.0),
+        ("shots_physical", "120"), ("threads", 0), ("threads", -3),
+        ("threads", "2"), ("threads", 2.5)])
+    def test_bad_integer_field_leaves_archive_untouched(self, tmp_path,
+                                                        field, value):
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["ramsey"], repetitions=1, seed=6,
+            shots_per_point=150, physical_refs="t1", shots_physical=120,
+            readout_enabled=False, bootstrap_resamples=5,
+            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21],
+                       "phys_t1": [0, 20, 50, 100, 160]})
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(cfg.to_dict()))
+        bad.write_text(json.dumps({**cfg.to_dict(), field: value}))
+        out = tmp_path / "arch"
+        assert run(["campaign", "--config", str(good), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert run(["campaign", "--config", str(bad), "--out", str(out),
+                    "--force"]) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == before
+
     def test_resume_with_another_thread_count(self, tmp_path):
         cfg = CampaignConfig(
             devices=["q1"], experiments=["ramsey"], repetitions=2, seed=8,

@@ -104,6 +104,21 @@ def warnings_are_errors():
         yield
 
 
+@pytest.mark.parametrize("draws", (0, np.arange(3), (2, 5)))
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_per_shot_keys_equal_per_key_scalar_calls(draws):
+    # one key per shot, as a trace-batched engine call passes them; the
+    # keys repeat, as one point's key does over its shots
+    keys = np.array([streams.stream_key(s, 16) for s in (7, 7, 8, 2**40)] +
+                    [np.uint64(0), np.uint64(MASK)], dtype=np.uint64)
+    shots = np.array([0, 1, 0, 9, 1 << 63, MASK], dtype=np.uint64)
+    for fn in (streams.uniforms, streams.normals):
+        got = fn(keys, shots, draws)
+        assert got.shape == (len(keys), *np.shape(draws))
+        for i, (key, shot) in enumerate(zip(keys, shots)):
+            assert np.array_equal(got[i], fn(key, shot, draws))
+
+
 @pytest.mark.usefixtures("warnings_are_errors")
 class TestGolden:
     @pytest.mark.parametrize("seed", EDGE)

@@ -87,8 +87,12 @@ def analyze_commands() -> list:
 
 
 def campaign_commands() -> list:
+    # one thread runs each trace in one engine call, two spread its points
+    # over a pool; both archives are hashed
     return [["campaign", "--config", "campaign.json", "--out", "archive",
              "--threads", "2"],
+            ["campaign", "--config", "campaign.json", "--out", "archive_t1",
+             "--threads", "1"],
             ["summarize", "--in", "archive/metrics.csv",
              "--out", "summary.json"]]
 
