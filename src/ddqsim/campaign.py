@@ -186,6 +186,9 @@ class SimPoint:
 DEFAULT_PREPARE = {"bitflip": ("10", "01"), "hahn_echo": ("+",),
                    "ramsey": ("+",), "phys_t1": ("01",), "phys_echo": ("+Q",),
                    "phys_ramsey": ("+Q",)}
+# shots per `run_trace_batch` call: a longer trace runs in groups of whole
+# points, so the engine's per-shot temporaries stay bounded
+TRACE_BATCH_SHOTS = 1 << 15
 
 
 def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
@@ -203,8 +206,10 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     (i, j) of initialization i and delay j draws from the streams of
     ``stream_key(seed, 900 + i, j)``, so results do not depend on
     ``threads``. With one thread each initialization's points run in one
-    `run_trace_batch` call and are classified together; with more, each
-    point is one `run_sequence_batch` on a pool of ``threads`` workers.
+    `run_trace_batch` call (in groups of whole points of at most
+    ``TRACE_BATCH_SHOTS`` shots, at least one point each) and each group is
+    classified together; with more, each point is one `run_sequence_batch`
+    on a pool of ``threads`` workers.
     ``readout`` is None, or a ``(ReadoutModel, classifier)`` pair: with a
     model each shot emits an IQ point, which the classifier assigns to a
     blob. Without a classifier, shots read out through ``BLOB_OF_LEVEL``:
@@ -251,9 +256,12 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
                 (i, j) for i in range(len(labels))
                 for j in range(len(delays_us))]))
     else:
-        groups = [points_of(i, run_trace_batch(params, seqs[i], noise,
-                                               seeds=seeds[i], **engine),
-                            seeds[i]) for i in range(len(labels))]
+        step = max(1, TRACE_BATCH_SHOTS // shots)
+        groups = [points_of(i, run_trace_batch(
+            params, seqs[i][lo:lo + step], noise,
+            seeds=seeds[i][lo:lo + step], **engine), seeds[i][lo:lo + step])
+            for i in range(len(labels))
+            for lo in range(0, len(delays_us), step)]
     return [p for group in groups for p in group]
 
 

@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ddqsim",
         description="Dual-rail dimon qubit simulator and analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    threads = os.cpu_count() or 1
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sim-shots", help="simulate measurement shots")
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leave assigned_label blank")
     p.add_argument("--trace-out", help="also write aggregated trace CSV")
     p.add_argument("--dump-trajectories", action="store_true")
-    p.add_argument("--threads", type=_positive(int), default=threads)
+    p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sim_shots)
 
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--threads", type=_positive(int), default=threads)
+    p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_campaign)
 

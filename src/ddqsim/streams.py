@@ -66,8 +66,9 @@ def uniforms(key, shot_ids, draw_ids):
 
     ``shot_ids`` is a scalar or (n,) int array; ``draw_ids`` a scalar or
     (m,) int array. Arrays broadcast to (n,) or (n, m). ``key`` is one
-    stream key, or an (n,) uint64 array of per-shot keys: shot i then
-    draws from ``key[i]``, and row i equals the scalar-key call on
+    stream key, or an (n,) uint64 array of per-shot keys, which needs an
+    (n,) ``shot_ids`` array of the same length: shot i then draws from
+    ``key[i]``, and row i equals the scalar-key call on
     ``(key[i], shot_ids[i])``. The value at a given (key, shot, draw)
     address is immutable across calls and batch layouts.
     """

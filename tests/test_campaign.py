@@ -18,7 +18,7 @@ from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
                              simulate_counts_trace, simulate_points,
                              summarize, write_metrics_csv)
 import ddqsim
-from ddqsim import metrology, streams
+from ddqsim import campaign, metrology, streams
 from ddqsim.cli import main
 from ddqsim.device import load_device
 from ddqsim.dynamics import (_PREPARE_LABELS, SEQUENCE_KINDS, PulseSequence,
@@ -260,8 +260,9 @@ class TestSimulateCountsTrace:
 
 
 class TestTraceBatchedPath:
-    """One thread runs each trace in one engine call; every shot must equal
-    the shot of a per-point loop over the public one-point functions."""
+    """One thread runs each trace in engine calls of whole points; every
+    shot must equal the shot of a per-point loop over the public one-point
+    functions."""
 
     NOISE = {
         "white": [NoiseProcess("white", 3000.0, coupling="common",
@@ -289,10 +290,15 @@ class TestTraceBatchedPath:
         model = ReadoutModel(means=default_blob_means(1.0, 5.0))
         return model, train_classifier(model, params, 17)
 
+    # shots per engine call: the whole trace, two points, one point
+    @pytest.mark.parametrize("batch_shots", (1 << 15, 2 * SHOTS + 1, 1),
+                             ids=("trace", "two_points", "one_point"))
     @pytest.mark.parametrize("with_readout", (False, True),
                              ids=("levels", "readout"))
     @pytest.mark.parametrize("noise_set", list(NOISE))
-    def test_matches_a_per_point_loop(self, noise_set, with_readout, readout):
+    def test_matches_a_per_point_loop(self, noise_set, with_readout,
+                                      batch_shots, readout, monkeypatch):
+        monkeypatch.setattr(campaign, "TRACE_BATCH_SHOTS", batch_shots)
         params = load_device("q2")
         model, clf = readout if with_readout else (None, None)
         offsets = ((1500.0, -800.0) if noise_set == "static_offsets"

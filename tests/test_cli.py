@@ -9,7 +9,7 @@ import pytest
 
 import ddqsim
 from ddqsim import streams, tables
-from ddqsim.cli import main
+from ddqsim.cli import build_parser, main
 from ddqsim.campaign import (CampaignConfig, simulate_counts_trace,
                              simulate_points)
 from ddqsim.device import LEVEL_ORDER, load_device
@@ -547,6 +547,15 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sim-shots", "--config", "q1", "--experiment", "ramsey", "--seed",
+         "1", "--out", "x.csv"],
+        ["campaign", "--config", "c.json", "--out", "arch"],
+    ], ids=["sim-shots", "campaign"])
+    def test_threads_default_to_one(self, argv):
+        # one thread runs each trace in one engine call: the fast path
+        assert build_parser().parse_args(argv).threads == 1
 
     def test_seed_is_required_for_sim(self):
         with pytest.raises(SystemExit) as exc:
