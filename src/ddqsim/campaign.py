@@ -16,7 +16,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from .errors import ConfigError, DdqError, FitConvergenceError
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
                         bootstrap_bounds, fit_erasure, fit_trace,
                         write_trace_csv)
-from .noise import NoiseProcess
+from .noise import noise_processes
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
-from .tables import (FREQUENCY, METRICS, read_appended, read_table,
-                     write_json, write_table)
+from .tables import (FREQUENCY, METRICS, read_appended, read_json,
+                     read_table, write_json, write_table)
 
 MOVING_AVERAGE_WINDOW = 50
 
@@ -47,6 +47,34 @@ DEFAULT_DELAYS_US = {
     "phys_echo": [0, 5, 10, 15, 20, 25, 30, 50, 80, 120, 180, 260],
     "phys_ramsey": [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42],
 }
+
+
+def delay_grid(values, what: str) -> list:
+    """``values`` as a list of floats, once checked to be a delay grid: at
+    least one delay, each a finite, non-negative number, in strictly
+    increasing order. Anything else is a ConfigError naming ``what``."""
+    if not isinstance(values, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in values):
+        raise ConfigError(f"{what} must be a list of numbers")
+    grid = [float(x) for x in values]
+    if not grid:
+        raise ConfigError(f"{what} holds no delay")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"{what} must be finite")
+    if grid[0] < 0:
+        raise ConfigError(f"{what} has a negative delay")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{what} must be strictly increasing")
+    return grid
+
+
+# annotated type of a config field (a string, as annotations are not
+# evaluated here) -> the JSON values it takes, and their name; a bool is
+# never one of them
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "list": (list, "a list"), "dict": (dict, "an object")}
+
 
 @dataclass
 class CampaignConfig:
@@ -73,11 +101,12 @@ class CampaignConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("repetitions", "seed", "shots_per_point",
-                     "shots_physical", "bootstrap_resamples", "threads"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        for f in fields(self):
+            kinds, noun = _FIELD_TYPES.get(f.type, (None, ""))
+            value = getattr(self, f.name)
+            if kinds and (isinstance(value, bool) or
+                          not isinstance(value, kinds)):
+                raise ConfigError(f"{f.name} must be {noun}, not {value!r}")
         if self.bootstrap_resamples < 0:
             raise ConfigError("bootstrap_resamples must be >= 0")
         if self.threads < 1:
@@ -99,27 +128,16 @@ class CampaignConfig:
             raise ConfigError("physical_refs must be none, t1 or full")
         if self.physical_refs != "none" and self.shots_physical < 1:
             raise ConfigError("physical shots per point must be >= 1")
-        delays = {k: [float(x) for x in v]
-                  for k, v in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
-        for kind, grid in delays.items():
-            if not np.all(np.isfinite(grid)):
-                raise ConfigError(f"delay grid for {kind} must be finite")
-            if not grid or np.any(np.diff(grid) <= 0):
-                raise ConfigError(f"delay grid for {kind} must be ascending")
-            if grid[0] < 0:
-                raise ConfigError(f"delay grid for {kind} has a negative delay")
-        self.delays_us = delays
+        self.delays_us = {
+            kind: delay_grid(grid, f"delay grid for {kind}")
+            for kind, grid in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
         if not (0 < self.noise_dt_us < math.inf and
                 0 < self.interval_s < math.inf):
             raise ConfigError("noise_dt_us and interval_s must be positive "
                               "and finite")
         if not math.isfinite(self.detuning_khz):
             raise ConfigError("detuning_khz must be finite")
-        try:
-            self.noise = [p if isinstance(p, NoiseProcess) else
-                          NoiseProcess.from_dict(p) for p in self.noise]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad noise process: {exc}") from exc
+        self.noise = noise_processes(self.noise, "the campaign config")
         if any(p.persistent and p.kind != "telegraph" for p in self.noise):
             raise ConfigError("only telegraph processes can be persistent")
 
@@ -137,12 +155,10 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
+        d = read_json(path, "campaign config")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"campaign config not found: {path}") from exc
-        except (json.JSONDecodeError, TypeError) as exc:
+            return cls.from_dict(d)
+        except TypeError as exc:
             raise ConfigError(f"invalid campaign config {path}: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -461,7 +477,6 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     fitted-frequency series. Fully deterministic given the campaign seed.
     """
     trace_dir = os.path.join(out_dir, "traces")
-    os.makedirs(trace_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
 
@@ -481,13 +496,9 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     if resume:
         if not os.path.exists(manifest_path):
             raise ConfigError("nothing to resume: no manifest in archive")
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                old = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"unreadable archive manifest: {exc}") from exc
+        old = read_json(manifest_path, "archive manifest")
         if not isinstance(old, dict):
-            raise ConfigError("unreadable archive manifest: not an object")
+            raise ConfigError("invalid archive manifest: not an object")
         if old.get("config_sha256") != manifest["config_sha256"]:
             raise ConfigError("archive was produced by a different config")
         start = next((idx for idx, path in enumerate(trace_paths)
@@ -498,7 +509,8 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             rows = [MetricPoint(*row)
                     for row in read_appended(metrics_path, METRICS)
                     if row[0] < t_cut - 1e-9]
-    else:
+    os.makedirs(trace_dir, exist_ok=True)
+    if not resume:
         # nothing of an earlier run's traces or frequency series stays, nor
         # the .tmp of a series whose write a crash cut off
         for fn in os.listdir(trace_dir):

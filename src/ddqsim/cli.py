@@ -9,8 +9,6 @@ regenerated bit-for-bit. Exit codes: 0 ok, 2 input error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
@@ -18,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .campaign import (CampaignConfig, DEFAULT_DELAYS_US, counts_traces,
-                       read_metrics_csv, run_campaign, simulate_points,
-                       summarize)
+                       delay_grid, read_metrics_csv, run_campaign,
+                       simulate_points, summarize)
 from .device import LEVEL_ORDER, load_device
 from .dynamics import DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US
 # bound here only so the benchmark's tracer finds and restores the name
@@ -29,14 +27,15 @@ from .errors import (ConfigError, DdqError, FitConvergenceError)
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US,
                         bootstrap_bounds, fit_trace, read_trace_csv,
                         write_trace_csv)
-from .noise import NoiseProcess
+from .noise import noise_processes
 from .noise_analysis import (FrequencySeries, default_taus, fit_allan_model,
                              fit_psd_model, flag_allan_bumps,
                              overlapping_allan, read_frequency_csv, welch_psd,
                              write_allan_csv, write_psd_csv)
 from .readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
                       train_classifier)
-from .tables import CURVE, SHOTS, TRAJECTORIES, write_json, write_table
+from .tables import (CURVE, SHOTS, TRAJECTORIES, read_json, sha256,
+                     write_json, write_table)
 from . import streams
 
 
@@ -63,14 +62,6 @@ RATIO_PAIRS = (
 )
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _check_overwrite(path: str, force: bool) -> None:
     if path and os.path.exists(path) and not force:
         raise ConfigError(f"refusing to overwrite {path} (use --force)")
@@ -83,7 +74,7 @@ def _write_manifest(out_path: str, args, inputs: list, outputs: list) -> None:
         "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items())
                   if k not in ("func", "command", "threads")},
-        "inputs": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
+        "inputs": {p: sha256(p) for p in inputs if p and os.path.exists(p)},
         "outputs": outputs,
         "package_version": __version__,
     }
@@ -102,29 +93,7 @@ def _parse_delays(text: str | None, kind: str) -> list:
     except ValueError as exc:
         raise ConfigError(f"bad --delays {text!r}: give a comma list or "
                           f"start:stop:num") from exc
-    if not delays:
-        raise ConfigError(f"--delays {text!r} holds no delay")
-    if not np.all(np.isfinite(delays)):
-        raise ConfigError(f"--delays {text!r} must be finite")
-    if np.any(np.diff(delays) <= 0):
-        raise ConfigError(f"--delays {text!r} must be strictly increasing")
-    return delays
-
-
-def _load_noise(path: str | None) -> list:
-    if not path:
-        return []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            specs = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"noise spec not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid noise JSON {path}: {exc}") from exc
-    try:
-        return [NoiseProcess.from_dict(d) for d in specs]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise process in {path}: {exc}") from exc
+    return delay_grid(delays, f"--delays {text!r}")
 
 
 def _positive(cast):
@@ -145,7 +114,8 @@ def cmd_sim_shots(args) -> int:
     params = load_device(args.config)
     kind = args.experiment.replace("-", "_")
     delays = _parse_delays(args.delays, kind)
-    noise = _load_noise(args.noise)
+    noise = (noise_processes(read_json(args.noise, "noise spec"), args.noise)
+             if args.noise else [])
     _check_overwrite(args.out, args.force)
     if args.trace_out:
         _check_overwrite(args.trace_out, args.force)

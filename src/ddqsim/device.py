@@ -13,14 +13,15 @@ unit. The ``two_chi_*_MHz`` config keys carry the *full* resonator shift
 
 from __future__ import annotations
 
-import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 
 from .errors import ConfigError
+from .tables import read_json
 
 TWO_PI = 2.0 * math.pi
 GHZ = 1e9 * TWO_PI   # GHz (omega/2pi) -> rad/s
@@ -52,10 +53,6 @@ class DimonLevel(Enum):
     @property
     def index(self) -> int:
         return LEVEL_ORDER.index(self)
-
-    @property
-    def is_logical(self) -> bool:
-        return self in (DimonLevel.L01, DimonLevel.L10)
 
     @classmethod
     def from_label(cls, label: str) -> "DimonLevel":
@@ -139,11 +136,6 @@ class DeviceParams:
             object.__setattr__(self, "r_junction", 1.0 / r)
 
     @property
-    def delta(self) -> float:
-        """Mode detuning omega_Q - omega_D (rad/s)."""
-        return self.omega_Q - self.omega_D
-
-    @property
     def gamma_D(self) -> float:
         """D-mode relaxation rate (1/us)."""
         return 1.0 / self.T1_D_us
@@ -158,6 +150,8 @@ class DeviceParams:
 
     @classmethod
     def from_config(cls, cfg: dict, name: str = "device") -> "DeviceParams":
+        if not isinstance(cfg, dict):
+            raise ConfigError("a device config must be a JSON object")
         missing = [k for k in CONFIG_KEYS if k not in cfg]
         unknown = [k for k in cfg if k not in CONFIG_KEYS]
         if missing:
@@ -196,19 +190,13 @@ def load_device(source) -> DeviceParams:
     """Load a device config from a JSON path or a builtin name (q1/q2/q3)."""
     name = str(source)
     if name.lower() in BUILTIN_DEVICES:
-        text = (resources.files("ddqsim") / "configs" /
-                f"{name.lower()}.json").read_text()
-        return DeviceParams.from_config(json.loads(text), name=name.lower())
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"device config not found: {source}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    import os
+        with resources.as_file(resources.files("ddqsim") / "configs" /
+                               f"{name.lower()}.json") as path:
+            return DeviceParams.from_config(
+                read_json(path, "device config"), name=name.lower())
     stem = os.path.splitext(os.path.basename(name))[0]
-    return DeviceParams.from_config(cfg, name=stem)
+    return DeviceParams.from_config(read_json(name, "device config"),
+                                    name=stem)
 
 
 def level_energy(params: DeviceParams, m: int, n: int) -> float:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 KINDS = ("white", "one_over_f", "telegraph")
 COUPLINGS = ("common", "differential_D", "differential_Q")
 
@@ -82,6 +84,17 @@ class NoiseProcess:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseProcess":
         return cls(**d)
+
+
+def noise_processes(specs, source: str) -> list:
+    """The processes of a JSON noise list, each a dict of `NoiseProcess`
+    fields or a process; anything else is a ConfigError naming
+    ``source``."""
+    try:
+        return [p if isinstance(p, NoiseProcess) else NoiseProcess.from_dict(p)
+                for p in specs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise process in {source}: {exc}") from exc
 
 
 def white_from_normals(z: np.ndarray, dt_s: float, s_f: float) -> np.ndarray:

@@ -9,7 +9,6 @@ parent's blob.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -128,29 +127,6 @@ class GmmClassifier:
         for cov in self.covariances:
             if not np.allclose(cov, cov.T) or np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ConfigError("covariances must be symmetric positive definite")
-
-    def log_responsibilities(self, iq: np.ndarray) -> np.ndarray:
-        iq = np.atleast_2d(np.asarray(iq, dtype=float))
-        logp = _weighted_log_densities(iq, self.means, self.covariances,
-                                       self.weights)
-        return logp - logsumexp(logp, axis=1, keepdims=True)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-            "weights": self.weights.tolist(),
-            "labels": [lv.label for lv in READOUT_LEVELS],
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GmmClassifier":
-        d = json.loads(text)
-        if d["labels"] != [lv.label for lv in READOUT_LEVELS]:
-            raise ConfigError("classifier labels must be 00, 01, 10 in order")
-        return cls(means=np.array(d["means"]),
-                   covariances=np.array(d["covariances"]),
-                   weights=np.array(d["weights"]))
 
 
 def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Output files: the columns of every CSV table ddqsim reads or writes, the
-one table writer and reader they all go through, and the one way a whole
-file reaches disk.
+"""Files in and out: the columns of every CSV table ddqsim reads or writes,
+the one table writer and reader they all go through, the one way a whole
+file reaches disk, and the one way an input file is read.
 
 A table is a header line, then one comma-separated row per line, each ending
 in "\\n". A float field is ``repr(float(x))``, the shortest text that reads
@@ -13,11 +13,15 @@ A whole file, table or JSON, is written to ``<path>.tmp`` and then moved
 onto ``path`` with ``os.replace``, so ``path`` holds the old file or the
 whole new one; a crash leaves at most a stray ``.tmp`` that the next write
 of the file replaces. Only appended rows go to the file in place.
+
+Every input file, table or JSON, is read as UTF-8 text: a missing file,
+bytes that are not UTF-8 or JSON that does not parse are a ConfigError.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -103,9 +107,39 @@ def _parse(path, table: dict, lines: list) -> list[tuple]:
     return rows
 
 
+def _text(path, what: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8") from exc
+
+
 def _lines(path) -> list:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read().split("\n")
+    return _text(path, "input file").split("\n")
+
+
+def read_json(path, what: str):
+    """The value of a JSON file; ``what`` names the file in the error when
+    it is missing or does not parse."""
+    text = _text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid {what} {path}: {exc}") from exc
+
+
+def sha256(path) -> str:
+    """Hex sha256 of a file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def read_table(path, table: dict) -> list[tuple]:

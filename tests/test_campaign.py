@@ -174,6 +174,8 @@ class TestConfig:
                 ({"interval_s": 0.0}, "interval_s"),
                 ({"delays_us": {"ramsey": [-3.0, 0.0, 3.0]}}, "negative"),
                 ({"delays_us": {"ramsey": [0.0, 3.0, math.nan]}}, "finite"),
+                ({"delays_us": {"ramsey": [0, "3", 6]}}, "list of numbers"),
+                ({"delays_us": {"ramsey": 6}}, "list of numbers"),
                 ({"detuning_khz": math.nan}, "finite"),
                 ({"noise": [{"kind": "pink", "amplitude": 1.0}]}, "noise"),
                 ({"noise": [{"kind": "white", "amplitude": math.nan}]},
@@ -182,9 +184,13 @@ class TestConfig:
                 ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma"),
                 ({"readout_enabled": True, "readout_t_ro_us": math.nan},
                  "integration time")):
-            with pytest.raises(ConfigError, match=message):
-                run_campaign(CampaignConfig.from_dict(
-                    {**cfg.to_dict(), **change}), tmp_path)
+            # an existing archive stays as it was, and a fresh one is
+            # not begun
+            for out in (tmp_path, tmp_path / "fresh"):
+                with pytest.raises(ConfigError, match=message):
+                    run_campaign(CampaignConfig.from_dict(
+                        {**cfg.to_dict(), **change}), out)
+            assert not (tmp_path / "fresh").exists()
             assert archive_digest(tmp_path) == before
 
 

@@ -66,11 +66,11 @@ class TestSimShots:
         assert not out.exists()
 
     @pytest.mark.parametrize("delays", ["0:10:0", "0:10:x", "a,b",
-                                        "nan,5,10", "0,5,inf"])
+                                        "nan,5,10", "0,5,inf", "-5,0,5"])
     def test_bad_delays_exit_2(self, tmp_path, delays):
         out = tmp_path / "y.csv"
         assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
-                    "--seed", "1", "--delays", delays, "--out",
+                    "--seed", "1", f"--delays={delays}", "--out",
                     str(out)]) == 2
         assert not out.exists()
 
@@ -446,11 +446,16 @@ class TestCampaignCli:
                     "--out", str(out)]) == 2
 
 
+    # float, list and device fields are checked the same way: a string
+    # list was read one character at a time, and a number in "devices"
+    # was opened as a file descriptor
     @pytest.mark.parametrize("field, value", [
         ("shots_per_point", 150.5), ("bootstrap_resamples", 2.5),
         ("bootstrap_resamples", -1), ("repetitions", True), ("seed", 6.0),
         ("shots_physical", "120"), ("threads", 0), ("threads", -3),
-        ("threads", "2"), ("threads", 2.5)])
+        ("threads", "2"), ("threads", 2.5), ("readout_sigma", "x"),
+        ("interval_s", True), ("devices", "q1"), ("experiments", "ramsey"),
+        ("noise", {}), ("devices", [5]), ("devices", [0])])
     def test_bad_integer_field_leaves_archive_untouched(self, tmp_path,
                                                         field, value):
         cfg = CampaignConfig(
@@ -490,6 +495,63 @@ class TestCampaignCli:
                     "--resume", "--threads", "1"]) == 0
         assert {p.name: p.read_bytes() for p in out.rglob("*")
                 if p.is_file()} == whole
+
+
+class TestUnreadableInput:
+    # "é" in Latin-1: one byte that starts no UTF-8 sequence
+    LATIN1 = "caf\u00e9\n".encode("latin-1")
+
+    @staticmethod
+    def files(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("argv", [
+        ["sim-shots", "--config", "bad", "--experiment", "ramsey",
+         "--seed", "1", "--out", "o.csv"],
+        ["sim-shots", "--config", "q1", "--noise", "bad", "--experiment",
+         "ramsey", "--seed", "1", "--out", "o.csv"],
+        ["campaign", "--config", "bad", "--out", "arch"],
+        ["campaign", "--config", "c.json", "--out", "arch", "--resume"],
+        ["analyze", "--trace", "bad", "--kind", "ramsey", "--out", "o.json"],
+        ["allan", "--in", "bad", "--out", "o.csv"],
+        ["psd", "--in", "bad", "--out", "o.csv"],
+        ["summarize", "--in", "bad", "--out", "o.json"]],
+        ids=["sim-shots-config", "sim-shots-noise", "campaign-config",
+             "campaign-resume-metrics", "analyze", "allan", "psd",
+             "summarize"])
+    def test_non_utf8_input_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad"
+        bad.write_bytes(self.LATIN1)
+        if "--resume" in argv:
+            cfg = CampaignConfig(
+                devices=["q1"], experiments=["ramsey"], repetitions=1,
+                seed=6, shots_per_point=150, physical_refs=False,
+                readout_enabled=False, bootstrap_resamples=0,
+                delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
+            (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
+            assert run(["campaign", "--config", "c.json", "--out",
+                        "arch"]) == 0
+            with open(tmp_path / "arch" / "metrics.csv", "ab") as fh:
+                fh.write(self.LATIN1)
+        before = self.files(tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.files(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--trace", "nope.csv", "--kind", "ramsey",
+         "--out", "o.json"],
+        ["allan", "--in", "nope.csv", "--out", "o.csv"],
+        ["psd", "--in", "nope.csv", "--out", "o.csv"],
+        ["summarize", "--in", "nope.csv", "--out", "o.json"]],
+        ids=lambda argv: argv[0])
+    def test_missing_table_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert "not found: nope.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImports:

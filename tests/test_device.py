@@ -37,11 +37,6 @@ class TestDimonLevel:
     def test_exactly_six_members(self):
         assert len(DimonLevel) == 6
 
-    def test_logical_subspace(self):
-        assert DimonLevel.L10.is_logical and DimonLevel.L01.is_logical
-        assert not DimonLevel.L00.is_logical
-        assert not DimonLevel.L11.is_logical
-
     def test_label_roundtrip(self):
         for lv in DimonLevel:
             assert DimonLevel.from_label(lv.label) is lv
@@ -107,6 +102,12 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_device(tmp_path / "nope.json")
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text("[4.707, 5.468]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_device(path)
 
 
 class TestLevelEnergy:

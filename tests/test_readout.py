@@ -1,8 +1,8 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from ddqsim.device import DimonLevel, load_device
 from ddqsim.errors import ConfigError, DegenerateModelError
@@ -29,6 +29,13 @@ def ideal_classifier(means, sigma):
     covs = np.stack([np.eye(2) * sigma**2] * 3)
     return GmmClassifier(means=np.asarray(means, float), covariances=covs,
                          weights=np.full(3, 1 / 3))
+
+
+def responsibilities(clf, iq):
+    """Reference posterior of each mixture component, per IQ point."""
+    dens = np.stack([w * multivariate_normal(m, c).pdf(iq) for m, c, w in
+                     zip(clf.means, clf.covariances, clf.weights)], axis=-1)
+    return dens / dens.sum(axis=-1, keepdims=True)
 
 
 class TestReadoutModel:
@@ -151,12 +158,11 @@ class TestClassify:
         means = default_blob_means(sigma=1.0, radius_sigmas=8.0)
         clf = ideal_classifier(means, 1.0)
         assert classify_batch(clf, means[1]).tolist() == [DimonLevel.L01.index]
-        resp = np.exp(clf.log_responsibilities(means[1])[0])
-        assert resp[1] > 0.999
+        assert responsibilities(clf, means[1])[1] > 0.999
 
     def test_equidistant_tie_breaks_low(self):
         clf = ideal_classifier([[0, 0], [2, 0], [1, 5]], 1.0)
-        resp = np.exp(clf.log_responsibilities([1.0, 0.0])[0])
+        resp = responsibilities(clf, [1.0, 0.0])
         assert resp[0] == pytest.approx(resp[1], rel=1e-9)
         assigned = classify_batch(clf, [1.0, 0.0])
         assert assigned.tolist() == [DimonLevel.L00.index]
@@ -207,24 +213,7 @@ class TestClassify:
         pts = rng.normal(0, 4, (2000, 2))
         assert np.array_equal(
             classify_batch(clf, pts),
-            np.argmax(clf.log_responsibilities(pts), axis=1))
-
-    def test_from_json_rejects_permuted_labels(self):
-        clf = ideal_classifier(default_blob_means(), 1.0)
-        d = json.loads(clf.to_json())
-        d["labels"] = ["01", "00", "10"]
-        with pytest.raises(ConfigError):
-            GmmClassifier.from_json(json.dumps(d))
-
-    def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(29)
-        means = default_blob_means(sigma=1.0, radius_sigmas=7.0)
-        iq, labels = make_training_set(rng, means, 1.0, 400)
-        clf = fit_gmm(iq, labels)
-        clf2 = GmmClassifier.from_json(clf.to_json())
-        pts = rng.normal(0, 5, (200, 2))
-        assert np.array_equal(classify_batch(clf, pts),
-                              classify_batch(clf2, pts))
+            np.argmax(responsibilities(clf, pts), axis=1))
 
 
 class TestConfusionMatrix:
