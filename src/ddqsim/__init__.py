@@ -10,8 +10,8 @@ spectra).
 __version__ = "0.1.0"
 
 from .device import (DeviceParams, DimonLevel, LEVEL_ORDER, LOGICAL_ONE,
-                     LOGICAL_ZERO, device_dephasing_ratio, dispersive_shifts,
-                     junction_sensitivity, level_energy, load_device,
+                     LOGICAL_ZERO, device_dephasing_ratio,
+                     junction_sensitivity, load_device,
                      photon_dephasing_ratio)
 from .dynamics import (PulseSequence, ShotBatch, build_rate_matrix,
                        propagate_exact, run_sequence_batch)
@@ -20,8 +20,8 @@ from .readout import GmmClassifier, ReadoutModel, confusion_matrix, fit_gmm
 
 __all__ = [
     "DeviceParams", "DimonLevel", "LEVEL_ORDER", "LOGICAL_ONE", "LOGICAL_ZERO",
-    "device_dephasing_ratio", "dispersive_shifts", "junction_sensitivity",
-    "level_energy", "load_device", "photon_dephasing_ratio",
+    "device_dephasing_ratio", "junction_sensitivity", "load_device",
+    "photon_dephasing_ratio",
     "PulseSequence", "ShotBatch", "build_rate_matrix", "propagate_exact",
     "run_sequence_batch",
     "NoiseProcess", "synthesize_noise",

@@ -70,10 +70,11 @@ def delay_grid(values, what: str) -> list:
 
 
 # annotated type of a config field (a string, as annotations are not
-# evaluated here) -> the JSON values it takes, and their name; a bool is
-# never one of them
+# evaluated here) -> the JSON values it takes, and their name; a bool
+# field takes only a bool, and no other field takes one
 _FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                "list": (list, "a list"), "dict": (dict, "an object")}
+                "bool": (bool, "true or false"), "list": (list, "a list"),
+                "dict": (dict, "an object")}
 
 
 @dataclass
@@ -104,7 +105,7 @@ class CampaignConfig:
         for f in fields(self):
             kinds, noun = _FIELD_TYPES.get(f.type, (None, ""))
             value = getattr(self, f.name)
-            if kinds and (isinstance(value, bool) or
+            if kinds and (isinstance(value, bool) != (kinds is bool) or
                           not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be {noun}, not {value!r}")
         if self.bootstrap_resamples < 0:
@@ -120,14 +121,17 @@ class CampaignConfig:
         for exp in self.experiments:
             if exp not in EXPERIMENT_KINDS:
                 raise ConfigError(f"unknown experiment {exp!r}")
-        if self.physical_refs in (False, None):
-            self.physical_refs = "none"
-        elif self.physical_refs is True:
-            self.physical_refs = "t1"
+        if isinstance(self.physical_refs, bool):
+            self.physical_refs = "t1" if self.physical_refs else "none"
         if self.physical_refs not in ("none", "t1", "full"):
-            raise ConfigError("physical_refs must be none, t1 or full")
+            raise ConfigError("physical_refs must be true, false, none, t1 "
+                              "or full")
         if self.physical_refs != "none" and self.shots_physical < 1:
             raise ConfigError("physical shots per point must be >= 1")
+        for kind in self.delays_us:
+            if kind not in DEFAULT_DELAYS_US:
+                raise ConfigError(f"delays_us names no experiment kind: "
+                                  f"{kind!r}")
         self.delays_us = {
             kind: delay_grid(grid, f"delay grid for {kind}")
             for kind, grid in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
@@ -150,14 +154,10 @@ class CampaignConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CampaignConfig":
-        return cls(**d)
-
-    @classmethod
     def from_json(cls, path) -> "CampaignConfig":
         d = read_json(path, "campaign config")
         try:
-            return cls.from_dict(d)
+            return cls(**d)
         except TypeError as exc:
             raise ConfigError(f"invalid campaign config {path}: {exc}") from exc
 
@@ -247,11 +247,8 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     def points_of(i, b, point_seeds):
         """The points of initialization i whose shots ``b`` holds; each
         point's IQ points are emitted on its own streams."""
-        iq = None
-        if model is not None:
-            iq = np.concatenate([
-                sample_iq_batch(lv, model, params, seed=s) for lv, s in
-                zip(np.split(b.levels, len(point_seeds)), point_seeds)])
+        iq = (None if model is None else
+              sample_iq_batch(b.levels, model, params, seed=point_seeds))
         blobs = (BLOB_OF_LEVEL[b.levels] if clf is None
                  else classify_batch(clf, iq))
         return [SimPoint(labels[i], ShotBatch(b.levels[sl], b.phase_rad[sl],

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
@@ -62,15 +61,9 @@ class DimonLevel(Enum):
         raise ValueError(f"unknown level label {label!r}")
 
 
-# Fixed basis ordering used by rate matrices and probability vectors.
-LEVEL_ORDER = (
-    DimonLevel.L00,
-    DimonLevel.L01,
-    DimonLevel.L10,
-    DimonLevel.L11,
-    DimonLevel.L02,
-    DimonLevel.L20,
-)
+# Fixed basis ordering used by rate matrices and probability vectors: the
+# member order of `DimonLevel`.
+LEVEL_ORDER = tuple(DimonLevel)
 
 # Dual-rail encoding: one excitation shared between the two modes.
 LOGICAL_ZERO = DimonLevel.L10
@@ -197,42 +190,6 @@ def load_device(source) -> DeviceParams:
     stem = os.path.splitext(os.path.basename(name))[0]
     return DeviceParams.from_config(read_json(name, "device config"),
                                     name=stem)
-
-
-def level_energy(params: DeviceParams, m: int, n: int) -> float:
-    """Ladder energy (rad/s) of |mn> relative to the vacuum.
-
-    E(m, n) = m*omega_D + n*omega_Q - (alpha_D/2) m(m-1) - (alpha_Q/2) n(n-1)
-              - eta*m*n, with the signed alpha/eta values substituted as
-    stored (Table-style configs carry negative anharmonicities and eta).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("occupation numbers must be >= 0")
-    return (m * params.omega_D + n * params.omega_Q
-            - 0.5 * params.alpha_D * m * (m - 1)
-            - 0.5 * params.alpha_Q * n * (n - 1)
-            - params.eta * m * n)
-
-
-def dispersive_shifts(g_QR: float, omega_R: float, omega_Q: float,
-                      alpha_Q: float, eta: float) -> tuple[float, float]:
-    """Perturbative resonator half-shifts (chi_QR, chi_DR).
-
-    chi_QR = alpha_Q * (g / (omega_R - omega_Q))^2 and chi_DR carries eta in
-    place of alpha_Q; the D mode inherits its shift through the cross-Kerr
-    coupling only. Valid deep in the dispersive regime; warns when
-    |g/(omega_R - omega_Q)| > 0.1.
-    """
-    detun = omega_R - omega_Q
-    if detun == 0:
-        raise ValueError("omega_R == omega_Q: resonant, dispersive model invalid")
-    ratio = g_QR / detun
-    if abs(ratio) > 0.1:
-        warnings.warn(
-            f"dispersive parameter |g/(omega_R-omega_Q)| = {abs(ratio):.3f} > 0.1; "
-            "perturbative shifts unreliable", stacklevel=2)
-    lam2 = ratio * ratio
-    return alpha_Q * lam2, eta * lam2
 
 
 def photon_dephasing_ratio(chi_QR: float, chi_DR: float,

@@ -312,13 +312,6 @@ def _segment_grid(seg_us, noise_dt_us):
     return count, seg_us / count * 1e-6
 
 
-def _point_keys(seeds, tag, n_shots) -> np.ndarray:
-    """Per-shot stream keys: the (seed, tag) key of each point, repeated
-    over its ``n_shots`` shots."""
-    return np.repeat(np.array([streams.stream_key(s, tag) for s in seeds],
-                              dtype=np.uint64), n_shots)
-
-
 def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
                     static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
@@ -353,7 +346,8 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
                  else proc.mode_weight(prepare[-1]))
         if coeff == 0.0 or proc.amplitude == 0.0:
             continue
-        keys = _point_keys(seeds, streams.TAG_NOISE_BASE + p_idx, n_shots)
+        keys = streams.point_keys(seeds, streams.TAG_NOISE_BASE + p_idx,
+                                  n_shots)
         if proc.quasistatic:
             if proc.kind == "telegraph":
                 u = streams.uniforms(keys[moving], shot_ids[moving], 1)
@@ -394,24 +388,23 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
 
 
 def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
-                    n_shots: int, shot_offset: int = 0,
+                    n_shots: int,
                     noise_dt_us: float = DEFAULT_NOISE_DT_US,
                     static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of each point of one trace.
 
     ``seqs`` is a list of sequences of one kind and one prepare label,
     which may differ in delay and detuning; ``seeds`` holds one seed per
-    sequence. The result holds
-    the shots point by point: row ``p * n_shots + i`` is shot
-    ``shot_offset + i`` of ``seqs[p]``, which reads its variates from the
-    streams of ``seeds[p]`` at its own (key, shot, draw) addresses. So a
-    shot depends only on (params, its sequence, noise, its seed, its shot
-    index): how points and shots are batched or threaded never changes
-    results. ``static_offsets_hz`` is a constant (delta_f_D, delta_f_Q)
-    frequency offset pair, used by campaigns to freeze slow noise within
-    one trace. ``noise_dt_us`` is the largest step of the 1/f spectrum grid
-    and sets the marginals of quasistatic white and 1/f noise; white FM and
-    telegraph phases do not depend on it.
+    sequence. The result holds the shots point by point: row
+    ``p * n_shots + i`` is shot ``i`` of ``seqs[p]``, which reads its
+    variates from the streams of ``seeds[p]`` at its own (key, shot, draw)
+    addresses. So a shot depends only on (params, its sequence, noise, its
+    seed, its shot index): how points and shots are batched or threaded
+    never changes results. ``static_offsets_hz`` is a constant
+    (delta_f_D, delta_f_Q) frequency offset pair, used by campaigns to
+    freeze slow noise within one trace. ``noise_dt_us`` is the largest step
+    of the 1/f spectrum grid and sets the marginals of quasistatic white
+    and 1/f noise; white FM and telegraph phases do not depend on it.
 
     During delays the pair phase accumulates 2 pi * integral of the coupled
     frequency offset; a refocusing pulse negates the accumulated phase and
@@ -432,8 +425,7 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     lam, cumdest = _rate_tables(params)
 
     n_total = len(seqs) * n_shots
-    shot_ids = np.tile(np.arange(shot_offset, shot_offset + n_shots,
-                                 dtype=np.int64), len(seqs))
+    shot_ids = np.tile(np.arange(n_shots, dtype=np.int64), len(seqs))
     dur = np.repeat(np.array([s.segments_us for s in seqs], dtype=float),
                     n_shots, axis=0)
     states = np.empty(n_total, dtype=np.int64)
@@ -446,8 +438,8 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
         seg_phase = np.zeros(dur.shape)
     else:
         pair_plus, pair_minus = _PAIRS[first.prepare]
-        u0 = streams.uniforms(_point_keys(seeds, streams.TAG_PREP, n_shots),
-                              shot_ids, 0)
+        u0 = streams.uniforms(
+            streams.point_keys(seeds, streams.TAG_PREP, n_shots), shot_ids, 0)
         states[:] = np.where(u0 < 0.5, pair_plus, pair_minus)
         seg_phase = _segment_phases(tuple(noise), first.prepare, dur, seeds,
                                     shot_ids, noise_dt_us, static_offsets_hz)
@@ -459,7 +451,7 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
             minus = states == pair_minus
             states[plus] = pair_minus
             states[minus] = pair_plus
-        keys = _point_keys(seeds, streams.TAG_JUMP_BASE + k, n_shots)
+        keys = streams.point_keys(seeds, streams.TAG_JUMP_BASE + k, n_shots)
         _jump_segment(states, jumped, dur[:, k].copy(), keys, shot_ids, lam,
                       cumdest)
         phase += seg_phase[:, k]
@@ -471,8 +463,9 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
         coherent = in_pair & ~jumped
         p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] -
                                                project[coherent]))
-        u = streams.uniforms(_point_keys(seeds, streams.TAG_PROJECT, n_shots),
-                             shot_ids, dur.shape[1])
+        u = streams.uniforms(
+            streams.point_keys(seeds, streams.TAG_PROJECT, n_shots), shot_ids,
+            dur.shape[1])
         states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
                                    pair_plus, pair_minus)
 
@@ -482,13 +475,11 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
 
 def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
                        noise=(), *, seed: int, n_shots: int,
-                       shot_offset: int = 0,
                        noise_dt_us: float = DEFAULT_NOISE_DT_US,
                        static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of one pulse sequence: the
-    one-point case of `run_trace_batch`, whose row i is shot
-    ``shot_offset + i`` on the streams of ``seed``."""
+    one-point case of `run_trace_batch`, whose row i is shot i on the
+    streams of ``seed``."""
     return run_trace_batch(params, [seq], noise, seeds=[seed],
-                           n_shots=n_shots, shot_offset=shot_offset,
-                           noise_dt_us=noise_dt_us,
+                           n_shots=n_shots, noise_dt_us=noise_dt_us,
                            static_offsets_hz=static_offsets_hz)

@@ -15,7 +15,7 @@ converts internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,17 +73,7 @@ class NoiseProcess:
         return self.mode_weight("Q") - self.mode_weight("D")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "amplitude": self.amplitude,
-            "coupling": self.coupling,
-            "switching_rate_hz": self.switching_rate_hz,
-            "w_D": self.w_D, "w_Q": self.w_Q,
-            "quasistatic": self.quasistatic, "persistent": self.persistent,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseProcess":
-        return cls(**d)
+        return asdict(self)
 
 
 def noise_processes(specs, source: str) -> list:
@@ -91,7 +81,7 @@ def noise_processes(specs, source: str) -> list:
     fields or a process; anything else is a ConfigError naming
     ``source``."""
     try:
-        return [p if isinstance(p, NoiseProcess) else NoiseProcess.from_dict(p)
+        return [p if isinstance(p, NoiseProcess) else NoiseProcess(**p)
                 for p in specs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise process in {source}: {exc}") from exc

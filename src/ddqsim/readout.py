@@ -39,8 +39,7 @@ class ReadoutModel:
 
     ``means`` has rows for (|00>, |01>, |10>) in that order (arbitrary
     units); ``sigma`` is the common isotropic blob width; ``t_ro_us`` the
-    integration time. ``drive_frequency(params)`` returns the resonator
-    drive that centers the three blobs: omega_R - (chi_QR + chi_DR)/2.
+    integration time.
     """
 
     means: np.ndarray = field(default_factory=lambda: default_blob_means())
@@ -61,22 +60,24 @@ class ReadoutModel:
             raise ConfigError("integration time must be >= 0 and finite")
         object.__setattr__(self, "means", means)
 
-    @staticmethod
-    def drive_frequency(params: DeviceParams) -> float:
-        return params.omega_R - 0.5 * (params.chi_QR + params.chi_DR)
-
 
 def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
-                    params: DeviceParams, seed: int) -> np.ndarray:
+                    params: DeviceParams, seed) -> np.ndarray:
     """Vectorized IQ emission for a batch of final levels.
 
-    Uses the deterministic counter streams, so campaign shot records are
-    reproducible independently of batching.
+    ``seed`` is one seed, or a list of seeds, one per equal block of
+    ``levels``. Shot i of a block draws at (stream_key(its seed,
+    TAG_READOUT), i) on the deterministic counter streams, so each block
+    reads out as a one-seed call on that block would, and campaign shot
+    records do not depend on batching.
     """
     levels = np.asarray(levels)
-    n = len(levels)
-    ids = np.arange(n, dtype=np.int64)
-    key = streams.stream_key(seed, streams.TAG_READOUT)
+    seeds = seed if isinstance(seed, list) else [seed]
+    n, rest = divmod(len(levels), len(seeds))
+    if rest:
+        raise ValueError("levels must split into one equal block per seed")
+    ids = np.tile(np.arange(n, dtype=np.int64), len(seeds))
+    key = streams.point_keys(seeds, streams.TAG_READOUT, n)
     blob = BLOB_OF_LEVEL[levels]
     means = model.means[blob]
     if model.t_ro_us > 0:

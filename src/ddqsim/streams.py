@@ -54,6 +54,13 @@ def stream_key(seed, *tags):
     return np.uint64(h)
 
 
+def point_keys(seeds, tag, n_shots) -> np.ndarray:
+    """Per-shot stream keys: the (seed, tag) key of each point, repeated
+    over its ``n_shots`` shots."""
+    return np.repeat(np.array([stream_key(s, tag) for s in seeds],
+                              dtype=np.uint64), n_shots)
+
+
 def _shot_base(key, shot_ids):
     z = np.array(shot_ids, dtype=np.uint64)
     z *= _GOLDEN

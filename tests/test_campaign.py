@@ -181,6 +181,11 @@ class TestConfig:
                 ({"noise": [{"kind": "white", "amplitude": math.nan}]},
                  "finite"),
                 ({"shots_physical": 0}, "physical shots"),
+                ({"readout_enabled": "false"}, "readout_enabled"),
+                ({"physical_refs": 0}, "physical_refs"),
+                ({"physical_refs": None}, "physical_refs"),
+                ({"delays_us": {"rabi": [0, 1]}}, "'rabi'"),
+                ({"delays_us": {"hahn-echo": [0, 10]}}, "'hahn-echo'"),
                 ({"readout_enabled": True, "readout_sigma": -1.0}, "sigma"),
                 ({"readout_enabled": True, "readout_t_ro_us": math.nan},
                  "integration time")):
@@ -188,8 +193,8 @@ class TestConfig:
             # not begun
             for out in (tmp_path, tmp_path / "fresh"):
                 with pytest.raises(ConfigError, match=message):
-                    run_campaign(CampaignConfig.from_dict(
-                        {**cfg.to_dict(), **change}), out)
+                    run_campaign(CampaignConfig(
+                        **{**cfg.to_dict(), **change}), out)
             assert not (tmp_path / "fresh").exists()
             assert archive_digest(tmp_path) == before
 

@@ -455,7 +455,9 @@ class TestCampaignCli:
         ("shots_physical", "120"), ("threads", 0), ("threads", -3),
         ("threads", "2"), ("threads", 2.5), ("readout_sigma", "x"),
         ("interval_s", True), ("devices", "q1"), ("experiments", "ramsey"),
-        ("noise", {}), ("devices", [5]), ("devices", [0])])
+        ("noise", {}), ("devices", [5]), ("devices", [0]),
+        ("readout_enabled", "false"), ("physical_refs", 0),
+        ("delays_us", {"hahn-echo": [0, 10]})])
     def test_bad_integer_field_leaves_archive_untouched(self, tmp_path,
                                                         field, value):
         cfg = CampaignConfig(

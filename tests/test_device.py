@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddqsim.device import (DeviceParams, DimonLevel, GHZ, MHZ,
-                           device_dephasing_ratio, dispersive_shifts,
-                           junction_sensitivity, level_energy, load_device,
-                           photon_dephasing_ratio)
+                           device_dephasing_ratio, junction_sensitivity,
+                           load_device, photon_dephasing_ratio)
 from ddqsim.errors import ConfigError
 
 TWO_PI = 2 * math.pi
@@ -108,69 +107,6 @@ class TestConfigLoading:
         path.write_text("[4.707, 5.468]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_device(path)
-
-
-class TestLevelEnergy:
-    def test_vacuum_energy_zero(self, q1):
-        assert level_energy(q1, 0, 0) == 0.0
-
-    def test_single_excitations_are_mode_frequencies(self, q1):
-        assert level_energy(q1, 1, 0) == pytest.approx(TWO_PI * 4.707e9)
-        assert level_energy(q1, 0, 1) == pytest.approx(TWO_PI * 5.468e9)
-
-    def test_q1_both_modes_excited(self, q1):
-        # omega_D + omega_Q - eta with eta = -283 MHz
-        assert level_energy(q1, 1, 1) == pytest.approx(TWO_PI * 10.458e9)
-
-    def test_doubly_excited_includes_anharmonicity(self, q1):
-        # E(0,2) = 2 omega_Q - alpha_Q
-        expect = 2 * q1.omega_Q - q1.alpha_Q
-        assert level_energy(q1, 0, 2) == pytest.approx(expect)
-
-    def test_negative_occupation_rejected(self, q1):
-        with pytest.raises(ValueError):
-            level_energy(q1, -1, 0)
-
-    @given(m=st.integers(0, 4), n=st.integers(0, 4),
-           scale=st.floats(0.5, 2.0))
-    @settings(max_examples=40, deadline=None)
-    def test_linear_in_eta(self, m, n, scale):
-        base = load_device("q1")
-        scaled = base.with_(eta=base.eta * scale)
-        de = level_energy(scaled, m, n) - level_energy(base, m, n)
-        assert de == pytest.approx(-(scale - 1) * base.eta * m * n, abs=1e-3)
-
-    def test_transition_frequency_identity(self):
-        for name in ("q1", "q2", "q3"):
-            p = load_device(name)
-            assert level_energy(p, 1, 0) - level_energy(p, 0, 0) == p.omega_D
-            assert level_energy(p, 0, 1) - level_energy(p, 0, 0) == p.omega_Q
-
-
-class TestDispersiveShifts:
-    def test_no_coupling_no_shift(self):
-        assert dispersive_shifts(0.0, 10.0, 5.0, -0.15, -0.28) == (0.0, 0.0)
-
-    def test_ratio_is_eta_over_alpha(self):
-        chi_qr, chi_dr = dispersive_shifts(0.1, 10.0, 5.0, -0.156, -0.283)
-        assert chi_dr / chi_qr == pytest.approx(-0.283 / -0.156)
-
-    def test_q1_style_magnitude(self):
-        # alpha_Q/2pi = -156 MHz, g/(omega_R - omega_Q) = 0.05
-        alpha_q = -156 * MHZ
-        omega_q = 5.468 * GHZ
-        omega_r = omega_q + 1.0 * GHZ
-        g = 0.05 * (omega_r - omega_q)
-        chi_qr, _ = dispersive_shifts(g, omega_r, omega_q, alpha_q, -283 * MHZ)
-        assert chi_qr == pytest.approx(-0.39 * MHZ)
-
-    def test_resonant_rejected(self):
-        with pytest.raises(ValueError, match="resonant"):
-            dispersive_shifts(0.1, 5.0, 5.0, -0.15, -0.28)
-
-    def test_nondispersive_warns(self):
-        with pytest.warns(UserWarning, match="dispersive"):
-            dispersive_shifts(0.2, 6.0, 5.0, -0.15, -0.28)
 
 
 class TestPhotonDephasingRatio:

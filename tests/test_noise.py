@@ -24,7 +24,7 @@ class TestNoiseProcess:
             spec = {"kind": "telegraph", "amplitude": 2e4,
                     "switching_rate_hz": 1e3, **extra}
             with pytest.raises(ValueError, match="finite"):
-                NoiseProcess.from_dict(spec)
+                NoiseProcess(**spec)
 
     def test_coupling_weights(self):
         common = NoiseProcess("white", 1.0, coupling="common", w_D=0.7, w_Q=1.2)
@@ -42,7 +42,7 @@ class TestNoiseProcess:
     def test_dict_roundtrip(self):
         proc = NoiseProcess("telegraph", 3e4, coupling="differential_D",
                             switching_rate_hz=1e-4, persistent=True)
-        assert NoiseProcess.from_dict(proc.to_dict()) == proc
+        assert NoiseProcess(**proc.to_dict()) == proc
 
 
 class TestSynthesis:

@@ -55,10 +55,6 @@ class TestReadoutModel:
             with pytest.raises(ConfigError, match="finite"):
                 ReadoutModel(**bad)
 
-    def test_drive_frequency_rule(self, q1):
-        drive = ReadoutModel.drive_frequency(q1)
-        assert drive == q1.omega_R - 0.5 * (q1.chi_QR + q1.chi_DR)
-
 
 class TestGenerateIq:
     def test_zero_width_zero_integration_hits_mean(self, q1):
@@ -86,6 +82,19 @@ class TestGenerateIq:
         assigned = classify_batch(clf, iq)
         frac00 = np.mean(assigned == 0)
         assert frac00 == pytest.approx(1 - math.exp(-0.05), rel=0.10)
+
+    def test_seed_per_block_equals_per_seed_calls(self, q1):
+        # 64-bit point seeds, some at or above 2^63, as campaigns make them
+        seeds = [3, 2**63, 2**64 - 1, 2**63 - 1, 12345678901234567890]
+        model = ReadoutModel(sigma=0.3, t_ro_us=0.2 * q1.T1_Q_us)
+        levels = np.random.default_rng(2).integers(0, 6, 40 * len(seeds))
+        want = np.concatenate([
+            sample_iq_batch(lv, model, q1, seed=s)
+            for lv, s in zip(np.split(levels, len(seeds)), seeds)])
+        assert np.array_equal(sample_iq_batch(levels, model, q1, seed=seeds),
+                              want)
+        with pytest.raises(ValueError, match="equal block"):
+            sample_iq_batch(levels[:-1], model, q1, seed=seeds)
 
     def test_doubly_excited_parent_blobs(self, q1):
         model = ReadoutModel(sigma=0.1, t_ro_us=0.0)
