@@ -55,6 +55,9 @@ class NoiseProcess:
         for name in ("amplitude", "switching_rate_hz", "w_D", "w_Q"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("quasistatic", "persistent"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.kind == "telegraph" and not self.switching_rate_hz > 0:

@@ -5,6 +5,11 @@ The single end-of-line measurement resolves three blobs in the IQ plane
 emit from a point interpolated toward the |00> blob; doubly-excited levels
 are indistinguishable from their single-excitation parent and emit from that
 parent's blob.
+
+Classification and the mixture fit evaluate the three 2x2 Gaussian
+log-densities in closed form (no matrix inverse or determinant routine), and
+each EM round takes one max-shifted log-normaliser per point, which gives
+both the log-likelihood and the responsibilities.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import streams
 from .device import DeviceParams, DimonLevel
@@ -94,15 +98,31 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
 
 
 def _weighted_log_densities(iq, means, covs, weights) -> np.ndarray:
-    """(n, 3) log of weight times Gaussian density, per point and component."""
-    logp = np.empty((iq.shape[0], 3))
+    """(3, n) log of weight times Gaussian density, per component and point.
+
+    Closed form for a 2x2 covariance [[a, b], [c, d]] with det = ad - bc:
+    the Mahalanobis term is (d dx^2 - (b + c) dx dy + a dy^2) / det. It
+    takes b + c, not 2b, because a covariance need be symmetric only to
+    rounding (`np.cov`, or a `GmmClassifier` built by hand).
+    """
+    x, y = np.ascontiguousarray(iq.T)
+    logp = np.empty((3, len(x)))
     for k in range(3):
-        diff = iq - means[k]
-        inv = np.linalg.inv(covs[k])
-        _, logdet = np.linalg.slogdet(covs[k])
-        maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
-        logp[:, k] = (math.log(weights[k]) - 0.5 *
-                      (maha + logdet + 2.0 * math.log(2.0 * math.pi)))
+        a, b, c, d = covs[k].ravel().tolist()
+        det = a * d - b * c
+        h = -0.5 / det
+        mx, my = means[k].tolist()
+        dx = x - mx
+        dy = y - my
+        row = logp[k]
+        np.multiply(dx, d * h, out=row)
+        row -= ((b + c) * h) * dy
+        row *= dx
+        dy *= dy
+        dy *= a * h
+        row += dy
+        row += (math.log(weights[k]) - 0.5 * math.log(det)
+                - math.log(2.0 * math.pi))
     return logp
 
 
@@ -138,11 +158,23 @@ def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
     # the per-point normaliser of the responsibilities cannot move the argmax
     logp = _weighted_log_densities(np.atleast_2d(np.asarray(iq, dtype=float)),
                                    clf.means, clf.covariances, clf.weights)
-    return np.argmax(logp, axis=1)
+    return _top_row(logp)
+
+
+def _top_row(rows) -> np.ndarray:
+    """Index of the largest of three rows in each column; ties go to the
+    lower index, as with ``np.argmax(rows, axis=0)``."""
+    top = (rows[1] > rows[0]).astype(np.intp)
+    top[rows[2] > np.maximum(rows[0], rows[1])] = 2
+    return top
 
 
 def _check_condition(cov):
-    if np.linalg.cond(cov) > 1e12:
+    """Raise when the 2-norm condition number of a 2x2 matrix exceeds 1e12;
+    its singular values are (p + q) / 2 and |p - q| / 2."""
+    a, b, c, d = cov.ravel().tolist()
+    p, q = math.hypot(a + d, b - c), math.hypot(a - d, b + c)
+    if not 0 < p + q <= 1e12 * abs(p - q):
         raise DegenerateModelError(
             "covariance condition number exceeds 1e12 (collapsed blob)")
 
@@ -150,61 +182,76 @@ def _check_condition(cov):
 def fit_gmm(iq: np.ndarray, labels) -> GmmClassifier:
     """Fit the three-blob mixture by expectation-maximization.
 
-    Components are initialized from per-class sample statistics of the
-    prepared labels. Iterations stop when the mean log-likelihood gain per shot
-    drops below 1e-8 or after 200 rounds. Each component takes the level of
-    its majority prepared label, and the components are stored in level
-    order.
+    The labels are coded once to level indices 0/1/2. Components are
+    initialized from per-class sample statistics of the prepared labels.
+    Each E step evaluates the 2x2 Gaussian log-densities in closed form and
+    takes one max-shifted log-normaliser per point, which gives both the
+    log-likelihood and the responsibilities. Iterations stop when the mean
+    log-likelihood gain per shot drops below 1e-8 or after 200 rounds. Each
+    component takes the level of its majority prepared label, and the
+    components are stored in level order.
 
     Parameters
     ----------
     iq : (n, 2) array of integrated readout points.
-    labels : sequence of n prepared-level strings "00"/"01"/"10".
+    labels : sequence of n prepared-level strings "00"/"01"/"10"; any
+        other label is a ConfigError.
     """
     iq = np.asarray(iq, dtype=float)
     lv = np.asarray(labels, dtype=str)
-    present = sorted(set(lv))
-    if len(present) < 3:
+    code = np.full(len(lv), -1)
+    for level in READOUT_LEVELS:
+        code[lv == level.label] = level.index
+    if np.any(code < 0):
+        raise ConfigError(f"unknown readout label {str(lv[code < 0][0])!r}; "
+                          f"the labels are 00, 01 and 10")
+    count = np.bincount(code, minlength=3)
+    if np.any(count == 0):
         raise ConfigError("need shots for all three readout levels")
-    for lab in present:
-        if (lv == lab).sum() < 100:
+    for level in READOUT_LEVELS:
+        if count[level.index] < 100:
             raise ConfigError(f"need >= 100 shots per label, "
-                              f"{lab} has {(lv == lab).sum()}")
+                              f"{level.label} has {count[level.index]}")
 
-    means = np.stack([iq[lv == l.label].mean(axis=0) for l in READOUT_LEVELS])
-    covs = np.stack([np.cov(iq[lv == l.label].T) for l in READOUT_LEVELS])
-    weights = np.array([(lv == l.label).mean() for l in READOUT_LEVELS])
+    n = len(iq)
+    x, y = iq.T
+    members = [iq[code == k] for k in range(3)]
+    means = np.stack([m.mean(axis=0) for m in members])
+    covs = np.stack([np.cov(m.T) for m in members])
+    weights = count / n
     for cov in covs:
         _check_condition(cov)
 
-    n = len(iq)
     prev_ll = -np.inf
     ll_history = []
     for _ in range(200):
-        # E step
+        # E step: (3, n) log-densities and one log-normaliser per point
         logp = _weighted_log_densities(iq, means, covs, weights)
-        ll = float(logsumexp(logp, axis=1).mean())
+        top = logp.max(axis=0)
+        resp = np.exp(logp - top)
+        total = resp.sum(axis=0)
+        ll = float((np.log(total) + top).mean())
         ll_history.append(ll)
-        resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        resp /= total
         # M step
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         weights = nk / n
-        means = (resp.T @ iq) / nk[:, None]
+        means = (resp @ iq) / nk[:, None]
         for k in range(3):
-            diff = iq - means[k]
-            covs[k] = (resp[:, k, None] * diff).T @ diff / nk[k]
+            dx = x - means[k, 0]
+            dy = y - means[k, 1]
+            rdx = resp[k] * dx
+            sxy = rdx @ dy / nk[k]
+            covs[k] = ((rdx @ dx / nk[k], sxy),
+                       (sxy, (resp[k] * dy) @ dy / nk[k]))
             _check_condition(covs[k])
         if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
             break
         prev_ll = ll
 
     # Majority prepared label per component, constrained to a bijection.
-    counts = np.zeros((3, 3))
-    level_of_col = {l.label: j for j, l in enumerate(READOUT_LEVELS)}
-    hard = np.argmax(resp, axis=1)
-    for k in range(3):
-        for lab, j in level_of_col.items():
-            counts[k, j] = np.sum((hard == k) & (lv == lab))
+    hard = _top_row(resp)
+    counts = np.bincount(3 * hard + code, minlength=9).reshape(3, 3)
     assignment = [-1, -1, -1]
     for _ in range(3):
         k, j = np.unravel_index(np.argmax(counts), counts.shape)

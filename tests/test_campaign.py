@@ -182,6 +182,9 @@ class TestConfig:
                  "finite"),
                 ({"shots_physical": 0}, "physical shots"),
                 ({"readout_enabled": "false"}, "readout_enabled"),
+                ({"noise": [{"kind": "telegraph", "amplitude": 1e3,
+                             "switching_rate_hz": 1.0,
+                             "persistent": "false"}]}, "persistent"),
                 ({"physical_refs": 0}, "physical_refs"),
                 ({"physical_refs": None}, "physical_refs"),
                 ({"delays_us": {"rabi": [0, 1]}}, "'rabi'"),

@@ -104,6 +104,18 @@ class TestSimShots:
                     "--noise", str(noise), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_non_bool_noise_flag_exit_2(self, tmp_path, capsys):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps([{"kind": "telegraph", "amplitude": 2e4,
+                                      "switching_rate_hz": 1e3,
+                                      "quasistatic": "false"}]))
+        out = tmp_path / "u.csv"
+        assert run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                    "--seed", "1", "--shots", "100", "--delays", "0,5",
+                    "--noise", str(noise), "--out", str(out)]) == 2
+        assert "quasistatic must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--t-ro-us", "nan"),
                                              ("--t-ro-us", "inf"),
                                              ("--readout-sigma", "inf")])

@@ -26,6 +26,15 @@ class TestNoiseProcess:
             with pytest.raises(ValueError, match="finite"):
                 NoiseProcess(**spec)
 
+    @pytest.mark.parametrize("flag,value", [("quasistatic", "no"),
+                                            ("persistent", "false")])
+    def test_flags_must_be_bool(self, flag, value):
+        # a non-empty string is truthy: taken by its truth it would turn
+        # the flag on
+        with pytest.raises(ValueError, match=f"{flag} must be true or false"):
+            NoiseProcess("telegraph", 1e3, switching_rate_hz=1.0,
+                         **{flag: value})
+
     def test_coupling_weights(self):
         common = NoiseProcess("white", 1.0, coupling="common", w_D=0.7, w_Q=1.2)
         assert common.mode_weight("D") == 0.7

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from ddqsim.device import DimonLevel, load_device
 from ddqsim.errors import ConfigError, DegenerateModelError
-from ddqsim.readout import (GmmClassifier, ReadoutModel, classify_batch,
+from ddqsim.readout import (TRAINING_SHOTS, GmmClassifier, ReadoutModel,
+                            _weighted_log_densities, classify_batch,
                             confusion_matrix, default_blob_means, fit_gmm,
                             sample_iq_batch)
 
@@ -36,6 +38,58 @@ def responsibilities(clf, iq):
     dens = np.stack([w * multivariate_normal(m, c).pdf(iq) for m, c, w in
                      zip(clf.means, clf.covariances, clf.weights)], axis=-1)
     return dens / dens.sum(axis=-1, keepdims=True)
+
+
+def reference_log_densities(iq, means, covs, weights):
+    """(n, 3) weighted log-densities through inv, slogdet and einsum: the
+    general-dimension form the closed-form E step replaces."""
+    logp = np.empty((iq.shape[0], 3))
+    for k in range(3):
+        diff = iq - means[k]
+        inv = np.linalg.inv(covs[k])
+        _, logdet = np.linalg.slogdet(covs[k])
+        maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        logp[:, k] = (math.log(weights[k]) - 0.5 *
+                      (maha + logdet + 2.0 * math.log(2.0 * math.pi)))
+    return logp
+
+
+def reference_em(iq, labels):
+    """EM on the reference E step, with two scipy logsumexp calls per round
+    and a matrix-product M step; returns the classifier, components in
+    label order, and the number of rounds."""
+    cls = [np.asarray(labels) == lab for lab in ("00", "01", "10")]
+    means = np.stack([iq[c].mean(axis=0) for c in cls])
+    covs = np.stack([np.cov(iq[c].T) for c in cls])
+    weights = np.array([c.mean() for c in cls])
+    prev_ll = -np.inf
+    for rounds in range(1, 201):
+        logp = reference_log_densities(iq, means, covs, weights)
+        ll = float(logsumexp(logp, axis=1).mean())
+        resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        nk = resp.sum(axis=0)
+        weights = nk / len(iq)
+        means = (resp.T @ iq) / nk[:, None]
+        for k in range(3):
+            diff = iq - means[k]
+            covs[k] = (resp[:, k, None] * diff).T @ diff / nk[k]
+        if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return GmmClassifier(means, covs, weights), rounds
+
+
+@pytest.fixture(scope="module")
+def training_sets(q1):
+    """A device training set as `train_classifier` draws it, and a set of
+    overlapping blobs (radius 2 sigma)."""
+    model = ReadoutModel(t_ro_us=0.2 * q1.T1_Q_us)
+    levels = np.repeat(np.arange(3), TRAINING_SHOTS)
+    labels = np.repeat(["00", "01", "10"], TRAINING_SHOTS)
+    device = (sample_iq_batch(levels, model, q1, seed=5), labels)
+    overlapping = make_training_set(np.random.default_rng(3),
+                                    default_blob_means(1.0, 2.0), 1.0, 3000)
+    return {"device": device, "overlapping": overlapping}
 
 
 class TestReadoutModel:
@@ -161,6 +215,25 @@ class TestFitGmm:
         with pytest.raises(ConfigError, match="100"):
             fit_gmm(iq2, labels2)
 
+    def test_unknown_label_rejected(self):
+        # three labels, but "11" is not a readout level: the "10" class is
+        # empty
+        rng = np.random.default_rng(1)
+        iq, labels = make_training_set(rng, default_blob_means(), 1.0, 300)
+        labels[labels == "10"] = "11"
+        with pytest.raises(ConfigError, match="unknown readout label '11'"):
+            fit_gmm(iq, labels)
+
+    @pytest.mark.parametrize("name", ["device", "overlapping"])
+    def test_matches_reference_em(self, training_sets, name):
+        iq, labels = training_sets[name]
+        ref, rounds = reference_em(iq, labels)
+        clf = fit_gmm(iq, labels)
+        assert len(clf.ll_history) == rounds
+        for attr in ("means", "covariances", "weights"):
+            np.testing.assert_allclose(getattr(clf, attr), getattr(ref, attr),
+                                       rtol=1e-9, atol=0)
+
 
 class TestClassify:
     def test_component_mean_high_responsibility(self):
@@ -223,6 +296,30 @@ class TestClassify:
         assert np.array_equal(
             classify_batch(clf, pts),
             np.argmax(responsibilities(clf, pts), axis=1))
+
+
+class TestClosedFormEStep:
+    @pytest.fixture(scope="class")
+    def classifiers(self, training_sets):
+        fitted = reference_em(*training_sets["device"])[0]
+        # the matrix-product M step leaves off-diagonals that differ in
+        # the last bits, so b + c differs from 2b
+        assert any(c[0, 1] != c[1, 0] for c in fitted.covariances)
+        return {"ideal": ideal_classifier(default_blob_means(1.0, 5.0), 1.0),
+                "fitted": fitted,
+                "overlapping": reference_em(*training_sets["overlapping"])[0]}
+
+    @pytest.mark.parametrize("name", ["ideal", "fitted", "overlapping"])
+    def test_matches_reference(self, classifiers, name):
+        clf = classifiers[name]
+        pts = np.random.default_rng(43).normal(0.0, 4.0, (200_000, 2))
+        ref = reference_log_densities(pts, clf.means, clf.covariances,
+                                      clf.weights)
+        logp = _weighted_log_densities(pts, clf.means, clf.covariances,
+                                       clf.weights)
+        np.testing.assert_allclose(logp.T, ref, rtol=1e-12, atol=0)
+        assert np.array_equal(classify_batch(clf, pts),
+                              np.argmax(ref, axis=1))
 
 
 class TestConfusionMatrix:

@@ -7,8 +7,13 @@ relative paths so manifests do not depend on where it runs. Prints one
 sha256 per command group and a total over the groups. Two checkouts that
 print the same total wrote the same bytes.
 
-    python3 tools/output_digest.py            # ddqsim from ../src
-    python3 tools/output_digest.py --src DIR  # ddqsim from another tree
+    python3 tools/output_digest.py              # ddqsim from ../src
+    python3 tools/output_digest.py --src DIR    # ddqsim from another tree
+    python3 tools/output_digest.py --expect HEX # exit 1 unless total is HEX
+
+With ``--expect``, a total other than HEX exits 1 and names the command
+groups whose digests differ from the ones recorded for HEX in ``RECORDED``.
+A change that declares new output bytes adds its total there.
 """
 
 from __future__ import annotations
@@ -54,6 +59,20 @@ CAMPAIGN = {
                   "phys_t1": [0, 20, 50, 100, 160],
                   "phys_echo": [0, 5, 10, 20, 40],
                   "phys_ramsey": list(range(0, 45, 3))},
+}
+
+# per-group digests of known totals, for naming the groups that differ
+RECORDED = {
+    "1661fdbc1c4c86e261c471fa410fdf3500963b4ca448f58a151752a04b3f290e": {
+        "sim-shots":
+            "af6512f6aa0591c471db7a18cfbaecb7dcd5e2a700bb593ad4d35ab3a165e8e9",
+        "analyze":
+            "528fe5bbb6b928303bf97b895298da2eecd858949411ae88d7977a6791241d64",
+        "campaign":
+            "33af0ff92987b154db6eff73c01526f308c46a33b7e4a9fb2293335a31796e45",
+        "noise":
+            "707d6cd62c044228d8590cbcd3d12174d5f6329f469f6c8ed245500d63fdf8b1",
+    },
 }
 
 
@@ -158,11 +177,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="directory holding the ddqsim package")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the total is HEX")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from ddqsim.cli import main as ddqsim_main
 
-    total = hashlib.sha256()
+    total, digests = hashlib.sha256(), {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -179,12 +200,22 @@ def main(argv=None) -> int:
                 argvs = commands()
                 digest, failed = run_group(ddqsim_main, argvs, seen)
                 total.update(digest.encode())
+                digests[name] = digest
                 print(f"{name:<10} {digest}  ({len(argvs)} commands, "
                       f"{failed} non-zero exits)")
         finally:
             os.chdir(cwd)
     print(f"{'total':<10} {total.hexdigest()}")
-    return 0
+    if args.expect is None or total.hexdigest() == args.expect:
+        return 0
+    recorded = RECORDED.get(args.expect)
+    if recorded is None:
+        print(f"total differs from {args.expect}, which has no recorded "
+              f"group digests")
+    else:
+        differ = [name for name in digests if digests[name] != recorded[name]]
+        print(f"total differs from {args.expect} in: {', '.join(differ)}")
+    return 1
 
 
 if __name__ == "__main__":
