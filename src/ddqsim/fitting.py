@@ -1,8 +1,10 @@
-"""Levenberg-Marquardt least squares with numeric Jacobians.
+"""Levenberg-Marquardt least squares with closed-form or numeric Jacobians.
 
 Small on purpose: every model in this package has a handful of parameters
 and tens of data points. `lm_least_squares` is the one damped Gauss-Newton
 loop (Marquardt, J. SIAM 11, 431, 1963) that every fit in the package runs.
+A fit whose model has derivatives in closed form passes its Jacobian; any
+other fit gets the central-difference one.
 
 Residual functions are vectorized over trial points. ``fun(theta)`` gets the
 p parameters along axis 0, either as a vector of shape (p,) or as a stack of
@@ -12,6 +14,12 @@ point, shape (k, n). The central-difference Jacobian (relative step 1e-6,
 floored at 1e-6 absolute) is therefore a single call of ``fun`` for all 2p
 perturbed points, and stays directly checkable against finite differences
 in tests.
+
+The loop stops on the first of three rules: the relative parameter step
+falls below 1e-9; an accepted step lowers the cost by no more than 1e-10 of
+the new cost (the stalled-cost stop of Madsen, Nielsen and Tingleff,
+Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2); or no
+damped step goes downhill (a stationary point).
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from scipy.linalg import lapack
 
 _MAX_ITER = 500
 _STEP_TOL = 1e-9
+_COST_TOL = 1e-10
 _REL_STEP = 1e-6
 
 
@@ -37,16 +46,19 @@ def numeric_jacobian(fun, x) -> np.ndarray:
     return (r[:x.size] - r[x.size:]).T / (2.0 * h)
 
 
-def lm_least_squares(fun, x0):
+def lm_least_squares(fun, x0, jacobian=None):
     """Minimize 0.5*||fun(x)||^2 by Levenberg-Marquardt damping.
 
-    Returns ``(x, info)`` where info carries ``converged``, ``iterations``,
-    ``cost`` and ``message``. Convergence is declared when the relative
-    parameter step falls below ``_STEP_TOL``; the loop gives up after
-    ``_MAX_ITER`` iterations, and at once, unconverged, when the cost at
-    ``x0`` is not finite. The cost never increases between accepted
-    iterations; a singular or non-finite trial step counts as uphill and
-    raises the damping tenfold.
+    ``jacobian(x)``, when given, returns the (n, p) Jacobian of ``fun`` at
+    x; otherwise it is taken by `numeric_jacobian`. Returns ``(x, info)``
+    where info carries ``converged``, ``iterations``, ``cost`` and
+    ``message``. Convergence is declared when the relative parameter step
+    falls below ``_STEP_TOL``, when an accepted step lowers the cost by at
+    most ``_COST_TOL`` times the new cost, or when no damped step goes
+    downhill; the loop gives up after ``_MAX_ITER`` iterations, and at
+    once, unconverged, when the cost at ``x0`` is not finite. The cost
+    never increases between accepted iterations; a singular or non-finite
+    trial step counts as uphill and raises the damping tenfold.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)
@@ -58,7 +70,8 @@ def lm_least_squares(fun, x0):
         return x, {**info, "message": "initial cost is not finite"}
     for it in range(1, _MAX_ITER + 1):
         info["iterations"] = it
-        jac = numeric_jacobian(fun, x)
+        jac = (numeric_jacobian(fun, x) if jacobian is None
+               else jacobian(x))
         neg_grad = -(jac.T @ r)
         hess = jac.T @ jac
         scaling = np.diag(np.maximum(hess.diagonal(), 1e-14))
@@ -83,11 +96,16 @@ def lm_least_squares(fun, x0):
             break
         rel = max(abs(s) / max(abs(v), 1.0)
                   for s, v in zip(step.tolist(), x_new.tolist()))
+        stalled = cost - cost_new <= _COST_TOL * cost_new
         x, r, cost = x_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-14)
         info["cost"] = cost
         if rel < _STEP_TOL:
             info["converged"] = True
             info["message"] = "parameter step below tolerance"
+            break
+        if stalled:
+            info["converged"] = True
+            info["message"] = "cost change below tolerance"
             break
     return x, info

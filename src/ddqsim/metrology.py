@@ -221,6 +221,23 @@ def _ramsey_model(theta, t):
     return amp * np.exp(-rate * t) * np.cos(2e-3 * math.pi * f_khz * t + phi0) + c
 
 
+def _ramsey_jacobian(theta, t):
+    """(n, 5) Jacobian of the residual y - `_ramsey_model` at one point."""
+    amp, rate, f_khz, phi0, _ = theta.tolist()
+    w = (2e-3 * math.pi) * t
+    e = np.exp(-rate * t)
+    phase = f_khz * w + phi0
+    ec = e * np.cos(phase)
+    aes = amp * e * np.sin(phase)
+    cols = np.empty((5, len(t)))
+    np.negative(ec, out=cols[0])
+    np.multiply(amp * t, ec, out=cols[1])
+    np.multiply(w, aes, out=cols[2])
+    cols[3] = aes
+    cols[4] = -1.0
+    return cols.T
+
+
 def fit_ramsey(delays_us, p0l,
                detuning_hint_khz: float | None = None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
@@ -228,9 +245,10 @@ def fit_ramsey(delays_us, p0l,
     Initialization: detuning from the zero-padded periodogram peak of the
     mean-subtracted signal, amplitude from half the peak-to-peak, offset from
     the mean, T2R from a log-envelope regression. Refined by damped
-    Gauss-Newton until the relative parameter step is below 1e-9 (<= 500
-    iterations). Raises FitConvergenceError when the solver stalls or the
-    periodogram peak sits at DC (no oscillation to fit).
+    Gauss-Newton on the closed-form Jacobian until one of
+    `lm_least_squares`'s stop rules holds (<= 500 iterations). Raises
+    FitConvergenceError when the solver stalls or the periodogram peak sits
+    at DC (no oscillation to fit).
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p0l, dtype=float)
@@ -273,10 +291,11 @@ def fit_ramsey(delays_us, p0l,
     phi0 = float(np.angle(z))
 
     def resid(theta):
-        return y - _ramsey_model(theta, t)
+        return y - _ramsey_model(theta.tolist(), t)
 
     theta0 = np.array([amp0, rate0, f0, phi0, c0])
-    theta, info = lm_least_squares(resid, theta0)
+    theta, info = lm_least_squares(
+        resid, theta0, jacobian=lambda theta: _ramsey_jacobian(theta, t))
     if not info["converged"]:
         raise FitConvergenceError("oscillation fit did not converge", info)
     amp, rate, f_khz, phi, c = theta
@@ -300,6 +319,17 @@ def fit_ramsey(delays_us, p0l,
 def _erasure_model(theta, t):
     amp, rate, d = theta
     return amp * (1.0 - np.exp(-rate * t)) + d
+
+
+def _erasure_jacobian(theta, t):
+    """(n, 3) Jacobian of the residual y - `_erasure_model` at one point."""
+    amp, rate, _ = theta.tolist()
+    cols = np.empty((3, len(t)))
+    np.exp(-rate * t, out=cols[1])
+    np.subtract(cols[1], 1.0, out=cols[0])
+    cols[1] *= -amp * t
+    cols[2] = -1.0
+    return cols.T
 
 
 def fit_erasure(delays_us, p00) -> FitResult:
@@ -330,9 +360,10 @@ def fit_erasure(delays_us, p00) -> FitResult:
     theta0 = np.array([amp0, 1.0 / t630, d0])
 
     def resid(theta):
-        return y - _erasure_model(theta, t)
+        return y - _erasure_model(theta.tolist(), t)
 
-    theta, info = lm_least_squares(resid, theta0)
+    theta, info = lm_least_squares(
+        resid, theta0, jacobian=lambda theta: _erasure_jacobian(theta, t))
     if not info["converged"]:
         raise FitConvergenceError("leakage fit did not converge", info)
     amp, rate, d = theta

@@ -28,6 +28,7 @@ READOUT_LEVELS = (DimonLevel.L00, DimonLevel.L01, DimonLevel.L10)
 # larger resonator pull), |02> through |01> and |20> through |10>
 BLOB_OF_LEVEL = np.array([0, 1, 2, 1, 1, 2])
 TRAINING_SHOTS = (3334, 3333, 3333)  # 10k state-preparation shots, per blob
+CLASSIFY_BLOCK = 8192
 
 
 def default_blob_means(sigma: float = 1.0, radius_sigmas: float = 5.0) -> np.ndarray:
@@ -153,12 +154,18 @@ class GmmClassifier:
 def classify_batch(clf: GmmClassifier, iq: np.ndarray) -> np.ndarray:
     """Level index of the most responsible component for each IQ point.
 
-    Equal responsibilities break toward the lower-ordered level.
+    Equal responsibilities break toward the lower-ordered level. Points are
+    taken in blocks of ``CLASSIFY_BLOCK``, whose working rows stay in cache.
     """
-    # the per-point normaliser of the responsibilities cannot move the argmax
-    logp = _weighted_log_densities(np.atleast_2d(np.asarray(iq, dtype=float)),
-                                   clf.means, clf.covariances, clf.weights)
-    return _top_row(logp)
+    iq = np.atleast_2d(np.asarray(iq, dtype=float))
+    levels = np.empty(len(iq), dtype=np.intp)
+    for start in range(0, len(iq), CLASSIFY_BLOCK):
+        block = iq[start:start + CLASSIFY_BLOCK]
+        # a per-point normaliser of the responsibilities cannot move the top
+        logp = _weighted_log_densities(block, clf.means, clf.covariances,
+                                       clf.weights)
+        levels[start:start + len(block)] = _top_row(logp)
+    return levels
 
 
 def _top_row(rows) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddqsim import metrology
 from ddqsim.device import load_device
 from ddqsim.dynamics import build_rate_matrix, propagate_exact
 from ddqsim.errors import (ConfigError, EmptyLogicalSubspaceError,
@@ -290,6 +291,24 @@ def per_resample_bounds(fit, refit, n_resamples=BOOTSTRAP_RESAMPLES,
     return bounds
 
 
+def reference_traces():
+    """The linear, Ramsey and leakage traces of TestBootstrapReference."""
+    rng = np.random.default_rng(21)
+    t_lin = np.linspace(0, 40, 21)
+    y_lin = 1 - t_lin / 3000.0 + rng.normal(0, 0.004, len(t_lin))
+    rng = np.random.default_rng(22)
+    t_ram = np.arange(0.0, 45.0, 3.0)
+    y_ram = (0.45 * np.exp(-t_ram / 30.0) *
+             np.cos(2e-3 * math.pi * 75.0 * t_ram)
+             + 0.5 + rng.normal(0, 0.01, len(t_ram)))
+    rng = np.random.default_rng(23)
+    t_era = np.linspace(0, 90, 16)
+    y_era = (0.6 * (1 - np.exp(-t_era / 40.0)) + 0.02
+             + rng.normal(0, 0.01, 16))
+    return {"linear": (t_lin, y_lin), "ramsey": (t_ram, y_ram),
+            "erasure": (t_era, y_era)}
+
+
 class TestBootstrapReference:
     def _assert_same_bounds(self, fit, refit, seed):
         with warnings.catch_warnings():
@@ -301,26 +320,18 @@ class TestBootstrapReference:
             assert got[k] == pytest.approx(expected[k], rel=1e-6), k
 
     def test_linear_matches_per_resample_refits(self):
-        rng = np.random.default_rng(21)
-        t = np.linspace(0, 40, 21)
-        y = 1 - t / 3000.0 + rng.normal(0, 0.004, len(t))
-        fit = fit_linear_short(t, y)
+        fit = fit_linear_short(*reference_traces()["linear"])
         self._assert_same_bounds(
             fit, lambda d, v: fit_linear_short(d, v, cutoff_us=fit.window_us),
             seed=4)
 
     def test_ramsey_matches_per_resample_refits(self):
-        rng = np.random.default_rng(22)
-        t = np.arange(0.0, 45.0, 3.0)
-        y = (0.45 * np.exp(-t / 30.0) * np.cos(2e-3 * math.pi * 75.0 * t)
-             + 0.5 + rng.normal(0, 0.01, len(t)))
-        self._assert_same_bounds(fit_ramsey(t, y), fit_ramsey, seed=5)
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        self._assert_same_bounds(fit, fit_ramsey, seed=5)
 
     def test_erasure_matches_per_resample_refits(self):
-        rng = np.random.default_rng(23)
-        t = np.linspace(0, 90, 16)
-        y = 0.6 * (1 - np.exp(-t / 40.0)) + 0.02 + rng.normal(0, 0.01, 16)
-        self._assert_same_bounds(fit_erasure(t, y), fit_erasure, seed=6)
+        fit = fit_erasure(*reference_traces()["erasure"])
+        self._assert_same_bounds(fit, fit_erasure, seed=6)
 
     def test_unknown_model_is_an_error_not_a_drop(self):
         t = np.linspace(0, 30, 8)
@@ -512,3 +523,96 @@ class TestSolver:
         assert info["message"] == "initial cost is not finite"
         assert info["iterations"] == 0
         assert x.tolist() == [3.0]
+
+
+class TestClosedFormJacobians:
+    @pytest.mark.parametrize("theta", [[0.45, 1 / 30.0, 75.0, 0.3, 0.5],
+                                       [-0.4, 0.0, -80.0, -1.0, 0.2],
+                                       [1.2, 0.1, 20.0, 2.5, -0.1]])
+    def test_ramsey_matches_numeric(self, theta):
+        t, y = reference_traces()["ramsey"]
+        theta = np.array(theta)
+        num = numeric_jacobian(lambda th: y - metrology._ramsey_model(th, t),
+                               theta)
+        np.testing.assert_allclose(metrology._ramsey_jacobian(theta, t), num,
+                                   rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("theta", [[0.6, 1 / 40.0, 0.02],
+                                       [-0.3, 0.0, 0.1],
+                                       [1.0, 0.5, -0.2]])
+    def test_erasure_matches_numeric(self, theta):
+        t, y = reference_traces()["erasure"]
+        theta = np.array(theta)
+        num = numeric_jacobian(lambda th: y - metrology._erasure_model(th, t),
+                               theta)
+        np.testing.assert_allclose(metrology._erasure_jacobian(theta, t), num,
+                                   rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("trace, fit, model", [
+        ("ramsey", fit_ramsey, metrology._ramsey_model),
+        ("erasure", fit_erasure, metrology._erasure_model),
+        ("linear", fit_erasure, metrology._erasure_model),  # falling: A < 0
+    ])
+    def test_fit_matches_numeric_jacobian_run(self, monkeypatch, trace, fit,
+                                              model):
+        t, y = reference_traces()[trace]
+        runs = []
+
+        def spy(fun, x0, jacobian=None):
+            out = lm_least_squares(fun, x0, jacobian=jacobian)
+            runs.append((x0, out[0]))
+            return out
+
+        monkeypatch.setattr(metrology, "lm_least_squares", spy)
+        with np.errstate(over="ignore"):
+            fit(t, y)
+            (x0, x), = runs
+            ref, info = lm_least_squares(lambda th: y - model(th, t), x0)
+        assert info["converged"]
+        assert x == pytest.approx(ref, rel=1e-6)
+
+
+class TestStalledCostStop:
+    def test_ramsey_fit_ends_on_stalled_cost(self):
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        assert fit.diagnostics["converged"]
+        assert fit.diagnostics["message"] == "cost change below tolerance"
+
+    def test_bootstrap_refits_reject_few_trial_steps(self, monkeypatch):
+        # with the closed-form Jacobian every residual call after the first
+        # is one trial step; all but the rejected ones start an iteration
+        # (a stationary-point exit ends on 40 rejected trials)
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        counts = {"iterations": 0, "rejected": 0}
+
+        def spy(fun, x0, jacobian=None):
+            calls = []
+
+            def counted(theta):
+                calls.append(1)
+                return fun(theta)
+
+            x, info = lm_least_squares(counted, x0, jacobian=jacobian)
+            stationary = info["message"].startswith("no downhill step")
+            accepted = info["iterations"] - int(stationary)
+            counts["iterations"] += info["iterations"]
+            counts["rejected"] += len(calls) - 1 - accepted
+            return x, info
+
+        monkeypatch.setattr(metrology, "lm_least_squares", spy)
+        bootstrap_bounds(fit, seed=5)
+        assert counts["iterations"] > BOOTSTRAP_RESAMPLES
+        assert counts["rejected"] < 0.05 * counts["iterations"]
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_runaway_leakage_fit_is_not_converged(self, seed):
+        # the leakage time constant (300 us) is a few times the delay span:
+        # the fit runs away along a flat valley and must still fail after
+        # the iteration cap rather than stop on a small cost change
+        t = np.linspace(0, 115, 24)
+        y = (0.02 + 0.1 * (1 - np.exp(-t / 300.0))
+             + np.random.default_rng(seed).normal(0, 0.002, 24))
+        with pytest.raises(FitConvergenceError) as err:
+            fit_erasure(t, y)
+        assert err.value.diagnostics["iterations"] == 500
+        assert err.value.diagnostics["message"] == "max iterations reached"

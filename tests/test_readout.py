@@ -7,10 +7,10 @@ from scipy.stats import multivariate_normal
 
 from ddqsim.device import DimonLevel, load_device
 from ddqsim.errors import ConfigError, DegenerateModelError
-from ddqsim.readout import (TRAINING_SHOTS, GmmClassifier, ReadoutModel,
-                            _weighted_log_densities, classify_batch,
-                            confusion_matrix, default_blob_means, fit_gmm,
-                            sample_iq_batch)
+from ddqsim.readout import (CLASSIFY_BLOCK, TRAINING_SHOTS, GmmClassifier,
+                            ReadoutModel, _top_row, _weighted_log_densities,
+                            classify_batch, confusion_matrix,
+                            default_blob_means, fit_gmm, sample_iq_batch)
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,18 @@ class TestClosedFormEStep:
         np.testing.assert_allclose(logp.T, ref, rtol=1e-12, atol=0)
         assert np.array_equal(classify_batch(clf, pts),
                               np.argmax(ref, axis=1))
+
+    @pytest.mark.parametrize("name", ["ideal", "fitted", "overlapping"])
+    def test_blocks_match_one_call(self, classifiers, name):
+        clf = classifiers[name]
+        pts = np.random.default_rng(44).normal(0.0, 4.0, (100_000, 2))
+        # several whole blocks and a partial last one
+        assert len(pts) > 3 * CLASSIFY_BLOCK and len(pts) % CLASSIFY_BLOCK
+        one_call = _top_row(_weighted_log_densities(
+            pts, clf.means, clf.covariances, clf.weights))
+        levels = classify_batch(clf, pts)
+        assert levels.dtype == one_call.dtype
+        assert np.array_equal(levels, one_call)
 
 
 class TestConfusionMatrix:

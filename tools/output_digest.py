@@ -73,6 +73,16 @@ RECORDED = {
         "noise":
             "707d6cd62c044228d8590cbcd3d12174d5f6329f469f6c8ed245500d63fdf8b1",
     },
+    "2c276d84dffec61598b1842ae538f32bc9631d46006f7a20520377f29a835855": {
+        "sim-shots":
+            "af6512f6aa0591c471db7a18cfbaecb7dcd5e2a700bb593ad4d35ab3a165e8e9",
+        "analyze":
+            "34410e0ca39f02cfac81535c60d60d8ce8d4857c898bf7e4efe9f4ac454ded3e",
+        "campaign":
+            "7e2126075390913df6c8c371f203a0fb0da1ce0c838e8f71f9ec644238083803",
+        "noise":
+            "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
+    },
 }
 
 
