@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 
@@ -25,11 +24,11 @@ from .device import DeviceParams, load_device
 from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
                        PulseSequence, ShotBatch, run_sequence_batch,
                        run_trace_batch)
-from .errors import ConfigError, DdqError, FitConvergenceError
+from .errors import ConfigError, FitConvergenceError, ResampleError
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
                         bootstrap_bounds, fit_erasure, fit_trace,
                         write_trace_csv)
-from .noise import noise_processes
+from .noise import noise_processes, telegraph_from_uniforms
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
 from .tables import (FREQUENCY, METRICS, read_appended, read_json,
@@ -135,10 +134,10 @@ class CampaignConfig:
         self.delays_us = {
             kind: delay_grid(grid, f"delay grid for {kind}")
             for kind, grid in {**DEFAULT_DELAYS_US, **self.delays_us}.items()}
-        if not (0 < self.noise_dt_us < math.inf and
-                0 < self.interval_s < math.inf):
-            raise ConfigError("noise_dt_us and interval_s must be positive "
-                              "and finite")
+        if not all(0 < v < math.inf for v in (
+                self.noise_dt_us, self.interval_s, self.fit_window_us)):
+            raise ConfigError("noise_dt_us, interval_s and fit_window_us "
+                              "must be positive and finite")
         if not math.isfinite(self.detuning_khz):
             raise ConfigError("detuning_khz must be finite")
         self.noise = noise_processes(self.noise, "the campaign config")
@@ -314,7 +313,7 @@ def _bounds_for(fit, resamples, seed, rate_param, rate_to_time_us):
         return math.nan, math.nan
     try:
         bounds = bootstrap_bounds(fit, n_resamples=resamples, seed=seed)
-    except DdqError:
+    except ResampleError:
         return math.nan, math.nan
     glo, ghi = bounds[rate_param]
     lo = rate_to_time_us / ghi if ghi > 0 else math.inf
@@ -352,42 +351,40 @@ def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
     """
     rows = []
     tr = traces[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    try:
+        fit = fit_trace(kind, traces, window_us)
+    except (FitConvergenceError, ConfigError):
+        pass
+    else:
+        estimate = _time_us(fit)
+        lo = hi = math.nan
+        # a fit without a time constant has nothing to bound
+        if kind in EXPERIMENT_KINDS and not math.isnan(estimate):
+            lo, hi = _bounds_for(fit, resamples, seed,
+                                 *_RATE_OF_MODEL[fit.model])
+        mode = "d" if tr.init_label in ("10", "+D") else "q"
+        rows.append(MetricPoint(ts, device,
+                                _METRIC_OF_KIND[kind].format(mode),
+                                estimate, lo, hi))
+        if kind == "ramsey":
+            flo, fhi = (math.nan, math.nan)
+            if fit.bounds and "delta_f_khz" in fit.bounds:
+                flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
+                            fit.bounds["delta_f_khz"][1] * 1e3)
+            rows.append(MetricPoint(ts, device, "delta_f_hz",
+                                    fit.params["delta_f_khz"] * 1e3,
+                                    flo, fhi))
+    # leakage rate from the trace's own |00> fraction; it does not need
+    # the main fit
+    if kind in EXPERIMENT_KINDS:
         try:
-            fit = fit_trace(kind, traces, window_us)
+            p00 = (sum(t.n00 for t in traces) /
+                   sum(t.n_total for t in traces))
+            fit = fit_erasure(tr.delays_us, p00)
+            rows.append(MetricPoint(ts, device, "gamma_erasure_per_ms",
+                                    fit.params["gamma_erasure_per_ms"]))
         except (FitConvergenceError, ConfigError):
             pass
-        else:
-            estimate = _time_us(fit)
-            lo = hi = math.nan
-            # a fit without a time constant has nothing to bound
-            if kind in EXPERIMENT_KINDS and not math.isnan(estimate):
-                lo, hi = _bounds_for(fit, resamples, seed,
-                                     *_RATE_OF_MODEL[fit.model])
-            mode = "d" if tr.init_label in ("10", "+D") else "q"
-            rows.append(MetricPoint(ts, device,
-                                    _METRIC_OF_KIND[kind].format(mode),
-                                    estimate, lo, hi))
-            if kind == "ramsey":
-                flo, fhi = (math.nan, math.nan)
-                if fit.bounds and "delta_f_khz" in fit.bounds:
-                    flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
-                                fit.bounds["delta_f_khz"][1] * 1e3)
-                rows.append(MetricPoint(ts, device, "delta_f_hz",
-                                        fit.params["delta_f_khz"] * 1e3,
-                                        flo, fhi))
-        # leakage rate from the trace's own |00> fraction; it does not need
-        # the main fit
-        if kind in EXPERIMENT_KINDS:
-            try:
-                p00 = (sum(t.n00 for t in traces) /
-                       sum(t.n_total for t in traces))
-                fit = fit_erasure(tr.delays_us, p00)
-                rows.append(MetricPoint(ts, device, "gamma_erasure_per_ms",
-                                        fit.params["gamma_erasure_per_ms"]))
-            except (FitConvergenceError, ConfigError):
-                pass
     return rows
 
 
@@ -397,9 +394,9 @@ def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
 def _persistent_values(config: CampaignConfig, n_traces: int) -> np.ndarray:
     """Per-trace (off_D, off_Q) offsets from persistent telegraph processes.
 
-    State k is replayed from the campaign seed alone: the process flips
-    between trace timestamps with probability (1 - exp(-2 nu dt))/2, the
-    equilibrium state-propagation rule, so resumed campaigns see identical
+    State k is replayed from the campaign seed alone: the states at the
+    trace timestamps, ``interval_s`` apart, are one `telegraph_from_uniforms`
+    path of uniforms keyed by the seed, so resumed campaigns see identical
     histories.
     """
     offsets = np.zeros((n_traces, 2))
@@ -407,12 +404,9 @@ def _persistent_values(config: CampaignConfig, n_traces: int) -> np.ndarray:
         if not proc.persistent:
             continue
         key = streams.stream_key(config.seed, streams.TAG_PERSISTENT + p_idx)
-        u = streams.uniforms(key, np.arange(n_traces), 0)
-        p_flip = 0.5 * (1.0 - math.exp(-2.0 * proc.switching_rate_hz *
-                                       config.interval_s))
-        flips = np.concatenate([[u[0] < 0.5], u[1:] < p_flip])
-        sign = np.where(np.cumsum(flips) % 2 == 1, 1.0, -1.0)
-        value = sign * 0.5 * proc.amplitude
+        value = telegraph_from_uniforms(
+            streams.uniforms(key, np.arange(n_traces), 0), config.interval_s,
+            proc.amplitude, proc.switching_rate_hz)
         offsets[:, 0] += proc.mode_weight("D") * value
         offsets[:, 1] += proc.mode_weight("Q") * value
     return offsets

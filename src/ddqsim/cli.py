@@ -180,6 +180,8 @@ def cmd_analyze(args) -> int:
         print(f"fit did not converge; diagnostics in {args.out}",
               file=sys.stderr)
         return 4
+    if "warning" in fit.diagnostics:
+        print(f"warning: {fit.diagnostics['warning']}", file=sys.stderr)
 
     if args.bootstrap > 0:
         bootstrap_bounds(fit, n_resamples=args.bootstrap, seed=args.seed)
@@ -232,6 +234,9 @@ def cmd_allan(args) -> int:
     payload = None
     if args.fit_out:
         a, b, diag = fit_allan_model(curve.tau_s, curve.sigma_hz)
+        if diag.get("clamped"):
+            print(f"warning: Allan model amplitude(s) clamped at 0: "
+                  f"{', '.join(diag['clamped'])}", file=sys.stderr)
         mask, a_rob, b_rob = flag_allan_bumps(curve)
         payload = {"model": "allan_white_plus_oneoverf",
                    "params": {"A_hz2": a, "B_hz2_per_hz": b},

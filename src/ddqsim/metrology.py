@@ -7,15 +7,14 @@ exponential gives the leakage (erasure) rate. Fit uncertainties come from a
 residual bootstrap (Efron & Tibshirani, An Introduction to the Bootstrap,
 1993, ch. 9): resampled residuals are laid onto the ideal fitted trace and
 each synthetic trace is refit with the same procedure. The resample indices
-are drawn in one call; linear refits are one least-squares solve over all
-synthetic traces, and the nonlinear fits refit each trace with the package's
-single Levenberg-Marquardt loop (`fitting.lm_least_squares`).
+are drawn in one call; linear fits and refits share one line solve, which
+takes all synthetic traces at once, and the nonlinear fits refit each trace
+with the package's Levenberg-Marquardt loop (`fitting.lm_least_squares`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,8 +171,16 @@ class FitResult:
         }
 
 
-def _linear_predict(params, t):
-    return params["offset"] + params["slope_per_us"] * t
+def _line_params(t, y) -> dict:
+    """Least-squares line parameters of ``y`` against ``t``, or of every row
+    of a 2-D ``y``, from one `np.polyfit` call: slope and offset, the decay
+    rate gamma = -slope (per ms) and T = 1/gamma (inf where gamma <= 0)."""
+    slope, offset = np.polyfit(t, np.transpose(y), 1)
+    gamma_per_ms = -slope * 1e3
+    with np.errstate(divide="ignore"):
+        t_ms = np.where(gamma_per_ms > 0, 1.0 / gamma_per_ms, math.inf)
+    return {"slope_per_us": slope, "offset": offset,
+            "gamma_per_ms": gamma_per_ms, "T_ms": t_ms}
 
 
 def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US,
@@ -182,7 +189,7 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
 
     Fits offset + slope*t to all points with delay <= cutoff and reports the
     decay rate gamma = -slope (per ms) plus T = 1/gamma. A non-negative
-    slope is reported with a warning: no decay resolvable.
+    slope sets ``diagnostics["warning"]`` to "no decay resolvable".
     """
     delays_us = np.asarray(delays_us, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -191,16 +198,11 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
     y = signal[sel]
     if len(t) < 3:
         raise ConfigError(f"need >= 3 points within {cutoff_us} us, got {len(t)}")
-    slope, offset = np.polyfit(t, y, 1)
-    gamma_per_ms = -slope * 1e3
+    params = {k: float(v) for k, v in _line_params(t, y).items()}
     diagnostics = {"n_points": int(len(t)), "converged": True}
-    if slope >= -1e-12:   # zero within numerical noise, or rising
-        warnings.warn("no decay resolvable (slope >= 0)", stacklevel=2)
+    if params["slope_per_us"] >= -1e-12:  # zero within rounding, or rising
         diagnostics["warning"] = "no decay resolvable"
-    params = {"slope_per_us": slope, "offset": offset,
-              "gamma_per_ms": gamma_per_ms,
-              "T_ms": 1.0 / gamma_per_ms if gamma_per_ms > 0 else math.inf}
-    fitted = _linear_predict(params, t)
+    fitted = params["offset"] + params["slope_per_us"] * t
     return FitResult("linear", params, t, fitted, y - fitted,
                      window_us=cutoff_us, diagnostics=diagnostics)
 
@@ -242,13 +244,15 @@ def fit_ramsey(delays_us, p0l,
                detuning_hint_khz: float | None = None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
 
-    Initialization: detuning from the zero-padded periodogram peak of the
-    mean-subtracted signal, amplitude from half the peak-to-peak, offset from
-    the mean, T2R from a log-envelope regression. Refined by damped
-    Gauss-Newton on the closed-form Jacobian until one of
-    `lm_least_squares`'s stop rules holds (<= 500 iterations). Raises
-    FitConvergenceError when the solver stalls or the periodogram peak sits
-    at DC (no oscillation to fit).
+    Uniform delay grids only (steps within 1% of their mean; any other grid
+    is a ConfigError). Initialization: detuning from the zero-padded
+    periodogram peak of the mean-subtracted signal, amplitude from half the
+    peak-to-peak, offset from the mean, T2R from a log-envelope regression.
+    Refined by damped Gauss-Newton on the closed-form Jacobian until one of
+    `lm_least_squares`'s stop rules holds (<= 500 iterations). A
+    ``detuning_hint_khz`` only checks that the delays span >= 2 periods.
+    Raises FitConvergenceError when the solver stalls or the periodogram
+    peak sits at DC (no oscillation to fit).
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p0l, dtype=float)
@@ -257,29 +261,24 @@ def fit_ramsey(delays_us, p0l,
     span = t[-1] - t[0]
     steps = np.diff(t)
     dt = steps.mean()
-    uniform = bool(np.all(np.abs(steps - dt) <= 1e-8 + 0.01 * abs(dt)))
+    if not np.all(np.abs(steps - dt) <= 1e-8 + 0.01 * abs(dt)):
+        raise ConfigError("the oscillation fit needs uniformly spaced delays")
 
     c0 = float(y.mean())
     yc = y - c0
-    if uniform:
-        nfft = 8 * len(t)
-        power = np.abs(np.fft.rfft(yc, n=nfft)) ** 2
-        k = 1 + int(np.argmax(power[1:]))
-        if power[k] <= 1e-24 * max(len(t), 1):
-            raise FitConvergenceError("periodogram peak at DC: no oscillation")
-        f0 = k * (1.0 / (nfft * dt)) * 1e3
-    elif detuning_hint_khz:
-        f0 = float(detuning_hint_khz)
-    else:
-        raise ConfigError("nonuniform delays need a detuning hint")
-    if detuning_hint_khz:
-        if span * detuning_hint_khz * 1e-3 < 2.0:
-            raise ConfigError("delays span fewer than 2 oscillation periods")
+    nfft = 8 * len(t)
+    power = np.abs(np.fft.rfft(yc, n=nfft)) ** 2
+    k = 1 + int(np.argmax(power[1:]))
+    if power[k] <= 1e-24 * max(len(t), 1):
+        raise FitConvergenceError("periodogram peak at DC: no oscillation")
+    f0 = k * (1.0 / (nfft * dt)) * 1e3
+    if detuning_hint_khz and span * detuning_hint_khz * 1e-3 < 2.0:
+        raise ConfigError("delays span fewer than 2 oscillation periods")
 
     amp0 = 0.5 * (y.max() - y.min())
     if amp0 <= 0:
         raise FitConvergenceError("periodogram peak at DC: no oscillation")
-    env = _envelope(yc) if uniform else np.abs(yc)
+    env = _envelope(yc)
     good = env > 1e-3 * env.max()
     if good.sum() >= 2 and span > 0:
         tg = t[good] - t[good].mean()
@@ -309,11 +308,8 @@ def fit_ramsey(delays_us, p0l,
               "delta_f_khz": f_khz, "phi0_rad": phi, "C": c,
               "rate_per_us": rate}
     fitted = _ramsey_model([amp, rate, f_khz, phi, c], t)
-    diagnostics = dict(info)
-    if detuning_hint_khz:
-        diagnostics["detuning_hint_khz"] = float(detuning_hint_khz)
     return FitResult("ramsey", params, t, fitted, y - fitted,
-                     diagnostics=diagnostics)
+                     diagnostics=dict(info))
 
 
 def _erasure_model(theta, t):
@@ -337,14 +333,14 @@ def fit_erasure(delays_us, p00) -> FitResult:
 
     The amplitude lets the model saturate below one for mixed
     initializations; D absorbs erasure during the end-of-line readout
-    itself. A flat trace degenerates to rate 0 with a warning.
+    itself. A flat trace degenerates to rate 0 with diagnostics warning
+    "flat trace".
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p00, dtype=float)
     if len(t) < 4:
         raise ConfigError("need >= 4 points for the leakage fit")
     if np.ptp(y) < 1e-12:
-        warnings.warn("flat leakage trace; rate degenerate at 0", stacklevel=2)
         params = {"amplitude": 0.0, "T_erasure_us": math.inf, "D": float(y[0]),
                   "gamma_erasure_per_ms": 0.0}
         fitted = np.full_like(y, y[0])
@@ -412,20 +408,6 @@ def fit_trace(kind: str, traces, window_us: float) -> FitResult:
 _MODEL_DOF = {"linear": 2, "ramsey": 5, "erasure": 3}
 
 
-def _linear_refits(fit: FitResult, synthetic: np.ndarray) -> dict:
-    """Parameters of every synthetic trace (one per row), one lstsq solve.
-
-    Same procedure as `fit_linear_short` on the fit's own points, which all
-    lie inside its window.
-    """
-    slope, offset = np.polyfit(fit.delays_us, synthetic.T, 1)
-    gamma_per_ms = -slope * 1e3
-    with np.errstate(divide="ignore"):
-        t_ms = np.where(gamma_per_ms > 0, 1.0 / gamma_per_ms, math.inf)
-    return {"slope_per_us": slope, "offset": offset,
-            "gamma_per_ms": gamma_per_ms, "T_ms": t_ms}
-
-
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
                      seed: int = 0) -> dict:
     """Residual-bootstrap parameter bounds at the 5%/95% quantiles.
@@ -436,12 +418,13 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     resampling so the resampled noise matches the data noise rather than the
     fit-deflated one. All resample indices are drawn in one call, giving an
     (n_resamples, n) matrix of synthetic traces. Linear fits refit every row
-    in one least-squares solve; Ramsey and leakage rows are refit one at a
-    time by `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares`
-    run. A row is dropped where its refit raises FitConvergenceError (no
-    convergence, no oscillation) or ConfigError (a nonuniform grid without
-    a detuning hint); more than 20% drops is a ResampleError. Any other
-    error propagates, and an unknown model is a ValueError before any draw.
+    in `fit_linear_short`'s one line solve (all of a fit's points lie in its
+    window); Ramsey and leakage rows are refit one at a time by
+    `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run. A row
+    is dropped only where its refit raises FitConvergenceError (no
+    convergence, no oscillation); more than 20% drops is a ResampleError.
+    Any other error propagates (a Ramsey fit on a nonuniform grid is a
+    ConfigError), and an unknown model is a ValueError before any draw.
     Deterministic given ``seed``.
     """
     if fit.model not in _MODEL_DOF:
@@ -453,25 +436,21 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     resid = fit.residuals * scale
     synthetic = fit.fitted + resid[rng.integers(0, n, size=(n_resamples, n))]
     dropped = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if fit.model == "linear":
-            values = _linear_refits(fit, synthetic)
-        else:
-            hint = fit.diagnostics.get("detuning_hint_khz")
-            values = {k: [] for k in fit.params}
-            for y_star in synthetic:
-                try:
-                    if fit.model == "ramsey":
-                        refit = fit_ramsey(fit.delays_us, y_star,
-                                           detuning_hint_khz=hint)
-                    else:
-                        refit = fit_erasure(fit.delays_us, y_star)
-                except (FitConvergenceError, ConfigError):
-                    dropped += 1
-                    continue
-                for k in values:
-                    values[k].append(refit.params.get(k, math.nan))
+    if fit.model == "linear":
+        values = _line_params(fit.delays_us, synthetic)
+    else:
+        values = {k: [] for k in fit.params}
+        for y_star in synthetic:
+            try:
+                if fit.model == "ramsey":
+                    refit = fit_ramsey(fit.delays_us, y_star)
+                else:
+                    refit = fit_erasure(fit.delays_us, y_star)
+            except FitConvergenceError:
+                dropped += 1
+                continue
+            for k in values:
+                values[k].append(refit.params.get(k, math.nan))
     if n_resamples and dropped > 0.2 * n_resamples:
         raise ResampleError(
             f"{dropped}/{n_resamples} bootstrap refits failed")

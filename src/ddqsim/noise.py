@@ -120,11 +120,12 @@ def telegraph_from_uniforms(u: np.ndarray, dt_s: float, excursion_hz: float,
                             rate_hz: float) -> np.ndarray:
     """Two-state telegraph paths from uniforms.
 
-    ``u[..., 0]`` picks the initial sign; each subsequent column toggles the
-    state with probability 1 - exp(-rate*dt) (at most one switch per step, so
-    dt should resolve the switching rate).
+    ``u[..., 0]`` picks the initial sign (+ below 0.5); each subsequent
+    column toggles the state with probability (1 - exp(-2 rate dt))/2, the
+    chance of an odd number of switches in one step, so the sampled states
+    follow the process exactly at any dt.
     """
-    p_switch = 1.0 - math.exp(-rate_hz * dt_s)
+    p_switch = 0.5 * (1.0 - math.exp(-2.0 * rate_hz * dt_s))
     start = np.where(u[..., 0] < 0.5, 1.0, -1.0)
     toggles = (u[..., 1:] < p_switch).astype(np.int64)
     flips = np.cumsum(toggles, axis=-1)

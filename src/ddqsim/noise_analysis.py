@@ -7,14 +7,14 @@ Handbook of Frequency Stability Analysis, NIST SP 1065, 2008). B is the
 one-sided white PSD (Hz^2/Hz) and A the 1/f amplitude (Hz^2 at 1 Hz) in both
 estimators, so the two fits can cross-check each other. Slow Lorentzian
 (telegraph) features are detected as bumps above the fitted model, not fit.
-SciPy's optimize and signal stacks are imported inside the functions that use
-them, so importing this module (as every CLI command does) stays cheap.
+A fit states a clamped amplitude in its returned diagnostics only. SciPy's
+optimize and signal stacks are imported inside the functions that use them,
+so importing this module (as every CLI command does) stays cheap.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +137,8 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
     freedom (NIST SP 1065, section 5), so its relative scatter grows as
     sqrt(tau) and the sparse long-tau points must not outvote the rest.
 
-    Returns (A [Hz^2], B [Hz^2/Hz], diagnostics). Both amplitudes are
-    clamped at zero (with a warning) when the data does not support them.
+    Returns (A [Hz^2], B [Hz^2/Hz], diagnostics). Each amplitude the data
+    does not support is clamped at zero and listed in diagnostics "clamped".
     """
     tau = np.asarray(tau_s, dtype=float)
     sig = np.asarray(sigma_hz, dtype=float)
@@ -171,8 +171,6 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
             clamped.append("A")
         if b <= 0:
             clamped.append("B")
-        warnings.warn(f"Allan model amplitude(s) clamped at 0: {clamped}",
-                      stacklevel=2)
     diagnostics = dict(info)
     diagnostics["clamped"] = clamped
     return float(a), float(b), diagnostics
@@ -189,16 +187,14 @@ def flag_allan_bumps(curve: AllanCurve) -> tuple[np.ndarray, float, float]:
     tau, sig = curve.tau_s, curve.sigma_hz
     keep = np.ones(len(tau), dtype=bool)
     a = b = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(3):
-            a, b, _ = fit_allan_model(tau[keep], sig[keep]) if keep.sum() >= 4 \
-                else (a, b, None)
-            model = _allan_model(a, b, tau)
-            new_keep = sig <= 1.5 * np.maximum(model, 1e-300)
-            if new_keep.sum() < 4 or np.array_equal(new_keep, keep):
-                break
-            keep = new_keep
+    for _ in range(3):
+        a, b, _ = fit_allan_model(tau[keep], sig[keep]) if keep.sum() >= 4 \
+            else (a, b, None)
+        model = _allan_model(a, b, tau)
+        new_keep = sig <= 1.5 * np.maximum(model, 1e-300)
+        if new_keep.sum() < 4 or np.array_equal(new_keep, keep):
+            break
+        keep = new_keep
     model = _allan_model(a, b, tau)
     over = sig > 1.5 * np.maximum(model, 1e-300)
     mask = np.zeros(len(tau), dtype=bool)

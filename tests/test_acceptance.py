@@ -8,7 +8,6 @@ import json
 import math
 import os
 import time
-import warnings
 
 import numpy as np
 
@@ -229,9 +228,7 @@ def test_c06_spectral_recovery():
               and abs(b_psd / b_plant - 1) <= 0.20)
 
     curve = overlapping_allan(series)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        a_allan, b_allan, _ = fit_allan_model(curve.tau_s, curve.sigma_hz)
+    a_allan, b_allan, _ = fit_allan_model(curve.tau_s, curve.sigma_hz)
     allan_ok = (abs(a_allan / a_plant - 1) <= 0.30
                 and abs(b_allan / b_plant - 1) <= 0.30)
 
@@ -304,14 +301,12 @@ def test_c09_bootstrap_coverage():
     true_slope = -1.0 / 3000.0
     reps = 500
     hits = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in range(reps):
-            y = 1.0 + true_slope * t + rng.normal(0, 0.004, len(t))
-            fit = fit_linear_short(t, y)
-            lo, hi = bootstrap_bounds(fit, n_resamples=BOOTSTRAP_RESAMPLES,
-                                      seed=r)["slope_per_us"]
-            hits += lo <= true_slope <= hi
+    for r in range(reps):
+        y = 1.0 + true_slope * t + rng.normal(0, 0.004, len(t))
+        fit = fit_linear_short(t, y)
+        lo, hi = bootstrap_bounds(fit, n_resamples=BOOTSTRAP_RESAMPLES,
+                                  seed=r)["slope_per_us"]
+        hits += lo <= true_slope <= hi
     coverage = hits / reps
     report(9, "bootstrap coverage", 0.85 <= coverage <= 0.95,
            f"90% interval coverage {coverage:.3f} over {reps} synthetic "

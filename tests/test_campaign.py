@@ -628,6 +628,39 @@ class TestFitGaps:
         manifest = json.load(open(tmp_path / "g" / "manifest.json"))
         assert manifest["completed"]
 
+    @staticmethod
+    def ramsey_with_failing_refits(monkeypatch, error):
+        """A one-trace Ramsey campaign whose bootstrap refits all raise
+        ``error``: the first fit_ramsey call is the trace's fit, the rest
+        are refits."""
+        real, calls = metrology.fit_ramsey, []
+
+        def refits_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise error("refit failed")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(metrology, "fit_ramsey", refits_fail)
+        return tiny_config(repetitions=1, experiments=["ramsey"],
+                           physical_refs=False)
+
+    def test_dropped_refits_leave_the_bounds_open(self, tmp_path,
+                                                  monkeypatch):
+        cfg = self.ramsey_with_failing_refits(monkeypatch,
+                                              FitConvergenceError)
+        rows = run_campaign(cfg, tmp_path / "r")
+        (t2rl,) = [r for r in rows if r.metric == "t2rl_us"]
+        assert math.isfinite(t2rl.estimate)
+        assert math.isnan(t2rl.lower) and math.isnan(t2rl.upper)
+
+    def test_config_error_in_a_refit_aborts_campaign(self, tmp_path,
+                                                     monkeypatch):
+        # a refit on the fit's own grid cannot raise ConfigError, so one
+        # is a programming error, not a gap
+        cfg = self.ramsey_with_failing_refits(monkeypatch, ConfigError)
+        with pytest.raises(ConfigError, match="refit failed"):
+            run_campaign(cfg, tmp_path / "c")
+
 
 class TestSeriesUtilities:
     def test_moving_average_window_one_is_identity(self):

@@ -14,7 +14,7 @@ from ddqsim.campaign import (CampaignConfig, simulate_counts_trace,
                              simulate_points)
 from ddqsim.device import LEVEL_ORDER, load_device
 from ddqsim.metrology import DEFAULT_FIT_WINDOW_US, fit_trace, read_trace_csv
-from ddqsim.noise import NoiseProcess
+from ddqsim.noise import NoiseProcess, synthesize_noise
 from ddqsim.readout import (READOUT_LEVELS, ReadoutModel, default_blob_means,
                             train_classifier)
 
@@ -300,6 +300,36 @@ class TestAnalyze:
         payload = json.loads(fit_out.read_text())
         assert payload["params"]["T_ms"] == pytest.approx(3.86, rel=0.01)
 
+    def test_flat_trace_notice_printed_once(self, tmp_path, capsys):
+        # both initializations hold still, so the bit-flip difference is
+        # flat and no decay is resolvable
+        trace = tmp_path / "flat.csv"
+        trace.write_text(
+            "delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n" +
+            "".join(f"{t}.0,0,{n01},{1000 - n01},1000,{init},0.0\n"
+                    for init, n01 in (("10", 10), ("01", 990))
+                    for t in range(0, 35, 5)))
+        out = tmp_path / "flat.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "bitflip",
+                    "--bootstrap", "0", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["diagnostics"]["warning"] == "no decay resolvable"
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: no decay resolvable"]
+
+    def test_nonuniform_ramsey_trace_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "nonuniform.csv"
+        trace.write_text(
+            "delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n" +
+            "".join(f"{t}.0,0,{500 - k % 2 * 300},{500 + k % 2 * 300},1000,"
+                    f"+,0.0\n" for k, t in enumerate(
+                        [0, 2, 5, 9, 14, 20, 27, 35, 44, 54])))
+        out = tmp_path / "n.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "ramsey",
+                    "--bootstrap", "0", "--out", str(out)]) == 2
+        assert "uniformly spaced" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_only_trace_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text("delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n")
@@ -416,6 +446,21 @@ class TestNoiseAnalysisCommands:
                     str(tmp_path / "fit.json")]) == 2
         assert sorted(os.listdir(tmp_path)) == ["freq.csv"]
 
+    def test_allan_clamp_notice_printed_once(self, tmp_path, capsys):
+        # white noise only: the 1/f amplitude clamps at 0
+        tau0 = 0.05
+        values = synthesize_noise(NoiseProcess("white", 1.2e6),
+                                  8192 * tau0 * 1e6, tau0 * 1e6, seed=41)
+        path = self.write_freq(tmp_path, values, tau0=tau0)
+        fit_out = tmp_path / "fit.json"
+        assert run(["allan", "--in", str(path), "--out",
+                    str(tmp_path / "allan.csv"), "--fit-out",
+                    str(fit_out)]) == 0
+        assert json.loads(fit_out.read_text())["diagnostics"]["clamped"] \
+            == ["A"]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: Allan model amplitude(s) clamped at 0: A"]
+
     def test_missing_source_rejected(self, tmp_path):
         path = self.write_freq(tmp_path, np.zeros(32))
         assert run(["allan", "--in", str(path), "--out",
@@ -469,7 +514,8 @@ class TestCampaignCli:
         ("interval_s", True), ("devices", "q1"), ("experiments", "ramsey"),
         ("noise", {}), ("devices", [5]), ("devices", [0]),
         ("readout_enabled", "false"), ("physical_refs", 0),
-        ("delays_us", {"hahn-echo": [0, 10]})])
+        ("delays_us", {"hahn-echo": [0, 10]}), ("fit_window_us", math.nan),
+        ("fit_window_us", -5.0), ("fit_window_us", 0.0)])
     def test_bad_integer_field_leaves_archive_untouched(self, tmp_path,
                                                         field, value):
         cfg = CampaignConfig(

@@ -444,8 +444,9 @@ class TestColoredNoise:
         assert batch.phase_rad.var() == pytest.approx(expect, rel=0.03)
 
     def test_telegraph_echo_matches_fine_grid(self, q1):
-        # the grid sampler at 5 ns switches at most once per step, which is
-        # exact to O(rate * dt) = 1e-3 here
+        # the grid sampler draws exact telegraph states every 5 ns; its
+        # phase sums hold each state over a whole step, which is exact to
+        # O(rate * dt) = 1e-3 here
         excursion, rate, t = 20e3, 2e5, 10.0
         proc = NoiseProcess("telegraph", excursion, coupling="differential_D",
                             switching_rate_hz=rate)

@@ -108,10 +108,12 @@ class TestLinearFit:
         assert fit.diagnostics["n_points"] == 4
         assert fit.window_us == 30.0
 
-    def test_flat_signal_warns(self):
+    def test_flat_signal_reports_no_decay_in_diagnostics(self):
         t = np.linspace(0, 30, 8)
-        with pytest.warns(UserWarning, match="no decay"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = fit_linear_short(t, np.full(8, 0.5))
+        assert fit.diagnostics["warning"] == "no decay resolvable"
         assert fit.params["gamma_per_ms"] == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_invariance(self):
@@ -165,6 +167,13 @@ class TestRamseyFit:
         fit = fit_ramsey(t, y)
         assert fit.diagnostics["cost"] <= fit.diagnostics["initial_cost"] + 1e-15
 
+    def test_nonuniform_grid_is_an_error_with_or_without_hint(self):
+        t = np.array([0.0, 2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0])
+        y = 0.5 + 0.4 * np.cos(2e-3 * math.pi * 75.0 * t)
+        for hint in (None, 75.0):
+            with pytest.raises(ConfigError, match="uniformly spaced"):
+                fit_ramsey(t, y, detuning_hint_khz=hint)
+
     def test_too_few_points_or_periods(self):
         t = np.linspace(0, 100, 5)
         with pytest.raises(ConfigError):
@@ -187,10 +196,12 @@ class TestErasureFit:
         assert fit.params["gamma_erasure_per_ms"] == pytest.approx(
             1e3 / t1q, rel=1e-6)
 
-    def test_flat_trace_degenerates_with_warning(self):
+    def test_flat_trace_degenerates_in_diagnostics(self):
         t = np.linspace(0, 100, 6)
-        with pytest.warns(UserWarning, match="flat"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = fit_erasure(t, np.zeros(6))
+        assert fit.diagnostics["warning"] == "flat trace"
         assert fit.params["gamma_erasure_per_ms"] == 0.0
 
     def test_offset_from_readout_decay(self):
@@ -311,10 +322,8 @@ def reference_traces():
 
 class TestBootstrapReference:
     def _assert_same_bounds(self, fit, refit, seed):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expected = per_resample_bounds(fit, refit, seed=seed)
-            got = bootstrap_bounds(fit, seed=seed)
+        expected = per_resample_bounds(fit, refit, seed=seed)
+        got = bootstrap_bounds(fit, seed=seed)
         assert got.keys() == expected.keys()
         for k in got:
             assert got[k] == pytest.approx(expected[k], rel=1e-6), k
@@ -340,13 +349,24 @@ class TestBootstrapReference:
             bootstrap_bounds(fit, seed=1)
         assert fit.bounds is None and "bootstrap" not in fit.diagnostics
 
-    def test_nonuniform_ramsey_without_hint_drops_every_row(self):
+    RAMSEY_PARAMS = {"A": 0.4, "T2R_us": math.inf, "delta_f_khz": 75.0,
+                     "phi0_rad": 0.0, "C": 0.5, "rate_per_us": 0.0}
+
+    def test_nonuniform_ramsey_is_an_error_not_a_drop(self):
         t = np.array([0.0, 2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0])
         fitted = 0.5 + 0.4 * np.cos(2e-3 * math.pi * 75.0 * t)
         resid = np.random.default_rng(3).normal(0, 0.01, len(t))
-        params = {"A": 0.4, "T2R_us": math.inf, "delta_f_khz": 75.0,
-                  "phi0_rad": 0.0, "C": 0.5, "rate_per_us": 0.0}
-        fit = FitResult("ramsey", params, t, fitted, resid)
+        fit = FitResult("ramsey", self.RAMSEY_PARAMS, t, fitted, resid)
+        with pytest.raises(ConfigError, match="uniformly spaced"):
+            bootstrap_bounds(fit, seed=2)
+        assert fit.bounds is None and "bootstrap" not in fit.diagnostics
+
+    def test_refits_without_oscillation_drop_every_row(self):
+        # every synthetic trace is flat, so each refit finds its
+        # periodogram peak at DC
+        t = np.arange(0.0, 45.0, 3.0)
+        fit = FitResult("ramsey", self.RAMSEY_PARAMS, t, np.full(15, 0.5),
+                        np.zeros(15))
         with pytest.raises(ResampleError, match="250/250"):
             bootstrap_bounds(fit, seed=2)
 

@@ -121,6 +121,17 @@ class TestSynthesis:
         total = sum(counts)
         assert abs(total - expected) < 3 * np.sqrt(expected)
 
+    def test_telegraph_lag1_autocorrelation_at_coarse_step(self):
+        # nu*dt = 1: about one switch per step, yet successive samples must
+        # keep the process's correlation exp(-2 nu dt)
+        n = 200_000
+        path = synthesize_noise(
+            NoiseProcess("telegraph", 2.0, switching_rate_hz=1e6),
+            float(n), 1.0, seed=7)
+        rho = np.corrcoef(path[:-1], path[1:])[0, 1]
+        expect = math.exp(-2.0)
+        assert abs(rho - expect) < 5 * math.sqrt((1 - expect ** 2) / n)
+
     def test_marginal_std(self):
         dt_us = 2.0
         assert marginal_std(NoiseProcess("white", 800.0), 100.0, dt_us) == \

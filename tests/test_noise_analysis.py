@@ -150,9 +150,7 @@ class TestAllanModelFit:
                                   seed=1001 + 2 * k)
             curve = overlapping_allan(FrequencySeries(values=w + f1,
                                                       tau0_s=tau0))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                a_fit, b_fit, _ = fit_allan_model(*_curve(curve))
+            a_fit, b_fit, _ = fit_allan_model(*_curve(curve))
             ratios.append((a_fit / a, b_fit / b))
         a_med, b_med = np.median(ratios, axis=0)
         assert 0.85 <= a_med <= 1.15
@@ -295,8 +293,11 @@ class TestCrossEstimatorConsistency:
         path = synthesize_noise(NoiseProcess("white", b), 8192 * tau0 * 1e6,
                                 tau0 * 1e6, seed=41)
         s = FrequencySeries(values=path, tau0_s=tau0)
-        _, b_allan, _ = fit_allan_model(
-            *_curve(overlapping_allan(s)))
+        # white only: A clamps at 0, stated in the diagnostics alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, b_allan, diag = fit_allan_model(*_curve(overlapping_allan(s)))
+        assert diag["clamped"] == ["A"]
         freqs, psd = welch_psd(s)
         _, b_psd, _ = fit_psd_model(freqs, psd)
         assert b_allan == pytest.approx(b_psd, rel=0.30)
