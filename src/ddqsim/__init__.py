@@ -9,19 +9,17 @@ spectra).
 
 __version__ = "0.1.0"
 
-from .device import (DeviceParams, DimonLevel, LEVEL_ORDER, LOGICAL_ONE,
-                     LOGICAL_ZERO, device_dephasing_ratio,
-                     junction_sensitivity, load_device,
-                     photon_dephasing_ratio)
+from .device import (DeviceParams, DimonLevel, LEVEL_ORDER,
+                     device_dephasing_ratio, junction_sensitivity,
+                     load_device, photon_dephasing_ratio)
 from .dynamics import (PulseSequence, ShotBatch, build_rate_matrix,
                        propagate_exact, run_sequence_batch)
 from .noise import NoiseProcess, synthesize_noise
 from .readout import GmmClassifier, ReadoutModel, confusion_matrix, fit_gmm
 
 __all__ = [
-    "DeviceParams", "DimonLevel", "LEVEL_ORDER", "LOGICAL_ONE", "LOGICAL_ZERO",
-    "device_dephasing_ratio", "junction_sensitivity", "load_device",
-    "photon_dephasing_ratio",
+    "DeviceParams", "DimonLevel", "LEVEL_ORDER", "device_dephasing_ratio",
+    "junction_sensitivity", "load_device", "photon_dephasing_ratio",
     "PulseSequence", "ShotBatch", "build_rate_matrix", "propagate_exact",
     "run_sequence_batch",
     "NoiseProcess", "synthesize_noise",

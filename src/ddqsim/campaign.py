@@ -149,7 +149,6 @@ class CampaignConfig:
         is left out and archives do not depend on the machine."""
         d = asdict(self)
         del d["threads"]
-        d["noise"] = [p.to_dict() for p in self.noise]
         return d
 
     @classmethod

@@ -185,10 +185,7 @@ def cmd_analyze(args) -> int:
 
     if args.bootstrap > 0:
         bootstrap_bounds(fit, n_resamples=args.bootstrap, seed=args.seed)
-    payload = fit.to_dict()
-    if args.bootstrap <= 0:
-        payload["bounds"] = None
-    write_json(args.out, payload)
+    write_json(args.out, fit.to_dict())
     outputs = [args.out]
     if args.emit_plot_data:
         curve = args.out + ".curve.csv"
@@ -392,9 +389,6 @@ def main(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -65,16 +65,19 @@ class DimonLevel(Enum):
 # member order of `DimonLevel`.
 LEVEL_ORDER = tuple(DimonLevel)
 
-# Dual-rail encoding: one excitation shared between the two modes.
-LOGICAL_ZERO = DimonLevel.L10
-LOGICAL_ONE = DimonLevel.L01
-
-CONFIG_KEYS = (
-    "omega_D_GHz", "omega_Q_GHz", "alpha_D_MHz", "alpha_Q_MHz", "eta_MHz",
-    "omega_R_GHz", "kappa_R_MHz", "two_chi_DR_MHz", "two_chi_QR_MHz",
-    "T1_D_us", "T1_Q_us", "T2E_D_us", "T2E_Q_us", "T2R_D_us", "T2R_Q_us",
-    "r_junction", "n_th",
-)
+# config key -> (the DeviceParams fields it fills, its unit factor); the
+# table-style configs store the full shift 2*chi, so two_chi_* are halved
+CONFIG_UNITS = {
+    "omega_D_GHz": (("omega_D",), GHZ), "omega_Q_GHz": (("omega_Q",), GHZ),
+    "alpha_D_MHz": (("alpha_D",), MHZ), "alpha_Q_MHz": (("alpha_Q",), MHZ),
+    "eta_MHz": (("eta",), MHZ), "omega_R_GHz": (("omega_R",), GHZ),
+    "kappa_R_MHz": (("kappa_R",), MHZ),
+    "two_chi_DR_MHz": (("chi_DR",), 0.5 * MHZ),
+    "two_chi_QR_MHz": (("chi_QR",), 0.5 * MHZ),
+    **{k: ((k,), 1.0) for k in ("T1_D_us", "T1_Q_us", "T2E_D_us", "T2E_Q_us",
+                                "T2R_D_us", "T2R_Q_us", "r_junction")},
+    "n_th": (("n_th_D", "n_th_Q"), 1.0),
+}
 
 BUILTIN_DEVICES = ("q1", "q2", "q3")
 
@@ -115,11 +118,9 @@ class DeviceParams:
         if not self.omega_Q > self.omega_D:
             raise ConfigError("require omega_Q > omega_D (positive detuning)")
         for field in ("T1_D_us", "T1_Q_us", "T2E_D_us", "T2E_Q_us",
-                      "T2R_D_us", "T2R_Q_us"):
+                      "T2R_D_us", "T2R_Q_us", "kappa_R"):
             if not getattr(self, field) > 0:
                 raise ConfigError(f"{field} must be > 0")
-        if not self.kappa_R > 0:
-            raise ConfigError("kappa_R must be > 0")
         if self.n_th_D < 0 or self.n_th_Q < 0:
             raise ConfigError("n_th must be >= 0")
         r = self.r_junction
@@ -128,16 +129,6 @@ class DeviceParams:
         if r > 1.0:
             object.__setattr__(self, "r_junction", 1.0 / r)
 
-    @property
-    def gamma_D(self) -> float:
-        """D-mode relaxation rate (1/us)."""
-        return 1.0 / self.T1_D_us
-
-    @property
-    def gamma_Q(self) -> float:
-        """Q-mode relaxation rate (1/us)."""
-        return 1.0 / self.T1_Q_us
-
     def with_(self, **kwargs) -> "DeviceParams":
         return replace(self, **kwargs)
 
@@ -145,38 +136,19 @@ class DeviceParams:
     def from_config(cls, cfg: dict, name: str = "device") -> "DeviceParams":
         if not isinstance(cfg, dict):
             raise ConfigError("a device config must be a JSON object")
-        missing = [k for k in CONFIG_KEYS if k not in cfg]
-        unknown = [k for k in cfg if k not in CONFIG_KEYS]
+        missing = [k for k in CONFIG_UNITS if k not in cfg]
+        unknown = [k for k in cfg if k not in CONFIG_UNITS]
         if missing:
             raise ConfigError(f"config missing keys: {missing}")
         if unknown:
             raise ConfigError(f"config has unknown keys: {unknown}")
         try:
-            values = {k: float(cfg[k]) for k in CONFIG_KEYS}
+            values = {k: float(cfg[k]) for k in CONFIG_UNITS}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"non-numeric config value: {exc}") from exc
-        return cls(
-            omega_D=values["omega_D_GHz"] * GHZ,
-            omega_Q=values["omega_Q_GHz"] * GHZ,
-            alpha_D=values["alpha_D_MHz"] * MHZ,
-            alpha_Q=values["alpha_Q_MHz"] * MHZ,
-            eta=values["eta_MHz"] * MHZ,
-            omega_R=values["omega_R_GHz"] * GHZ,
-            kappa_R=values["kappa_R_MHz"] * MHZ,
-            # Table-style configs store the full shift 2*chi.
-            chi_DR=0.5 * values["two_chi_DR_MHz"] * MHZ,
-            chi_QR=0.5 * values["two_chi_QR_MHz"] * MHZ,
-            T1_D_us=values["T1_D_us"],
-            T1_Q_us=values["T1_Q_us"],
-            T2E_D_us=values["T2E_D_us"],
-            T2E_Q_us=values["T2E_Q_us"],
-            T2R_D_us=values["T2R_D_us"],
-            T2R_Q_us=values["T2R_Q_us"],
-            r_junction=values["r_junction"],
-            n_th_D=values["n_th"],
-            n_th_Q=values["n_th"],
-            name=name,
-        )
+        return cls(name=name, **{f: values[k] * factor
+                                 for k, (names, factor) in CONFIG_UNITS.items()
+                                 for f in names})
 
 
 def load_device(source) -> DeviceParams:

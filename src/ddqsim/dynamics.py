@@ -54,20 +54,16 @@ def build_rate_matrix(params: DeviceParams) -> np.ndarray:
     |01> <-> |10> channel: that move changes both modes at once.
     """
     rates = np.zeros((N_LEVELS, N_LEVELS))
-    gam = {"D": params.gamma_D, "Q": params.gamma_Q}
-    nth = {"D": params.n_th_D, "Q": params.n_th_Q}
+    modes = ((1.0 / params.T1_D_us, params.n_th_D),
+             (1.0 / params.T1_Q_us, params.n_th_Q))
     for j, (m, n) in enumerate(_MN):
-        occ = {"D": m, "Q": n}
-        for mode in ("D", "Q"):
-            down = dict(occ)
-            down[mode] -= 1
-            if (down["D"], down["Q"]) in _INDEX:
-                rates[_INDEX[(down["D"], down["Q"])], j] = occ[mode] * gam[mode]
-            up = dict(occ)
-            up[mode] += 1
-            if (up["D"], up["Q"]) in _INDEX:
-                rates[_INDEX[(up["D"], up["Q"])], j] = (
-                    (occ[mode] + 1) * nth[mode] * gam[mode])
+        for k, (gam, nth) in enumerate(modes):
+            occ = (m, n)[k]
+            # mode k loses one excitation, or gains one
+            for move, rate in ((-1, occ * gam), (1, (occ + 1) * nth * gam)):
+                i = _INDEX.get((m + move * (k == 0), n + move * (k == 1)))
+                if i is not None:
+                    rates[i, j] = rate
     np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=0))
     return rates

@@ -91,7 +91,6 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
         tau = -t1 * np.log(u)
         decayed = (blob != 0) & (tau < model.t_ro_us)
         w = np.clip(tau / model.t_ro_us, 0.0, 1.0)[decayed, None]
-        means = means.copy()
         means[decayed] = w * means[decayed] + (1.0 - w) * model.means[0]
     z = np.stack([streams.normals(key, ids, 1),
                   streams.normals(key, ids, 2)], axis=1)
