@@ -26,8 +26,8 @@ from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
                        run_trace_batch)
 from .errors import ConfigError, FitConvergenceError, ResampleError
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
-                        bootstrap_bounds, fit_erasure, fit_trace,
-                        write_trace_csv)
+                        FIT_OF_KIND, bootstrap_bounds, fit_erasure,
+                        fit_trace, usable_delays, write_trace_csv)
 from .noise import noise_processes, telegraph_from_uniforms
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
@@ -143,6 +143,21 @@ class CampaignConfig:
         self.noise = noise_processes(self.noise, "the campaign config")
         if any(p.persistent and p.kind != "telegraph" for p in self.noise):
             raise ConfigError("only telegraph processes can be persistent")
+        planned = _planned_experiments(self)
+        if not planned:
+            raise ConfigError("the campaign plans no trace: no experiments "
+                              "and physical_refs none")
+        # every fit of a planned kind must be able to use the kind's grid:
+        # its `fit_trace` model, and a logical kind's leakage fit
+        for kind in dict.fromkeys(_PHYSICAL_REFS.get(exp, (exp,))[0]
+                                  for exp in planned):
+            leakage = ("erasure",) if kind in EXPERIMENT_KINDS else ()
+            for model in (FIT_OF_KIND[kind], *leakage):
+                try:
+                    usable_delays(model, self.delays_us[kind],
+                                  self.fit_window_us)
+                except ConfigError as exc:
+                    raise ConfigError(f"delay grid for {kind}: {exc}") from exc
 
     def to_dict(self) -> dict:
         """The config as archived; ``threads`` never changes results, so it
@@ -421,9 +436,13 @@ _PHYSICAL_REFS = {"phys_t1_D": ("phys_t1", "10"),
                   "phys_ramsey_Q": ("phys_ramsey", "+Q")}
 
 
-def _trace_plan(config: CampaignConfig, devices) -> list:
+def _planned_experiments(config: CampaignConfig) -> list:
     n_refs = {"none": 0, "t1": 2, "full": 6}[config.physical_refs]
-    experiments = [*config.experiments, *list(_PHYSICAL_REFS)[:n_refs]]
+    return [*config.experiments, *list(_PHYSICAL_REFS)[:n_refs]]
+
+
+def _trace_plan(config: CampaignConfig, devices) -> list:
+    experiments = _planned_experiments(config)
     return [(rep, dev, exp) for rep in range(config.repetitions)
             for dev in devices for exp in experiments]
 

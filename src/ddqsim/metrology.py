@@ -171,6 +171,41 @@ class FitResult:
         }
 
 
+def usable_delays(model: str, delays_us,
+                  window_us: float = math.inf) -> np.ndarray:
+    """Mask of the increasing delays ``delays_us`` a ``model`` fit uses,
+    once checked to be enough for it (else a ConfigError): a "linear" fit
+    uses those within ``window_us`` and needs >= 3, the "ramsey" oscillation
+    fit uses all and needs >= 8, uniformly spaced (each step within 1% of
+    their mean), and the "erasure" leakage fit uses all and needs >= 4. The
+    fits check their own points here, and a campaign its planned grids."""
+    t = np.asarray(delays_us, dtype=float)
+    if model == "linear":
+        sel = t <= window_us + 1e-9
+        n = int(np.count_nonzero(sel))
+        if n < 3:
+            raise ConfigError(f"need >= 3 points within {window_us} us, "
+                              f"got {n}")
+        return sel
+    if model == "ramsey":
+        _ramsey_step(t)
+    elif len(t) < 4:
+        raise ConfigError("need >= 4 points for the leakage fit")
+    return np.ones(len(t), dtype=bool)
+
+
+def _ramsey_step(t: np.ndarray) -> float:
+    """Mean step of the oscillation fit's delays ``t``, once checked to be
+    >= 8 uniformly spaced ones (else a ConfigError)."""
+    if len(t) < 8:
+        raise ConfigError("need >= 8 points for the oscillation fit")
+    steps = np.diff(t)
+    dt = steps.mean()
+    if not np.all(np.abs(steps - dt) <= 1e-8 + 0.01 * abs(dt)):
+        raise ConfigError("the oscillation fit needs uniformly spaced delays")
+    return dt
+
+
 def _line_params(t, y) -> dict:
     """Least-squares line parameters of ``y`` against ``t``, or of every row
     of a 2-D ``y``, from one `np.polyfit` call: slope and offset, the decay
@@ -192,12 +227,9 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
     slope sets ``diagnostics["warning"]`` to "no decay resolvable".
     """
     delays_us = np.asarray(delays_us, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    sel = delays_us <= cutoff_us + 1e-9
+    sel = usable_delays("linear", delays_us, cutoff_us)
     t = delays_us[sel]
-    y = signal[sel]
-    if len(t) < 3:
-        raise ConfigError(f"need >= 3 points within {cutoff_us} us, got {len(t)}")
+    y = np.asarray(signal, dtype=float)[sel]
     params = {k: float(v) for k, v in _line_params(t, y).items()}
     diagnostics = {"n_points": int(len(t)), "converged": True}
     if params["slope_per_us"] >= -1e-12:  # zero within rounding, or rising
@@ -244,10 +276,10 @@ def fit_ramsey(delays_us, p0l,
                detuning_hint_khz: float | None = None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
 
-    Uniform delay grids only (steps within 1% of their mean; any other grid
-    is a ConfigError). Initialization: detuning from the zero-padded
-    periodogram peak of the mean-subtracted signal, amplitude from half the
-    peak-to-peak, offset from the mean, T2R from a log-envelope regression.
+    Needs >= 8 uniformly spaced delays (`usable_delays`). Initialization:
+    detuning from the zero-padded periodogram peak of the mean-subtracted
+    signal, amplitude from half the peak-to-peak, offset from the mean, T2R
+    from a log-envelope regression.
     Refined by damped Gauss-Newton on the closed-form Jacobian until one of
     `lm_least_squares`'s stop rules holds (<= 500 iterations). A
     ``detuning_hint_khz`` only checks that the delays span >= 2 periods.
@@ -256,13 +288,8 @@ def fit_ramsey(delays_us, p0l,
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p0l, dtype=float)
-    if len(t) < 8:
-        raise ConfigError("need >= 8 points for the oscillation fit")
+    dt = _ramsey_step(t)
     span = t[-1] - t[0]
-    steps = np.diff(t)
-    dt = steps.mean()
-    if not np.all(np.abs(steps - dt) <= 1e-8 + 0.01 * abs(dt)):
-        raise ConfigError("the oscillation fit needs uniformly spaced delays")
 
     c0 = float(y.mean())
     yc = y - c0
@@ -338,8 +365,7 @@ def fit_erasure(delays_us, p00) -> FitResult:
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p00, dtype=float)
-    if len(t) < 4:
-        raise ConfigError("need >= 4 points for the leakage fit")
+    usable_delays("erasure", t)
     if np.ptp(y) < 1e-12:
         params = {"amplitude": 0.0, "T_erasure_us": math.inf, "D": float(y[0]),
                   "gamma_erasure_per_ms": 0.0}
@@ -371,8 +397,15 @@ def fit_erasure(delays_us, p00) -> FitResult:
                      diagnostics=dict(info))
 
 
+# fit model of each analysis kind
+FIT_OF_KIND = {"bitflip": "linear", "hahn_echo": "linear",
+               "phys_echo": "linear", "ramsey": "ramsey",
+               "phys_ramsey": "ramsey", "erasure": "erasure",
+               "phys_t1": "erasure"}
+
+
 def fit_trace(kind: str, traces, window_us: float) -> FitResult:
-    """The fit of one experiment's traces, chosen by experiment kind.
+    """The fit of one experiment's traces, its model by `FIT_OF_KIND`.
 
     bitflip: linear fit of `bitflip_difference` (needs the init 10 and 01
     traces); hahn_echo: linear fit of the postselected P(0_L); ramsey:
@@ -381,25 +414,27 @@ def fit_trace(kind: str, traces, window_us: float) -> FitResult:
     the excited fraction of the mode the +D/+Q init label names. Linear
     fits use the points within ``window_us``.
     """
+    model = FIT_OF_KIND.get(kind)
+    if model is None:
+        raise ConfigError(f"unknown analysis kind {kind!r}")
     if kind == "bitflip":
         by_init = {t.init_label: t for t in traces}
         if "10" not in by_init or "01" not in by_init:
             raise ConfigError("bit-flip analysis needs init 10 and 01 rows")
-        delays, diff = bitflip_difference(by_init["10"], by_init["01"])
-        return fit_linear_short(delays, diff, cutoff_us=window_us)
-    tr = traces[0]
-    if kind in ("hahn_echo", "ramsey"):
-        delays, signal, _, _, _ = postselect_trace(tr)
+        delays, signal = bitflip_difference(by_init["10"], by_init["01"])
+    elif kind in ("hahn_echo", "ramsey"):
+        delays, signal, _, _, _ = postselect_trace(traces[0])
     elif kind in ("phys_echo", "phys_ramsey"):
+        tr = traces[0]
         excited = tr.n10 if tr.init_label == "+D" else tr.n01
         delays, signal = tr.delays_us, excited / tr.n_total
-    elif kind in ("erasure", "phys_t1"):
-        return fit_erasure(tr.delays_us, tr.p00())
     else:
-        raise ConfigError(f"unknown analysis kind {kind!r}")
-    if kind.endswith("ramsey"):
+        delays, signal = traces[0].delays_us, traces[0].p00()
+    if model == "linear":
+        return fit_linear_short(delays, signal, cutoff_us=window_us)
+    if model == "ramsey":
         return fit_ramsey(delays, signal)
-    return fit_linear_short(delays, signal, cutoff_us=window_us)
+    return fit_erasure(delays, signal)
 
 
 # --------------------------------------------------------------------------

@@ -182,14 +182,13 @@ def flag_allan_bumps(curve: AllanCurve) -> tuple[np.ndarray, float, float]:
     Fits the white + 1/f model robustly (two trimming rounds drop points far
     above the fit, so a large bump cannot drag the baseline up), then flags
     taus where sigma exceeds the model by more than 50% over at least two
-    consecutive points. Returns (mask, A, B).
+    consecutive points. Returns (mask, A, B). A curve `fit_allan_model`
+    cannot fit (fewer than 4 taus, under 1.5 decades) is a ConfigError.
     """
     tau, sig = curve.tau_s, curve.sigma_hz
     keep = np.ones(len(tau), dtype=bool)
-    a = b = 0.0
     for _ in range(3):
-        a, b, _ = fit_allan_model(tau[keep], sig[keep]) if keep.sum() >= 4 \
-            else (a, b, None)
+        a, b, _ = fit_allan_model(tau[keep], sig[keep])
         model = _allan_model(a, b, tau)
         new_keep = sig <= 1.5 * np.maximum(model, 1e-300)
         if new_keep.sum() < 4 or np.array_equal(new_keep, keep):

@@ -146,6 +146,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match="finite"):
                 tiny_config(**change)
 
+    def test_grid_rule_covers_only_planned_kinds(self):
+        # no phys_echo trace runs with physical_refs "t1", and no hahn_echo
+        # trace without the experiment; their grids need fit no model
+        cfg = tiny_config(delays_us={"phys_echo": [0, 40],
+                                     "hahn_echo": [0, 40]})
+        assert cfg.delays_us["phys_echo"] == [0.0, 40.0]
+        for change in ({"physical_refs": "full"},
+                       {"experiments": ["bitflip", "hahn_echo"]}):
+            with pytest.raises(ConfigError, match="need >= 3 points"):
+                CampaignConfig(**{**cfg.to_dict(), **change})
+
     def test_defaults_fill_missing_grids(self):
         cfg = tiny_config(delays_us={})
         assert cfg.delays_us["hahn_echo"] == DEFAULT_DELAYS_US["hahn_echo"]

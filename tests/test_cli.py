@@ -535,6 +535,49 @@ class TestCampaignCli:
         assert {p: p.read_bytes() for p in out.rglob("*")
                 if p.is_file()} == before
 
+    # a grid a planned kind's fits cannot use, or a plan with no trace,
+    # used to exit 0 with that kind's metric rows missing (or with an
+    # empty archive; a persistent telegraph then raised IndexError)
+    @pytest.mark.parametrize("change, message", [
+        ({"delays_us": {"ramsey": [0, 3, 6, 9, 12, 15, 18, 21, 25, 30]}},
+         "ramsey: the oscillation fit needs uniformly spaced delays"),
+        ({"delays_us": {"ramsey": [0, 3, 6, 9, 12, 15, 18]}},
+         "ramsey: need >= 8 points"),
+        ({"experiments": ["ramsey", "bitflip"],
+          "delays_us": {"bitflip": [0, 40, 80, 120]}},
+         "bitflip: need >= 3 points within 30.0 us, got 1"),
+        ({"delays_us": {"phys_t1": [0, 50, 100]}},
+         "phys_t1: need >= 4 points for the leakage fit"),
+        ({"experiments": [], "physical_refs": "none"}, "plans no trace"),
+        ({"experiments": [], "physical_refs": "none",
+          "noise": [{"kind": "telegraph", "amplitude": 3e4,
+                     "switching_rate_hz": 5e-4, "persistent": True}]},
+         "plans no trace")],
+        ids=["ramsey-nonuniform", "ramsey-7", "bitflip-window", "phys_t1-3",
+             "empty", "empty-telegraph"])
+    def test_unusable_plan_leaves_archive_untouched(self, tmp_path, capsys,
+                                                    change, message):
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["ramsey"], repetitions=1, seed=6,
+            shots_per_point=150, physical_refs="t1", shots_physical=120,
+            readout_enabled=False, bootstrap_resamples=0,
+            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21],
+                       "phys_t1": [0, 20, 50, 100, 160]})
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(cfg.to_dict()))
+        delays = {**cfg.delays_us, **change.get("delays_us", {})}
+        bad.write_text(json.dumps({**cfg.to_dict(), **change,
+                                   "delays_us": delays}))
+        out = tmp_path / "arch"
+        assert run(["campaign", "--config", str(good), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["campaign", "--config", str(bad), "--out", str(out),
+                    "--force"]) == 2
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == before
+
     def test_resume_with_another_thread_count(self, tmp_path):
         cfg = CampaignConfig(
             devices=["q1"], experiments=["ramsey"], repetitions=2, seed=8,

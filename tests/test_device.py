@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -66,6 +67,20 @@ class TestConfigLoading:
         assert params.omega_D == pytest.approx(expected["omega_D_GHz"] * GHZ)
         assert params.omega_Q == pytest.approx(expected["omega_Q_GHz"] * GHZ)
         assert params.r_junction == expected["r_junction"]
+
+    def test_every_key_scales_by_its_unit(self):
+        # omega_Q must exceed omega_D, so it alone is 2
+        cfg = dict.fromkeys(Q1_CONFIG, 1.0)
+        cfg["omega_Q_GHz"] = 2.0
+        params = DeviceParams.from_config(cfg, name="unit")
+        assert dataclasses.asdict(params) == {
+            "omega_D": GHZ, "omega_Q": 2.0 * GHZ, "alpha_D": MHZ,
+            "alpha_Q": MHZ, "eta": MHZ, "omega_R": GHZ, "kappa_R": MHZ,
+            # the two_chi_* keys hold the full shift 2 chi
+            "chi_DR": 0.5 * MHZ, "chi_QR": 0.5 * MHZ,
+            "T1_D_us": 1.0, "T1_Q_us": 1.0, "T2E_D_us": 1.0,
+            "T2E_Q_us": 1.0, "T2R_D_us": 1.0, "T2R_Q_us": 1.0,
+            "r_junction": 1.0, "n_th_D": 1.0, "n_th_Q": 1.0, "name": "unit"}
 
     def test_missing_key_rejected(self):
         cfg = dict(Q1_CONFIG)

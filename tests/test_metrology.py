@@ -18,7 +18,7 @@ from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               bootstrap_bounds, fit_erasure, fit_linear_short,
                               fit_ramsey, fit_trace, postselect,
                               postselect_trace, read_trace_csv,
-                              write_trace_csv)
+                              usable_delays, write_trace_csv)
 from ddqsim.tables import TRACE
 
 
@@ -220,6 +220,35 @@ class TestErasureFit:
         fit = fit_erasure(t, y)
         slope0 = fit.params["amplitude"] / fit.params["T_erasure_us"]
         assert slope0 == pytest.approx(0.5 * (gd + gq), rel=0.02)
+
+
+class TestUsableDelays:
+    """The fits and a campaign's grid check read one rule per model."""
+
+    @staticmethod
+    def fit(model, t):
+        t = np.asarray(t, dtype=float)
+        if model == "linear":
+            return fit_linear_short(t, 1.0 - 1e-3 * t, cutoff_us=30.0)
+        if model == "ramsey":
+            return fit_ramsey(t, 0.5 + 0.4 * np.exp(-t / 20.0)
+                              * np.cos(2e-3 * math.pi * 75.0 * t))
+        return fit_erasure(t, 1.0 - np.exp(-t / 50.0))
+
+    @pytest.mark.parametrize("model, enough, too_few", [
+        ("linear", [0, 10, 20, 30, 60], [0, 10, 40, 60]),
+        ("ramsey", np.arange(12) * 3.0, np.arange(7) * 3.0),
+        ("ramsey", np.arange(12) * 3.0, [0, 3, 6, 9, 12, 15, 18, 21, 25, 30]),
+        ("erasure", [0, 10, 20, 30], [0, 10, 20])])
+    def test_fit_and_check_agree(self, model, enough, too_few):
+        mask = usable_delays(model, enough, 30.0)
+        assert np.array_equal(self.fit(model, enough).delays_us,
+                              np.asarray(enough, dtype=float)[mask])
+        with pytest.raises(ConfigError) as check:
+            usable_delays(model, too_few, 30.0)
+        with pytest.raises(ConfigError) as fit:
+            self.fit(model, too_few)
+        assert str(fit.value) == str(check.value)
 
 
 class TestBootstrap:

@@ -345,6 +345,14 @@ class TestBumpFlagging:
                                                  np.ones_like(taus)))
         assert not mask.any()
 
+    def test_curve_too_short_for_the_model_rejected(self):
+        # three taus used to come back all flagged with A = B = 0
+        taus = np.array([1.0, 10.0, 100.0])
+        curve = AllanCurve(taus, allan_model_curve(1e5, 1e6, taus),
+                           np.ones_like(taus))
+        with pytest.raises(ConfigError, match=">= 4 tau points"):
+            flag_allan_bumps(curve)
+
 
 # run first in a fresh process, where scipy.signal and scipy.optimize are not
 # loaded yet, and again in the test process
