@@ -24,10 +24,10 @@ from .device import DeviceParams, load_device
 from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
                        PulseSequence, ShotBatch, run_sequence_batch,
                        run_trace_batch)
-from .errors import ConfigError, FitConvergenceError, ResampleError
-from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US, TraceData,
-                        FIT_OF_KIND, bootstrap_bounds, fit_erasure,
-                        fit_trace, usable_delays, write_trace_csv)
+from .errors import ConfigError
+from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US,
+                        LOGICAL_KINDS, TraceData, check_grid, trace_metrics,
+                        write_trace_csv)
 from .noise import noise_processes, telegraph_from_uniforms
 from .readout import (BLOB_OF_LEVEL, ReadoutModel, classify_batch,
                       default_blob_means, sample_iq_batch, train_classifier)
@@ -35,8 +35,6 @@ from .tables import (FREQUENCY, METRICS, read_appended, read_json,
                      read_table, write_json, write_table)
 
 MOVING_AVERAGE_WINDOW = 50
-
-EXPERIMENT_KINDS = ("bitflip", "hahn_echo", "ramsey")
 
 DEFAULT_DELAYS_US = {
     "bitflip": [0, 5, 10, 15, 20, 25, 30, 50, 80, 120, 180, 260, 340, 400],
@@ -118,7 +116,7 @@ class CampaignConfig:
         if not self.devices:
             raise ConfigError("need at least one device")
         for exp in self.experiments:
-            if exp not in EXPERIMENT_KINDS:
+            if exp not in LOGICAL_KINDS:
                 raise ConfigError(f"unknown experiment {exp!r}")
         if isinstance(self.physical_refs, bool):
             self.physical_refs = "t1" if self.physical_refs else "none"
@@ -147,17 +145,9 @@ class CampaignConfig:
         if not planned:
             raise ConfigError("the campaign plans no trace: no experiments "
                               "and physical_refs none")
-        # every fit of a planned kind must be able to use the kind's grid:
-        # its `fit_trace` model, and a logical kind's leakage fit
-        for kind in dict.fromkeys(_PHYSICAL_REFS.get(exp, (exp,))[0]
-                                  for exp in planned):
-            leakage = ("erasure",) if kind in EXPERIMENT_KINDS else ()
-            for model in (FIT_OF_KIND[kind], *leakage):
-                try:
-                    usable_delays(model, self.delays_us[kind],
-                                  self.fit_window_us)
-                except ConfigError as exc:
-                    raise ConfigError(f"delay grid for {kind}: {exc}") from exc
+        for exp in planned:
+            kind = _PHYSICAL_REFS.get(exp, (exp,))[0]
+            check_grid(kind, self.delays_us[kind], self.fit_window_us)
 
     def to_dict(self) -> dict:
         """The config as archived; ``threads`` never changes results, so it
@@ -319,90 +309,6 @@ def simulate_counts_trace(params: DeviceParams, kind: str, delays_us, shots,
 
 
 # --------------------------------------------------------------------------
-# Metric extraction from traces
-
-def _bounds_for(fit, resamples, seed, rate_param, rate_to_time_us):
-    """Bootstrap bounds on a time constant, inverted from its rate quantiles."""
-    if resamples <= 0:
-        return math.nan, math.nan
-    try:
-        bounds = bootstrap_bounds(fit, n_resamples=resamples, seed=seed)
-    except ResampleError:
-        return math.nan, math.nan
-    glo, ghi = bounds[rate_param]
-    lo = rate_to_time_us / ghi if ghi > 0 else math.inf
-    hi = rate_to_time_us / glo if glo > 0 else math.inf
-    return min(lo, hi), max(lo, hi)
-
-
-# metric row of each experiment kind; {} is a physical reference's mode
-_METRIC_OF_KIND = {"bitflip": "t1l_us", "hahn_echo": "t2el_us",
-                   "ramsey": "t2rl_us", "phys_t1": "phys_t1_{}_us",
-                   "phys_echo": "phys_t2e_{}_us",
-                   "phys_ramsey": "phys_t2r_{}_us"}
-# fit parameter whose bootstrap quantiles bound a logical time constant,
-# and the numerator that turns that rate into microseconds
-_RATE_OF_MODEL = {"linear": ("gamma_per_ms", 1e3),
-                  "ramsey": ("rate_per_us", 1.0)}
-
-
-def _time_us(fit) -> float:
-    """The fit's time constant in us (NaN for a linear fit that resolved no
-    decay)."""
-    if fit.model == "linear":
-        if fit.diagnostics.get("warning") == "no decay resolvable":
-            return math.nan
-        return 1e3 / fit.params["gamma_per_ms"]
-    return fit.params["T2R_us" if fit.model == "ramsey" else "T_erasure_us"]
-
-
-def _trace_metrics(kind, traces, device, ts, resamples, seed, window_us):
-    """Fit one archived trace set and emit its metric rows.
-
-    An expected fit failure (FitConvergenceError, or ConfigError for too
-    few usable points) leaves a gap: the metric's row is not written. Any
-    other error propagates and aborts the campaign.
-    """
-    rows = []
-    tr = traces[0]
-    try:
-        fit = fit_trace(kind, traces, window_us)
-    except (FitConvergenceError, ConfigError):
-        pass
-    else:
-        estimate = _time_us(fit)
-        lo = hi = math.nan
-        # a fit without a time constant has nothing to bound
-        if kind in EXPERIMENT_KINDS and not math.isnan(estimate):
-            lo, hi = _bounds_for(fit, resamples, seed,
-                                 *_RATE_OF_MODEL[fit.model])
-        mode = "d" if tr.init_label in ("10", "+D") else "q"
-        rows.append(MetricPoint(ts, device,
-                                _METRIC_OF_KIND[kind].format(mode),
-                                estimate, lo, hi))
-        if kind == "ramsey":
-            flo, fhi = (math.nan, math.nan)
-            if fit.bounds and "delta_f_khz" in fit.bounds:
-                flo, fhi = (fit.bounds["delta_f_khz"][0] * 1e3,
-                            fit.bounds["delta_f_khz"][1] * 1e3)
-            rows.append(MetricPoint(ts, device, "delta_f_hz",
-                                    fit.params["delta_f_khz"] * 1e3,
-                                    flo, fhi))
-    # leakage rate from the trace's own |00> fraction; it does not need
-    # the main fit
-    if kind in EXPERIMENT_KINDS:
-        try:
-            p00 = (sum(t.n00 for t in traces) /
-                   sum(t.n_total for t in traces))
-            fit = fit_erasure(tr.delays_us, p00)
-            rows.append(MetricPoint(ts, device, "gamma_erasure_per_ms",
-                                    fit.params["gamma_erasure_per_ms"]))
-        except (FitConvergenceError, ConfigError):
-            pass
-    return rows
-
-
-# --------------------------------------------------------------------------
 # Campaign driver
 
 def _persistent_values(config: CampaignConfig, n_traces: int) -> np.ndarray:
@@ -551,9 +457,9 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             static_offsets_hz=tuple(offsets[idx]),
             readout=readouts[dev], init=init, timestamp_s=ts,
             threads=config.threads)
-        rows = _trace_metrics(kind, traces, dev, ts,
-                              config.bootstrap_resamples, trace_seed,
-                              config.fit_window_us)
+        rows = [MetricPoint(ts, dev, *row) for row in trace_metrics(
+            kind, traces, config.fit_window_us, config.bootstrap_resamples,
+            trace_seed)]
         write_metrics_csv(metrics_path, rows, append=True)
         # the trace file lands last and whole: its presence marks the trace
         # complete

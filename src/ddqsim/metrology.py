@@ -178,7 +178,7 @@ def usable_delays(model: str, delays_us,
     uses those within ``window_us`` and needs >= 3, the "ramsey" oscillation
     fit uses all and needs >= 8, uniformly spaced (each step within 1% of
     their mean), and the "erasure" leakage fit uses all and needs >= 4. The
-    fits check their own points here, and a campaign its planned grids."""
+    fits check their own points here, and `check_grid` a campaign's."""
     t = np.asarray(delays_us, dtype=float)
     if model == "linear":
         sel = t <= window_us + 1e-9
@@ -397,39 +397,67 @@ def fit_erasure(delays_us, p00) -> FitResult:
                      diagnostics=dict(info))
 
 
-# fit model of each analysis kind
-FIT_OF_KIND = {"bitflip": "linear", "hahn_echo": "linear",
-               "phys_echo": "linear", "ramsey": "ramsey",
-               "phys_ramsey": "ramsey", "erasure": "erasure",
-               "phys_t1": "erasure"}
+# per analysis kind: its fit model, the metric row it reports ({} stands
+# for a physical reference's mode, d or q) and the fit parameter that row
+# estimates (None: a linear fit's time constant 1e3 / gamma_per_ms in us)
+KIND_METRIC = {"bitflip": ("linear", "t1l_us", None),
+               "hahn_echo": ("linear", "t2el_us", None),
+               "ramsey": ("ramsey", "t2rl_us", "T2R_us"),
+               "erasure": ("erasure", "gamma_erasure_per_ms",
+                           "gamma_erasure_per_ms"),
+               "phys_t1": ("erasure", "phys_t1_{}_us", "T_erasure_us"),
+               "phys_echo": ("linear", "phys_t2e_{}_us", None),
+               "phys_ramsey": ("ramsey", "phys_t2r_{}_us", "T2R_us")}
+LOGICAL_KINDS = ("bitflip", "hahn_echo", "ramsey")
+# the analysis kinds fitted to one trace set of an experiment kind: a
+# logical kind's trace set is fitted for its leakage ("erasure") too
+_FITTED_KINDS = {kind: (kind, "erasure") if kind in LOGICAL_KINDS else (kind,)
+                 for kind in KIND_METRIC}
+
+
+def check_grid(kind: str, delays_us, window_us: float) -> None:
+    """ConfigError ("delay grid for <kind>: ...") unless every fit of a
+    ``kind`` trace set can use the delays ``delays_us``."""
+    for fitted in _FITTED_KINDS[kind]:
+        try:
+            usable_delays(KIND_METRIC[fitted][0], delays_us, window_us)
+        except ConfigError as exc:
+            raise ConfigError(f"delay grid for {kind}: {exc}") from exc
 
 
 def fit_trace(kind: str, traces, window_us: float) -> FitResult:
-    """The fit of one experiment's traces, its model by `FIT_OF_KIND`.
+    """The fit of one experiment's traces, its model by `KIND_METRIC`.
 
-    bitflip: linear fit of `bitflip_difference` (needs the init 10 and 01
-    traces); hahn_echo: linear fit of the postselected P(0_L); ramsey:
-    oscillation fit of P(0_L); erasure and phys_t1: leakage fit of the
-    |00> fraction; phys_echo and phys_ramsey: linear and oscillation fits of
-    the excited fraction of the mode the +D/+Q init label names. Linear
-    fits use the points within ``window_us``.
+    bitflip: linear fit of `bitflip_difference` of the init 10 and 01
+    traces; erasure and phys_t1: leakage fit of the pooled |00> fraction of
+    every trace, all on one delay grid; every other kind reads exactly one
+    trace: hahn_echo and ramsey fit its postselected P(0_L), phys_echo and
+    phys_ramsey the excited fraction of the mode its +D/+Q label names.
+    Linear fits use the points within ``window_us``. Any other trace set is
+    a ConfigError.
     """
-    model = FIT_OF_KIND.get(kind)
-    if model is None:
+    if kind not in KIND_METRIC:
         raise ConfigError(f"unknown analysis kind {kind!r}")
+    model = KIND_METRIC[kind][0]
+    tr = traces[0]
     if kind == "bitflip":
         by_init = {t.init_label: t for t in traces}
         if "10" not in by_init or "01" not in by_init:
             raise ConfigError("bit-flip analysis needs init 10 and 01 rows")
         delays, signal = bitflip_difference(by_init["10"], by_init["01"])
+    elif model == "erasure":
+        if not all(np.array_equal(t.delays_us, tr.delays_us) for t in traces):
+            raise ConfigError(f"{kind} analysis needs one delay grid")
+        delays = tr.delays_us
+        signal = sum(t.n00 for t in traces) / sum(t.n_total for t in traces)
+    elif len(traces) != 1:
+        raise ConfigError(f"{kind} analysis reads one trace, not init labels "
+                          f"{', '.join(t.init_label for t in traces)}")
     elif kind in ("hahn_echo", "ramsey"):
-        delays, signal, _, _, _ = postselect_trace(traces[0])
-    elif kind in ("phys_echo", "phys_ramsey"):
-        tr = traces[0]
+        delays, signal, _, _, _ = postselect_trace(tr)
+    else:
         excited = tr.n10 if tr.init_label == "+D" else tr.n01
         delays, signal = tr.delays_us, excited / tr.n_total
-    else:
-        delays, signal = traces[0].delays_us, traces[0].p00()
     if model == "linear":
         return fit_linear_short(delays, signal, cutoff_us=window_us)
     if model == "ramsey":
@@ -504,3 +532,65 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
                                     "dropped": dropped, "seed": seed,
                                     "quantile": BOOTSTRAP_QUANTILE}
     return bounds
+
+
+# --------------------------------------------------------------------------
+# Metric rows
+
+# fit parameter whose bootstrap quantiles bound a logical time constant,
+# and the numerator that turns that rate into microseconds
+_RATE_OF_MODEL = {"linear": ("gamma_per_ms", 1e3),
+                  "ramsey": ("rate_per_us", 1.0)}
+
+
+def _bounds_for(fit: FitResult, resamples: int, seed: int) -> tuple:
+    """Bootstrap bounds on a time constant, inverted from its rate quantiles."""
+    try:
+        bounds = bootstrap_bounds(fit, n_resamples=resamples, seed=seed)
+    except ResampleError:
+        return math.nan, math.nan
+    rate, numerator = _RATE_OF_MODEL[fit.model]
+    glo, ghi = bounds[rate]
+    lo = numerator / ghi if ghi > 0 else math.inf
+    hi = numerator / glo if glo > 0 else math.inf
+    return min(lo, hi), max(lo, hi)
+
+
+def trace_metrics(kind: str, traces, window_us: float, resamples: int = 0,
+                  seed: int = 0) -> list:
+    """Metric rows ``(metric, estimate, lower, upper)`` of one trace set of
+    experiment ``kind``: one row per `fit_trace` fit of the kind and, for a
+    logical kind, of its leakage, named and estimated by `KIND_METRIC` (NaN
+    for a linear fit that resolved no decay), with the mode d for a first
+    init label 10 or +D, else q; a ramsey fit adds ``delta_f_hz``.
+
+    Only a logical kind's own fit is bootstrapped (``resamples`` refits
+    from ``seed``, bounds at its quantiles); every other bound is NaN. An
+    expected fit failure (FitConvergenceError, or ConfigError for too few
+    usable points) leaves a gap: that fit writes no row.
+    """
+    rows = []
+    mode = "d" if traces[0].init_label in ("10", "+D") else "q"
+    for fitted in _FITTED_KINDS[kind]:
+        try:
+            fit = fit_trace(fitted, traces, window_us)
+        except (FitConvergenceError, ConfigError):
+            continue
+        _, metric, param = KIND_METRIC[fitted]
+        if param:
+            estimate = fit.params[param]
+        elif fit.diagnostics.get("warning") == "no decay resolvable":
+            estimate = math.nan
+        else:
+            estimate = 1e3 / fit.params["gamma_per_ms"]
+        lo = hi = math.nan
+        # a fit without a time constant has nothing to bound
+        if (fitted in LOGICAL_KINDS and resamples > 0
+                and not math.isnan(estimate)):
+            lo, hi = _bounds_for(fit, resamples, seed)
+        rows.append((metric.format(mode), estimate, lo, hi))
+        if fitted == "ramsey":
+            flo, fhi = (fit.bounds or {}).get("delta_f_khz", (math.nan,) * 2)
+            rows.append(("delta_f_hz", fit.params["delta_f_khz"] * 1e3,
+                         flo * 1e3, fhi * 1e3))
+    return rows
