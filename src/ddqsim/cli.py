@@ -168,6 +168,8 @@ def cmd_analyze(args) -> int:
     kind = args.kind.replace("-", "_")
     traces = read_trace_csv(args.trace)
     _check_overwrite(args.out, args.force)
+    if args.bootstrap < 0:
+        raise ConfigError("--bootstrap must be >= 0")
     if args.bootstrap > 0 and args.seed is None:
         raise ConfigError("--bootstrap needs an explicit --seed")
 

@@ -284,6 +284,36 @@ class TestAnalyze:
                     "--bootstrap", "10", "--out",
                     str(tmp_path / "f.json")]) == 2
 
+    def test_negative_bootstrap_exit_2(self, tmp_path, capsys):
+        # a campaign rejects bootstrap_resamples < 0 the same way
+        trace = self.make_trace(tmp_path)
+        out = tmp_path / "neg.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "ramsey",
+                    "--bootstrap", "-3", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert "--bootstrap must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    # hahn-echo reads exactly one trace, so not a bit-flip file's two;
+    # erasure pools the traces of a file, which must share one delay grid
+    @pytest.mark.parametrize("kind, grids, message", [
+        ("hahn-echo", {"10": range(0, 35, 5), "01": range(0, 35, 5)},
+         "hahn_echo analysis reads one trace, not init labels 10, 01"),
+        ("erasure", {"10": range(0, 35, 5), "01": range(0, 40, 5)},
+         "erasure analysis needs one delay grid")])
+    def test_trace_set_the_kind_cannot_read_exit_2(self, tmp_path, capsys,
+                                                   kind, grids, message):
+        trace = tmp_path / "two.csv"
+        trace.write_text(
+            "delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n" +
+            "".join(f"{t}.0,{t},{10 + t},{990 - 2 * t},1000,{init},0.0\n"
+                    for init, grid in grids.items() for t in grid))
+        out = tmp_path / "two.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", kind,
+                    "--bootstrap", "0", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linear_kind_on_synthetic_trace(self, tmp_path):
         import csv
         trace = tmp_path / "lin.csv"
@@ -487,6 +517,30 @@ class TestCampaignCli:
         assert run(["summarize", "--in", str(metrics)]) == 0
         text = capsys.readouterr().out
         assert "T_2R^L [ms]" in text
+
+    def test_analyze_reports_the_leakage_rate_its_archive_holds(self,
+                                                                tmp_path):
+        # both read the pooled |00> counts of the bit-flip trace file's two
+        # initializations
+        cfg_path = tmp_path / "camp.json"
+        cfg_path.write_text(json.dumps({
+            "devices": ["q1"], "experiments": ["bitflip"], "repetitions": 1,
+            "seed": 4, "shots_per_point": 500, "physical_refs": "none",
+            "bootstrap_resamples": 0}))
+        out = tmp_path / "arch"
+        assert run(["campaign", "--config", str(cfg_path),
+                    "--out", str(out)]) == 0
+        trace = out / "traces" / "trace_00000_q1_bitflip.csv"
+        assert {t.init_label for t in read_trace_csv(trace)} == {"10", "01"}
+        fit_out = tmp_path / "erasure.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "erasure",
+                    "--bootstrap", "0", "--out", str(fit_out)]) == 0
+        rate = json.loads(fit_out.read_text())["params"][
+            "gamma_erasure_per_ms"]
+        archived = [line.split(",")[3] for line in
+                    (out / "metrics.csv").read_text().splitlines()
+                    if ",gamma_erasure_per_ms," in line]
+        assert archived == [repr(rate)]
 
     def test_existing_archive_needs_resume_or_force(self, tmp_path):
         cfg = CampaignConfig(

@@ -18,7 +18,7 @@ from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               bootstrap_bounds, fit_erasure, fit_linear_short,
                               fit_ramsey, fit_trace, postselect,
                               postselect_trace, read_trace_csv,
-                              usable_delays, write_trace_csv)
+                              trace_metrics, usable_delays, write_trace_csv)
 from ddqsim.tables import TRACE
 
 
@@ -412,6 +412,32 @@ class TestFitTrace:
         with pytest.raises(ConfigError, match="init 10 and 01"):
             fit_trace("bitflip", [tr], DEFAULT_FIT_WINDOW_US)
 
+    # erasure pools traces of one delay grid, and every kind but bitflip
+    # and erasure reads exactly one trace
+    @pytest.mark.parametrize("kind, labels, n, message", [
+        ("hahn_echo", ("10", "01"), (6, 6), "one trace, not init labels 10"),
+        ("ramsey", ("+", "+D"), (10, 10), "one trace"),
+        ("phys_echo", ("+D", "+Q"), (6, 6), "one trace"),
+        ("erasure", ("10", "01"), (6, 7), "one delay grid")])
+    def test_trace_set_the_kind_cannot_read(self, kind, labels, n, message):
+        traces = [self.make(np.full(k, 990), np.full(k, 10), label)
+                  for label, k in zip(labels, n)]
+        with pytest.raises(ConfigError, match=message):
+            fit_trace(kind, traces, DEFAULT_FIT_WINDOW_US)
+
+    def test_erasure_pools_the_leaked_counts_of_every_trace(self):
+        t = np.arange(8) * 10.0
+        n00 = [np.round(k * (1 - np.exp(-t / 40.0))) for k in (200, 400)]
+        traces = [TraceData(t, c, 1000 - c, np.zeros(8), np.full(8, 1000),
+                            init_label=label)
+                  for c, label in zip(n00, ("10", "01"))]
+        fit = fit_trace("erasure", traces, DEFAULT_FIT_WINDOW_US)
+        ref = fit_erasure(t, (n00[0] + n00[1]) / 2000)
+        assert fit.params == ref.params
+        # one trace is the pool of itself
+        one = fit_trace("erasure", traces[:1], DEFAULT_FIT_WINDOW_US)
+        assert one.params == fit_erasure(t, traces[0].p00()).params
+
     def test_unknown_kind(self):
         tr = self.make(np.full(6, 500), np.full(6, 500), "+")
         with pytest.raises(ConfigError, match="unknown analysis kind"):
@@ -425,6 +451,69 @@ class TestFitTrace:
         fit_q = fit_trace("phys_echo", [self.make(1000 - n10, n10, "+Q")],
                           DEFAULT_FIT_WINDOW_US)
         assert fit_q.params["gamma_per_ms"] == pytest.approx(2.0)
+
+
+class TestTraceMetrics:
+    T = np.arange(16) * 3.0
+    N = 10_000
+
+    def make(self, label, p0l):
+        """A trace of growing leakage whose logical shots split by p0l."""
+        n00 = np.round(0.2 * self.N * (1 - np.exp(-self.T / 30.0)))
+        n10 = np.round((self.N - n00) * p0l)
+        return TraceData(self.T, n00, self.N - n00 - n10, n10,
+                         np.full(len(self.T), self.N), init_label=label)
+
+    def decay(self, label):
+        return self.make(label, 0.95 - 0.002 * self.T)
+
+    def rise(self, label):
+        return self.make(label, 0.05 + 0.002 * self.T)
+
+    def ringing(self, label):
+        return self.make(label, 0.5 + 0.4 * np.exp(-self.T / 40.0) *
+                         np.cos(2 * np.pi * 0.075 * self.T))
+
+    # rows in order, for each kind and first init label; the mode (d/q) of
+    # a physical row comes from the 10/+D and 01/+Q labels
+    @pytest.mark.parametrize("kind, traces, metrics", [
+        ("bitflip", ("decay:10", "rise:01"),
+         ["t1l_us", "gamma_erasure_per_ms"]),
+        ("hahn_echo", ("decay:+",), ["t2el_us", "gamma_erasure_per_ms"]),
+        ("ramsey", ("ringing:+",),
+         ["t2rl_us", "delta_f_hz", "gamma_erasure_per_ms"]),
+        ("phys_t1", ("decay:10",), ["phys_t1_d_us"]),
+        ("phys_t1", ("decay:01",), ["phys_t1_q_us"]),
+        ("phys_echo", ("decay:+D",), ["phys_t2e_d_us"]),
+        ("phys_echo", ("rise:+Q",), ["phys_t2e_q_us"]),
+        ("phys_ramsey", ("ringing:+D",), ["phys_t2r_d_us"]),
+        ("phys_ramsey", ("ringing:+Q",), ["phys_t2r_q_us"])])
+    def test_rows_of_each_kind(self, kind, traces, metrics):
+        trs = [getattr(self, shape)(label)
+               for shape, label in (t.split(":") for t in traces)]
+        rows = trace_metrics(kind, trs, DEFAULT_FIT_WINDOW_US, resamples=20,
+                             seed=1)
+        assert [r[0] for r in rows] == metrics
+        for metric, estimate, lo, hi in rows:
+            assert math.isfinite(estimate)
+            if kind.startswith("phys") or metric == "gamma_erasure_per_ms":
+                # only a logical kind's own fit is bootstrapped
+                assert math.isnan(lo) and math.isnan(hi)
+            else:
+                assert lo <= estimate <= hi
+        if metrics[0] == "t2rl_us":
+            assert rows[1][1] == pytest.approx(75e3, rel=1e-3)
+
+    def test_leakage_row_is_the_erasure_fit_of_the_trace_set(self):
+        trs = [self.decay("10"), self.rise("01")]
+        rows = trace_metrics("bitflip", trs, DEFAULT_FIT_WINDOW_US)
+        fit = fit_trace("erasure", trs, DEFAULT_FIT_WINDOW_US)
+        metric, estimate, lo, hi = rows[1]
+        assert metric == "gamma_erasure_per_ms"
+        assert estimate == fit.params["gamma_erasure_per_ms"]
+        assert math.isnan(lo) and math.isnan(hi)
+        # no resamples, no bounds on the logical row either
+        assert all(map(math.isnan, rows[0][2:]))
 
 
 class TestTraceCsv:

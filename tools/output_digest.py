@@ -83,6 +83,16 @@ RECORDED = {
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
+    "677ba4c6979a9e0ae2b3307523f0d54bfcd055afdcfd3a29f2c6b4ce4dc9273a": {
+        "sim-shots":
+            "af6512f6aa0591c471db7a18cfbaecb7dcd5e2a700bb593ad4d35ab3a165e8e9",
+        "analyze":
+            "524ed46e1140bd9415365fb34e858d54d382b96e28ea34bb601d4a560747abcd",
+        "campaign":
+            "7e2126075390913df6c8c371f203a0fb0da1ce0c838e8f71f9ec644238083803",
+        "noise":
+            "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
+    },
 }
 
 
@@ -107,12 +117,17 @@ def sim_shots_commands() -> list:
 
 
 def analyze_commands() -> list:
-    kinds = {"bitflip": "bitflip", "hahn-echo": "hahn-echo",
-             "ramsey": "ramsey", "erasure": "hahn-echo"}
+    # output stem -> (kind, experiment of the trace file); erasure also
+    # runs on the two-init bit-flip file, whose |00> counts it pools
+    runs = {"bitflip": ("bitflip", "bitflip"),
+            "hahn-echo": ("hahn-echo", "hahn-echo"),
+            "ramsey": ("ramsey", "ramsey"),
+            "erasure": ("erasure", "hahn-echo"),
+            "erasure_bitflip": ("erasure", "bitflip")}
     return [["analyze", "--trace", f"{exp}_white_t1.trace.csv", "--kind", kind,
              "--bootstrap", "40", "--seed", SEED, "--emit-plot-data",
-             "--out", f"fit_{kind}.json"]
-            for kind, exp in kinds.items()]
+             "--out", f"fit_{stem}.json"]
+            for stem, (kind, exp) in runs.items()]
 
 
 def campaign_commands() -> list:
