@@ -6,10 +6,11 @@ decaying-oscillation fit gives Ramsey coherence, and the saturating
 exponential gives the leakage (erasure) rate. Fit uncertainties come from a
 residual bootstrap (Efron & Tibshirani, An Introduction to the Bootstrap,
 1993, ch. 9): resampled residuals are laid onto the ideal fitted trace and
-each synthetic trace is refit with the same procedure. The resample indices
+each synthetic trace is refit with the same model. The resample indices
 are drawn in one call; linear fits and refits share one line solve, which
 takes all synthetic traces at once, and the nonlinear fits refit each trace
-with the package's Levenberg-Marquardt loop (`fitting.lm_least_squares`).
+with the package's Levenberg-Marquardt loop (`fitting.lm_least_squares`),
+started from the main fit's parameters.
 """
 
 from __future__ import annotations
@@ -272,54 +273,68 @@ def _ramsey_jacobian(theta, t):
     return cols.T
 
 
-def fit_ramsey(delays_us, p0l,
-               detuning_hint_khz: float | None = None) -> FitResult:
+def _no_oscillation(y):
+    """Zero-padded periodogram peak of each row of ``y`` (shape (..., n))
+    and whether that row has no oscillation to fit: peak bin ``k`` (>= 1,
+    8n points, row mean subtracted), and True where the peak power is at
+    most 1e-24 n (a peak at DC) or the row's peak-to-peak is zero. The one
+    drop rule of `fit_ramsey`'s start and of the Ramsey bootstrap rows."""
+    n = y.shape[-1]
+    power = np.abs(np.fft.rfft(y - y.mean(axis=-1, keepdims=True),
+                               n=8 * n)) ** 2
+    k = 1 + np.argmax(power[..., 1:], axis=-1)
+    peak = np.take_along_axis(power, k[..., None], axis=-1)[..., 0]
+    return k, (peak <= 1e-24 * n) | (np.ptp(y, axis=-1) <= 0)
+
+
+def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
+               start: dict | None = None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
 
     Needs >= 8 uniformly spaced delays (`usable_delays`). Initialization:
     detuning from the zero-padded periodogram peak of the mean-subtracted
     signal, amplitude from half the peak-to-peak, offset from the mean, T2R
-    from a log-envelope regression.
+    from a log-envelope regression. A ``detuning_hint_khz`` only checks
+    that the delays span >= 2 periods. Raises FitConvergenceError when the
+    periodogram peak sits at DC (no oscillation to fit, `_no_oscillation`).
+    A ``start`` (the ``params`` of an earlier fit, as `bootstrap_bounds`
+    passes the main fit's) replaces that initialization and its grid and
+    oscillation checks: the caller has made them.
     Refined by damped Gauss-Newton on the closed-form Jacobian until one of
-    `lm_least_squares`'s stop rules holds (<= 500 iterations). A
-    ``detuning_hint_khz`` only checks that the delays span >= 2 periods.
-    Raises FitConvergenceError when the solver stalls or the periodogram
-    peak sits at DC (no oscillation to fit).
+    `lm_least_squares`'s stop rules holds (<= 500 iterations). Raises
+    FitConvergenceError when the solver stalls.
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p0l, dtype=float)
-    dt = _ramsey_step(t)
-    span = t[-1] - t[0]
-
-    c0 = float(y.mean())
-    yc = y - c0
-    nfft = 8 * len(t)
-    power = np.abs(np.fft.rfft(yc, n=nfft)) ** 2
-    k = 1 + int(np.argmax(power[1:]))
-    if power[k] <= 1e-24 * max(len(t), 1):
-        raise FitConvergenceError("periodogram peak at DC: no oscillation")
-    f0 = k * (1.0 / (nfft * dt)) * 1e3
-    if detuning_hint_khz and span * detuning_hint_khz * 1e-3 < 2.0:
-        raise ConfigError("delays span fewer than 2 oscillation periods")
-
-    amp0 = 0.5 * (y.max() - y.min())
-    if amp0 <= 0:
-        raise FitConvergenceError("periodogram peak at DC: no oscillation")
-    env = _envelope(yc)
-    good = env > 1e-3 * env.max()
-    if good.sum() >= 2 and span > 0:
-        tg = t[good] - t[good].mean()
-        esl = float(tg @ np.log(env[good])) / float(tg @ tg)
-        rate0 = min(max(-esl, 0.05 / span), 50.0 / span)
+    if start is None:
+        dt = _ramsey_step(t)
+        span = t[-1] - t[0]
+        k, flat = _no_oscillation(y)
+        if flat:
+            raise FitConvergenceError("periodogram peak at DC: no oscillation")
+        f0 = int(k) * (1.0 / (8 * len(t) * dt)) * 1e3
+        if detuning_hint_khz and span * detuning_hint_khz * 1e-3 < 2.0:
+            raise ConfigError("delays span fewer than 2 oscillation periods")
+        c0 = float(y.mean())
+        yc = y - c0
+        amp0 = 0.5 * (y.max() - y.min())
+        env = _envelope(yc)
+        good = env > 1e-3 * env.max()
+        if good.sum() >= 2 and span > 0:
+            tg = t[good] - t[good].mean()
+            esl = float(tg @ np.log(env[good])) / float(tg @ tg)
+            rate0 = min(max(-esl, 0.05 / span), 50.0 / span)
+        else:
+            rate0 = 1.0 / span
+        z = np.sum(yc * np.exp(-2j * math.pi * f0 * 1e-3 * t))
+        theta0 = np.array([amp0, rate0, f0, float(np.angle(z)), c0])
     else:
-        rate0 = 1.0 / span
-    z = np.sum(yc * np.exp(-2j * math.pi * f0 * 1e-3 * t))
-    phi0 = float(np.angle(z))
+        theta0 = np.array([start[k] for k in ("A", "rate_per_us",
+                                              "delta_f_khz", "phi0_rad", "C")])
 
     def resid(theta):
         return y - _ramsey_model(theta.tolist(), t)
 
-    theta0 = np.array([amp0, rate0, f0, phi0, c0])
     theta, info = lm_least_squares(
         resid, theta0, jacobian=lambda theta: _ramsey_jacobian(theta, t))
     if not info["converged"]:
@@ -355,17 +370,22 @@ def _erasure_jacobian(theta, t):
     return cols.T
 
 
-def fit_erasure(delays_us, p00) -> FitResult:
+def fit_erasure(delays_us, p00, start: dict | None = None) -> FitResult:
     """Leakage fit A(1 - exp(-t/T_erasure)) + D on the |00> fraction.
 
     The amplitude lets the model saturate below one for mixed
     initializations; D absorbs erasure during the end-of-line readout
     itself. A flat trace degenerates to rate 0 with diagnostics warning
-    "flat trace".
+    "flat trace". Needs >= 4 delays (`usable_delays`); the start takes D
+    from the first point, A from the last, and the rate from the first
+    delay that reaches 63.2% of the rise. A ``start`` (the ``params`` of an
+    earlier fit, as `bootstrap_bounds` passes the main fit's) replaces that
+    start and the grid check: the caller has made it.
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p00, dtype=float)
-    usable_delays("erasure", t)
+    if start is None:
+        usable_delays("erasure", t)
     if np.ptp(y) < 1e-12:
         params = {"amplitude": 0.0, "T_erasure_us": math.inf, "D": float(y[0]),
                   "gamma_erasure_per_ms": 0.0}
@@ -373,13 +393,17 @@ def fit_erasure(delays_us, p00) -> FitResult:
         return FitResult("erasure", params, t, fitted, y - fitted,
                          diagnostics={"converged": True,
                                       "warning": "flat trace"})
-    d0 = float(y[0])
-    amp0 = max(float(y[-1] - d0), 1e-3)
-    target = d0 + 0.632 * amp0
-    above = np.nonzero(y >= target)[0]
-    span = t[-1] - t[0]
-    t630 = t[above[0]] if len(above) and t[above[0]] > 0 else span / 3.0
-    theta0 = np.array([amp0, 1.0 / t630, d0])
+    if start is None:
+        d0 = float(y[0])
+        amp0 = max(float(y[-1] - d0), 1e-3)
+        target = d0 + 0.632 * amp0
+        above = np.nonzero(y >= target)[0]
+        span = t[-1] - t[0]
+        t630 = t[above[0]] if len(above) and t[above[0]] > 0 else span / 3.0
+        theta0 = np.array([amp0, 1.0 / t630, d0])
+    else:
+        theta0 = np.array([start["amplitude"],
+                           1e-3 * start["gamma_erasure_per_ms"], start["D"]])
 
     def resid(theta):
         return y - _erasure_model(theta.tolist(), t)
@@ -482,13 +506,17 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     fit-deflated one. All resample indices are drawn in one call, giving an
     (n_resamples, n) matrix of synthetic traces. Linear fits refit every row
     in `fit_linear_short`'s one line solve (all of a fit's points lie in its
-    window); Ramsey and leakage rows are refit one at a time by
-    `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run. A row
-    is dropped only where its refit raises FitConvergenceError (no
-    convergence, no oscillation); more than 20% drops is a ResampleError.
-    Any other error propagates (a Ramsey fit on a nonuniform grid is a
-    ConfigError), and an unknown model is a ValueError before any draw.
-    Deterministic given ``seed``.
+    window). Ramsey and leakage rows are refit one at a time by
+    `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run
+    started from the main fit's parameters (``start=fit.params``), so no
+    refit repeats the data-driven starts. The checks those starts made are
+    made once per bootstrap: the grid (`usable_delays`: a Ramsey fit on a
+    nonuniform grid is a ConfigError) and, for Ramsey, the no-oscillation
+    rule of `_no_oscillation` on all rows in one batched FFT. A row is
+    dropped where that rule holds or its refit raises FitConvergenceError;
+    more than 20% drops is a ResampleError. Any other error propagates, and
+    an unknown model is a ValueError before any draw. Deterministic given
+    ``seed``.
     """
     if fit.model not in _MODEL_DOF:
         raise ValueError(f"no bootstrap refitter for model {fit.model!r}")
@@ -502,13 +530,17 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     if fit.model == "linear":
         values = _line_params(fit.delays_us, synthetic)
     else:
+        usable_delays(fit.model, fit.delays_us)
+        refitter = fit_erasure
+        if fit.model == "ramsey":
+            refitter = fit_ramsey
+            flat = _no_oscillation(synthetic)[1]
+            dropped = int(np.count_nonzero(flat))
+            synthetic = synthetic[~flat]
         values = {k: [] for k in fit.params}
         for y_star in synthetic:
             try:
-                if fit.model == "ramsey":
-                    refit = fit_ramsey(fit.delays_us, y_star)
-                else:
-                    refit = fit_erasure(fit.delays_us, y_star)
+                refit = refitter(fit.delays_us, y_star, start=fit.params)
             except FitConvergenceError:
                 dropped += 1
                 continue

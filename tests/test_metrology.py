@@ -158,6 +158,22 @@ class TestRamseyFit:
         t = np.linspace(0, 100, 20)
         with pytest.raises(FitConvergenceError, match="DC"):
             fit_ramsey(t, np.full(20, 0.5))
+        # the row-wise rule the bootstrap drops its rows by gives each row
+        # of a stack the verdict of a fit of that row alone: constant rows
+        # (zero peak-to-peak), a row flat to rounding, oscillating rows
+        ripple = 1e-14 * np.cos(2e-3 * math.pi * 75.0 * t)
+        rows = np.array([np.full(20, 0.5), np.zeros(20), 0.5 + ripple,
+                         0.5 + 0.4 * np.cos(2e-3 * math.pi * 75.0 * t),
+                         0.5 + 1e4 * ripple])
+        _, flat = metrology._no_oscillation(rows)
+        assert flat.tolist() == [True, True, True, False, False]
+        for row, no_oscillation in zip(rows, flat):
+            try:
+                fit_ramsey(t, row)
+                at_dc = False
+            except FitConvergenceError as exc:
+                at_dc = "DC" in str(exc)
+            assert at_dc == no_oscillation
 
     def test_cost_never_above_initialization(self):
         rng = np.random.default_rng(12)
@@ -258,6 +274,12 @@ class TestBootstrap:
         bounds = bootstrap_bounds(fit, seed=1)
         lo, hi = bounds["gamma_per_ms"]
         assert lo == hi == pytest.approx(fit.params["gamma_per_ms"])
+
+    def test_no_resamples_leave_the_estimates(self):
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        bounds = bootstrap_bounds(fit, n_resamples=0, seed=1)
+        assert bounds == {k: (v, v) for k, v in fit.params.items()}
+        assert fit.diagnostics["bootstrap"]["dropped"] == 0
 
     def test_protocol_constants(self):
         assert BOOTSTRAP_RESAMPLES == 250
@@ -370,6 +392,30 @@ class TestBootstrapReference:
     def test_erasure_matches_per_resample_refits(self):
         fit = fit_erasure(*reference_traces()["erasure"])
         self._assert_same_bounds(fit, fit_erasure, seed=6)
+
+    def test_refits_start_from_the_main_fit(self, monkeypatch):
+        # the grid and no-oscillation checks run once per bootstrap, and no
+        # refit recomputes the envelope of the data-driven start
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        calls = {"_ramsey_step": 0, "_no_oscillation": 0}
+
+        def counted(name):
+            original = getattr(metrology, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapped
+
+        def no_envelope(x):
+            raise AssertionError("a refit computed the envelope start")
+
+        for name in calls:
+            monkeypatch.setattr(metrology, name, counted(name))
+        monkeypatch.setattr(metrology, "_envelope", no_envelope)
+        bootstrap_bounds(fit, seed=5)
+        assert calls == {"_ramsey_step": 1, "_no_oscillation": 1}
+        assert fit.diagnostics["bootstrap"]["dropped"] == 0
 
     def test_unknown_model_is_an_error_not_a_drop(self):
         t = np.linspace(0, 30, 8)
