@@ -10,7 +10,7 @@ each synthetic trace is refit with the same model. The resample indices
 are drawn in one call; linear fits and refits share one line solve, which
 takes all synthetic traces at once, and the nonlinear fits refit each trace
 with the package's Levenberg-Marquardt loop (`fitting.lm_least_squares`),
-started from the main fit's parameters.
+a Ramsey refit started from the main fit's parameters.
 """
 
 from __future__ import annotations
@@ -282,9 +282,9 @@ def _no_oscillation(y):
     n = y.shape[-1]
     power = np.abs(np.fft.rfft(y - y.mean(axis=-1, keepdims=True),
                                n=8 * n)) ** 2
-    k = 1 + np.argmax(power[..., 1:], axis=-1)
-    peak = np.take_along_axis(power, k[..., None], axis=-1)[..., 0]
-    return k, (peak <= 1e-24 * n) | (np.ptp(y, axis=-1) <= 0)
+    k = 1 + power[..., 1:].argmax(axis=-1)
+    peak = power[..., 1:].max(axis=-1)
+    return k, (peak <= 1e-24 * n) | (y.max(axis=-1) <= y.min(axis=-1))
 
 
 def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
@@ -370,7 +370,7 @@ def _erasure_jacobian(theta, t):
     return cols.T
 
 
-def fit_erasure(delays_us, p00, start: dict | None = None) -> FitResult:
+def fit_erasure(delays_us, p00) -> FitResult:
     """Leakage fit A(1 - exp(-t/T_erasure)) + D on the |00> fraction.
 
     The amplitude lets the model saturate below one for mixed
@@ -378,14 +378,12 @@ def fit_erasure(delays_us, p00, start: dict | None = None) -> FitResult:
     itself. A flat trace degenerates to rate 0 with diagnostics warning
     "flat trace". Needs >= 4 delays (`usable_delays`); the start takes D
     from the first point, A from the last, and the rate from the first
-    delay that reaches 63.2% of the rise. A ``start`` (the ``params`` of an
-    earlier fit, as `bootstrap_bounds` passes the main fit's) replaces that
-    start and the grid check: the caller has made it.
+    delay that reaches 63.2% of the rise. `bootstrap_bounds` refits each
+    resampled row from this same start.
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p00, dtype=float)
-    if start is None:
-        usable_delays("erasure", t)
+    usable_delays("erasure", t)
     if np.ptp(y) < 1e-12:
         params = {"amplitude": 0.0, "T_erasure_us": math.inf, "D": float(y[0]),
                   "gamma_erasure_per_ms": 0.0}
@@ -393,17 +391,13 @@ def fit_erasure(delays_us, p00, start: dict | None = None) -> FitResult:
         return FitResult("erasure", params, t, fitted, y - fitted,
                          diagnostics={"converged": True,
                                       "warning": "flat trace"})
-    if start is None:
-        d0 = float(y[0])
-        amp0 = max(float(y[-1] - d0), 1e-3)
-        target = d0 + 0.632 * amp0
-        above = np.nonzero(y >= target)[0]
-        span = t[-1] - t[0]
-        t630 = t[above[0]] if len(above) and t[above[0]] > 0 else span / 3.0
-        theta0 = np.array([amp0, 1.0 / t630, d0])
-    else:
-        theta0 = np.array([start["amplitude"],
-                           1e-3 * start["gamma_erasure_per_ms"], start["D"]])
+    d0 = float(y[0])
+    amp0 = max(float(y[-1] - d0), 1e-3)
+    target = d0 + 0.632 * amp0
+    above = np.nonzero(y >= target)[0]
+    span = t[-1] - t[0]
+    t630 = t[above[0]] if len(above) and t[above[0]] > 0 else span / 3.0
+    theta0 = np.array([amp0, 1.0 / t630, d0])
 
     def resid(theta):
         return y - _erasure_model(theta.tolist(), t)
@@ -507,16 +501,17 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     (n_resamples, n) matrix of synthetic traces. Linear fits refit every row
     in `fit_linear_short`'s one line solve (all of a fit's points lie in its
     window). Ramsey and leakage rows are refit one at a time by
-    `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run
-    started from the main fit's parameters (``start=fit.params``), so no
-    refit repeats the data-driven starts. The checks those starts made are
-    made once per bootstrap: the grid (`usable_delays`: a Ramsey fit on a
-    nonuniform grid is a ConfigError) and, for Ramsey, the no-oscillation
-    rule of `_no_oscillation` on all rows in one batched FFT. A row is
-    dropped where that rule holds or its refit raises FitConvergenceError;
-    more than 20% drops is a ResampleError. Any other error propagates, and
-    an unknown model is a ValueError before any draw. Deterministic given
-    ``seed``.
+    `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run. A
+    Ramsey refit starts from the main fit's parameters
+    (``start=fit.params``), so no refit repeats the periodogram and
+    envelope starts; the checks those starts made are made once per
+    bootstrap: the grid (`usable_delays`: a nonuniform grid is a
+    ConfigError) and the no-oscillation rule of `_no_oscillation` on all
+    rows in one batched FFT. A leakage refit keeps `fit_erasure`'s own
+    start. A row is dropped where the no-oscillation rule holds or its
+    refit raises FitConvergenceError; more than 20% drops is a
+    ResampleError. Any other error propagates, and an unknown model is a
+    ValueError before any draw. Deterministic given ``seed``.
     """
     if fit.model not in _MODEL_DOF:
         raise ValueError(f"no bootstrap refitter for model {fit.model!r}")
@@ -530,17 +525,19 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     if fit.model == "linear":
         values = _line_params(fit.delays_us, synthetic)
     else:
-        usable_delays(fit.model, fit.delays_us)
-        refitter = fit_erasure
         if fit.model == "ramsey":
-            refitter = fit_ramsey
+            usable_delays("ramsey", fit.delays_us)
             flat = _no_oscillation(synthetic)[1]
             dropped = int(np.count_nonzero(flat))
             synthetic = synthetic[~flat]
         values = {k: [] for k in fit.params}
         for y_star in synthetic:
             try:
-                refit = refitter(fit.delays_us, y_star, start=fit.params)
+                if fit.model == "ramsey":
+                    refit = fit_ramsey(fit.delays_us, y_star,
+                                       start=fit.params)
+                else:
+                    refit = fit_erasure(fit.delays_us, y_star)
             except FitConvergenceError:
                 dropped += 1
                 continue

@@ -93,11 +93,11 @@ RECORDED = {
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
-    "8e692a00e5efa0b0c1cab2ecb273d84bfdb44891b00411249ac0549bdc474f62": {
+    "26e6dc0bdb7049228335c1071d1170628bc377e363d5587f89319be83bf9c15c": {
         "sim-shots":
             "af6512f6aa0591c471db7a18cfbaecb7dcd5e2a700bb593ad4d35ab3a165e8e9",
         "analyze":
-            "b79dd89b144bff9da1351b6f81a38c45aad7c0440494a28bd72830d119746eb3",
+            "75e5c63e8417383b1aaad7d0b5270a4ceec9b41cfe21cc1573f0767c89952ada",
         "campaign":
             "8abb10f99c2f99d72e1c04d6bc1a2f0b06f9028a7f2cbf07a9ce299b6ee7657a",
         "noise":
