@@ -222,62 +222,53 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     bitflip and phys_t1, "+" for hahn_echo and ramsey, "+D"/"+Q" for
     phys_echo and phys_ramsey. Without it a kind runs its
     ``DEFAULT_PREPARE`` labels, both logical levels for bitflip. Point
-    (i, j) of initialization i and delay j draws from the streams of
-    ``stream_key(seed, 900 + i, j)``, so results do not depend on
-    ``threads``. With one thread each initialization's points run in one
-    `run_trace_batch` call (in groups of whole points of at most
-    ``TRACE_BATCH_SHOTS`` shots, at least one point each) and each group is
-    classified together; with more, each point is one `run_sequence_batch`
-    on a pool of ``threads`` workers.
+    (i, j) of initialization i and delay j draws from the streams of its
+    point seed ``stream_key(seed, TAG_POINT + i, j)``, so results do not
+    depend on ``threads``. A unit of work runs whole points of one
+    initialization: one engine call, then IQ emission and classification
+    of all its shots, cut into points. With one thread a unit is a
+    `run_trace_batch` call on as many points as fit in ``TRACE_BATCH_SHOTS``
+    shots (at least one); with more, a unit is one point, a
+    `run_sequence_batch` call, and units run on a pool of ``threads``.
     ``readout`` is None, or a ``(ReadoutModel, classifier)`` pair: with a
     model each shot emits an IQ point, which the classifier assigns to a
     blob. Without a classifier, shots read out through ``BLOB_OF_LEVEL``:
     doubly excited levels land on their single-excitation parent blob.
-    Points come back in (init, delay) order; the points of one
-    initialization may be views into shared trace arrays.
+    Points come back in (init, delay) order; the points of one unit are
+    views into shared arrays.
     """
     if len(delays_us) == 0:
         raise ConfigError("an experiment needs at least one delay")
     model, clf = readout if readout is not None else (None, None)
     labels = [init] if init else DEFAULT_PREPARE[kind]
-    seqs = [[PulseSequence(kind, label, d, detuning_khz) for d in delays_us]
-            for label in labels]
-    seeds = [[int(streams.stream_key(seed, 900 + i, j))
-              for j in range(len(delays_us))] for i in range(len(labels))]
+    step = 1 if threads > 1 else max(1, TRACE_BATCH_SHOTS // shots)
     engine = dict(n_shots=shots, noise_dt_us=noise_dt_us,
                   static_offsets_hz=static_offsets_hz)
 
-    def points_of(i, b, point_seeds):
-        """The points of initialization i whose shots ``b`` holds; each
-        point's IQ points are emitted on its own streams."""
+    def run(i, lo):
+        """The unit of init i from delay lo: ``step`` points, or the rest."""
+        delays = delays_us[lo:lo + step]
+        seqs = [PulseSequence(kind, labels[i], d, detuning_khz)
+                for d in delays]
+        seeds = streams.stream_key(seed, streams.TAG_POINT + i,
+                                   np.arange(lo, lo + len(delays)))
+        b = (run_sequence_batch(params, seqs[0], noise, seed=seeds[0],
+                                **engine) if threads > 1 else
+             run_trace_batch(params, seqs, noise, seeds=seeds, **engine))
         iq = (None if model is None else
-              sample_iq_batch(b.levels, model, params, seed=point_seeds))
+              sample_iq_batch(b.levels, model, params, seed=seeds))
         blobs = (BLOB_OF_LEVEL[b.levels] if clf is None
                  else classify_batch(clf, iq))
         return [SimPoint(labels[i], ShotBatch(b.levels[sl], b.phase_rad[sl],
                                               b.erased[sl], b.jumped[sl]),
                          None if iq is None else iq[sl], blobs[sl])
-                for sl in (slice(lo, lo + shots)
-                           for lo in range(0, len(blobs), shots))]
+                for sl in (slice(k, k + shots)
+                           for k in range(0, len(blobs), shots))]
 
-    if threads > 1:
-        def run_point(work):
-            i, j = work
-            return points_of(i, run_sequence_batch(
-                params, seqs[i][j], noise, seed=seeds[i][j], **engine),
-                [seeds[i][j]])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(run_point, [
-                (i, j) for i in range(len(labels))
-                for j in range(len(delays_us))]))
-    else:
-        step = max(1, TRACE_BATCH_SHOTS // shots)
-        groups = [points_of(i, run_trace_batch(
-            params, seqs[i][lo:lo + step], noise,
-            seeds=seeds[i][lo:lo + step], **engine), seeds[i][lo:lo + step])
-            for i in range(len(labels))
-            for lo in range(0, len(delays_us), step)]
+    units = [(i, lo) for i in range(len(labels))
+             for lo in range(0, len(delays_us), step)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        groups = list((pool.map if threads > 1 else map)(run, *zip(*units)))
     return [p for group in groups for p in group]
 
 
@@ -446,7 +437,8 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
         rep, dev, exp = plan[idx]
         ts = idx * config.interval_s
         params = devices[dev]
-        trace_seed = int(streams.stream_key(config.seed, 70000 + idx))
+        trace_seed = int(streams.stream_key(config.seed,
+                                            streams.TAG_TRACE + idx))
         kind, init = _PHYSICAL_REFS.get(exp, (exp, None))
         shots = (config.shots_per_point if init is None
                  else config.shots_physical)

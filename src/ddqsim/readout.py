@@ -70,14 +70,14 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
                     params: DeviceParams, seed) -> np.ndarray:
     """Vectorized IQ emission for a batch of final levels.
 
-    ``seed`` is one seed, or a list of seeds, one per equal block of
+    ``seed`` is one seed, or a list or array of seeds, one per equal block of
     ``levels``. Shot i of a block draws at (stream_key(its seed,
     TAG_READOUT), i) on the deterministic counter streams, so each block
     reads out as a one-seed call on that block would, and campaign shot
     records do not depend on batching.
     """
     levels = np.asarray(levels)
-    seeds = seed if isinstance(seed, list) else [seed]
+    seeds = seed if np.ndim(seed) else [seed]
     n, rest = divmod(len(levels), len(seeds))
     if rest:
         raise ValueError("levels must split into one equal block per seed")

@@ -4,36 +4,31 @@ Every random variate consumed by the trajectory engine is addressed by
 (seed, stream tag, shot index, draw index) through a SplitMix64-style hash,
 so a shot's outcome never depends on batch boundaries or thread count.
 
-Keys are hashed on Python ints; shot and draw ids are hashed in place on one
-uint64 array per call. Integer array arithmetic wraps mod 2^64 without a
-warning (only numpy scalar arithmetic warns), so every array path keeps its
-operands as arrays, 0-d ones included.
+Keys, shot ids and draw ids go through one SplitMix64 finalizer, in place
+on uint64 arrays: array arithmetic wraps mod 2^64 without the warning numpy
+scalar arithmetic gives, so no path leaves arrays, 0-d ones included.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
-_GOLD, _A, _B = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_GOLDEN, _MIX_A, _MIX_B = np.uint64(_GOLD), np.uint64(_A), np.uint64(_B)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
 
-# Stream tags used by the simulation engine. Kept here so independent
-# consumers never collide.
-TAG_PREP = 1
-TAG_PROJECT = 2
-TAG_READOUT_TRAIN = 3
-TAG_READOUT = 4
-TAG_JUMP_BASE = 16        # + delay-segment index
-TAG_NOISE_BASE = 4096     # + noise-process index
-TAG_PERSISTENT = 8192     # + process index (campaign slow-noise states)
-
-
-def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on a Python int in [0, 2^64)."""
-    z = ((z ^ (z >> 30)) * _A) & _MASK
-    z = ((z ^ (z >> 27)) * _B) & _MASK
-    return z ^ (z >> 31)
+# Stream tags, kept here so independent consumers never collide, and the
+# seed each hangs off: the campaign seed, a trace seed (the seed of
+# `simulate_points`: a campaign trace's, or sim-shots --seed) or a point seed.
+TAG_PREP = 1              # point seed
+TAG_PROJECT = 2           # point seed
+TAG_READOUT_TRAIN = 3     # sim-shots --seed; campaign seed, + device index
+TAG_READOUT = 4           # point seed, or a `train_classifier` seed
+TAG_JUMP_BASE = 16        # point seed, + delay-segment index
+TAG_POINT = 900           # trace seed, + init index, then the delay index
+TAG_NOISE_BASE = 4096     # point seed, + noise-process index
+TAG_PERSISTENT = 8192     # campaign seed, + process index (slow noise)
+TAG_TRACE = 70000         # campaign seed, + trace index
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -47,25 +42,22 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def stream_key(seed, *tags):
-    """Derive a 64-bit stream key (``np.uint64``) from a seed and int tags."""
-    h = _mix_int(((int(seed) & _MASK) + _GOLD) & _MASK)
-    for t in tags:
-        h = _mix_int(h ^ (((int(t) & _MASK) + _GOLD) & _MASK))
-    return np.uint64(h)
+    """Derive 64-bit stream keys from a seed and tags, each an int or an
+    int array, taken mod 2^64. Arrays broadcast, element by element as
+    scalar calls would, to a uint64 array of keys; all-scalar arguments give
+    one ``np.uint64``."""
+    h = np.zeros(1, dtype=np.uint64)
+    for x in (seed, *tags):
+        a = np.asarray(x)
+        if a.dtype.kind not in "iu":   # ints past 64 bits, or of mixed sign
+            a = np.asarray(x, object) & _MASK
+        h = _mix(h ^ (np.atleast_1d(a).astype(np.uint64) + _GOLDEN))
+    return h if any(np.ndim(x) for x in (seed, *tags)) else h[0]
 
 
 def point_keys(seeds, tag, n_shots) -> np.ndarray:
-    """Per-shot stream keys: the (seed, tag) key of each point, repeated
-    over its ``n_shots`` shots."""
-    return np.repeat(np.array([stream_key(s, tag) for s in seeds],
-                              dtype=np.uint64), n_shots)
-
-
-def _shot_base(key, shot_ids):
-    z = np.array(shot_ids, dtype=np.uint64)
-    z *= _GOLDEN
-    z += np.uint64(key)
-    return _mix(z)
+    """Each point's (seed, tag) key, repeated over its ``n_shots`` shots."""
+    return np.repeat(stream_key(seeds, tag), n_shots)
 
 
 def uniforms(key, shot_ids, draw_ids):
@@ -79,7 +71,10 @@ def uniforms(key, shot_ids, draw_ids):
     ``(key[i], shot_ids[i])``. The value at a given (key, shot, draw)
     address is immutable across calls and batch layouts.
     """
-    base = _shot_base(key, shot_ids)
+    base = np.array(shot_ids, dtype=np.uint64)
+    base *= _GOLDEN
+    base += np.uint64(key)
+    _mix(base)
     draws = np.array(draw_ids, dtype=np.uint64)
     draws *= _GOLDEN
     if draws.ndim and base.ndim:
