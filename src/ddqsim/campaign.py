@@ -159,6 +159,9 @@ class CampaignConfig:
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
         d = read_json(path, "campaign config")
+        if isinstance(d, dict) and "threads" in d:
+            raise ConfigError(f"invalid campaign config {path}: the thread "
+                              f"count is set by --threads, not the config")
         try:
             return cls(**d)
         except TypeError as exc:

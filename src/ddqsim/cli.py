@@ -97,11 +97,11 @@ def _parse_delays(text: str | None, kind: str) -> list:
 
 
 def _positive(cast):
-    """argparse type: a number of type ``cast`` that must be > 0."""
+    """argparse type: a number of type ``cast``, finite and > 0."""
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0: {text}")
         return value
     parse.__name__ = cast.__name__
     return parse
@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bitflip", "hahn-echo", "ramsey", "erasure"])
     p.add_argument("--bootstrap", type=int, default=BOOTSTRAP_RESAMPLES)
     p.add_argument("--seed", type=int)
-    p.add_argument("--window-us", type=float, default=DEFAULT_FIT_WINDOW_US)
+    p.add_argument("--window-us", type=_positive(float),
+                   default=DEFAULT_FIT_WINDOW_US)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--force", action="store_true")

@@ -285,8 +285,9 @@ class TestSimulateCountsTrace:
 
 
 class TestTraceBatchedPath:
-    """One thread runs each trace in engine calls of whole points; every
-    shot must equal the shot of a per-point loop over the public one-point
+    """One thread runs each trace in engine calls of whole points, a pool
+    one point per call, through the same unit of work; every shot must
+    equal the shot of a per-point loop over the public one-point
     functions."""
 
     NOISE = {
@@ -315,14 +316,19 @@ class TestTraceBatchedPath:
         model = ReadoutModel(means=default_blob_means(1.0, 5.0))
         return model, train_classifier(model, params, 17)
 
-    # shots per engine call: the whole trace, two points, one point
-    @pytest.mark.parametrize("batch_shots", (1 << 15, 2 * SHOTS + 1, 1),
-                             ids=("trace", "two_points", "one_point"))
+    # shots per engine call with one thread: the whole trace, two points,
+    # one point; a pool of two threads, which runs one point per call
+    # whatever the batch size
+    @pytest.mark.parametrize("batch_shots, threads",
+                             ((1 << 15, 1), (2 * SHOTS + 1, 1), (1, 1),
+                              (1 << 15, 2)),
+                             ids=("trace", "two_points", "one_point", "pool"))
     @pytest.mark.parametrize("with_readout", (False, True),
                              ids=("levels", "readout"))
     @pytest.mark.parametrize("noise_set", list(NOISE))
     def test_matches_a_per_point_loop(self, noise_set, with_readout,
-                                      batch_shots, readout, monkeypatch):
+                                      batch_shots, threads, readout,
+                                      monkeypatch):
         monkeypatch.setattr(campaign, "TRACE_BATCH_SHOTS", batch_shots)
         params = load_device("q2")
         model, clf = readout if with_readout else (None, None)
@@ -334,11 +340,11 @@ class TestTraceBatchedPath:
             for label in _PREPARE_LABELS[kind]:
                 points = simulate_points(
                     params, kind, self.DELAYS, self.SHOTS, seed=21,
-                    init=label, detuning_khz=60.0, threads=1,
+                    init=label, detuning_khz=60.0, threads=threads,
                     readout=(model, clf) if with_readout else None, **kw)
                 assert len(points) == len(self.DELAYS)
                 for j, (point, delay) in enumerate(zip(points, self.DELAYS)):
-                    seed = int(streams.stream_key(21, 900, j))
+                    seed = int(streams.stream_key(21, streams.TAG_POINT, j))
                     want = run_sequence_batch(
                         params, PulseSequence(kind, label, delay, 60.0),
                         seed=seed, n_shots=self.SHOTS, **kw)

@@ -65,6 +65,19 @@ class TestSimShots:
         assert exc.value.code == 2
         assert not out.exists()
 
+    # an infinite step gave NaN 1/f phases and no quasistatic white noise
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+    def test_non_finite_noise_dt_exit_2(self, tmp_path, value, capsys):
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["sim-shots", "--config", "q1", "--experiment", "ramsey",
+                 "--seed", "1", "--delays", "0,5", "--out", str(out),
+                 "--noise-dt-us", value])
+        assert exc.value.code == 2
+        assert "--noise-dt-us: must be finite and > 0" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("delays", ["0:10:0", "0:10:x", "a,b",
                                         "nan,5,10", "0,5,inf", "-5,0,5"])
     def test_bad_delays_exit_2(self, tmp_path, delays):
@@ -293,6 +306,23 @@ class TestAnalyze:
                     "--out", str(out)]) == 2
         assert "--bootstrap must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    # a campaign checks fit_window_us the same way; an infinite window was
+    # written to the fit JSON, and a window of 0 or less fitted anyway
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_bad_window_exit_2(self, tmp_path, value, capsys):
+        trace = self.make_trace(tmp_path)
+        for kind in ("ramsey", "erasure"):
+            out = tmp_path / f"{kind}.json"
+            with pytest.raises(SystemExit) as exc:
+                run(["analyze", "--trace", str(trace), "--kind", kind,
+                     "--window-us", value, "--bootstrap", "0",
+                     "--out", str(out)])
+            assert exc.value.code == 2
+            assert "--window-us: must be finite and > 0" in \
+                capsys.readouterr().err
+            assert not out.exists()
+            assert not (tmp_path / f"{kind}.json.manifest.json").exists()
 
     # hahn-echo reads exactly one trace, so not a bit-flip file's two;
     # erasure pools the traces of a file, which must share one delay grid
@@ -586,6 +616,27 @@ class TestCampaignCli:
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert run(["campaign", "--config", str(bad), "--out", str(out),
                     "--force"]) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == before
+
+    def test_threads_in_the_config_is_refused(self, tmp_path, capsys):
+        # --threads overwrote the key, so "threads": 4 ran one thread
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["ramsey"], repetitions=1, seed=6,
+            shots_per_point=150, physical_refs="none", readout_enabled=False,
+            bootstrap_resamples=0,
+            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(cfg.to_dict()))
+        bad.write_text(json.dumps({**cfg.to_dict(), "threads": 2}))
+        out = tmp_path / "arch"
+        assert run(["campaign", "--config", str(good), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        for extra in ([], ["--threads", "2"]):
+            assert run(["campaign", "--config", str(bad), "--out", str(out),
+                        "--force", *extra]) == 2
+            assert "--threads" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out.rglob("*")
                 if p.is_file()} == before
 

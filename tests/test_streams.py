@@ -88,7 +88,8 @@ def ref_uniform(key, shot, draw):
     return (float(v >> 11) + 0.5) * (1.0 / float(1 << 53))
 
 
-EDGE = (0, -1, 1 << 63, MASK)
+# seeds past 64 bits reduce mod 2^64, as a CLI --seed may be any int
+EDGE = (0, -1, 1 << 63, MASK, 1 << 70, -(1 << 70))
 # scalar, 0-d and array ids
 SHOTS = (3, np.int64(3), np.array(3), np.arange(5),
          np.array([0, 1 << 63, MASK], dtype=np.uint64))
@@ -117,6 +118,26 @@ def test_per_shot_keys_equal_per_key_scalar_calls(draws):
         assert got.shape == (len(keys), *np.shape(draws))
         for i, (key, shot) in enumerate(zip(keys, shots)):
             assert np.array_equal(got[i], fn(key, shot, draws))
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_array_keys_equal_scalar_keys():
+    # one call derives every point seed of a unit of simulation work
+    seeds = [0, 7, -1, 1 << 63, MASK, 1 << 70, -(1 << 70)]
+    tags = np.arange(3)
+    for arg in (seeds, np.array(seeds[:3]),
+                np.array([s & MASK for s in seeds], np.uint64)):
+        got = streams.stream_key(np.reshape(arg, (-1, 1)), 900, tags)
+        assert got.dtype == np.uint64 and got.shape == (len(arg), 3)
+        for s, row in zip(arg, got):
+            assert row.tolist() == [int(streams.stream_key(int(s), 900, t))
+                                    for t in range(3)]
+            assert row.tolist() == [ref_key(int(s), 900, t)
+                                    for t in range(3)]
+    one = streams.stream_key(5, np.array([4]))
+    assert one.shape == (1,) and one[0] == streams.stream_key(5, 4)
+    assert np.array_equal(streams.point_keys(np.array([3, 9]), 16, 2),
+                          [streams.stream_key(s, 16) for s in (3, 3, 9, 9)])
 
 
 @pytest.mark.usefixtures("warnings_are_errors")
