@@ -145,6 +145,10 @@ class TestConfig:
                        {"interval_s": math.inf}):
             with pytest.raises(ConfigError, match="finite"):
                 tiny_config(**change)
+        # a config file may not set threads; the constructor checks them
+        for threads in (0, -3, "2", 2.5):
+            with pytest.raises(ConfigError, match="threads"):
+                tiny_config(threads=threads)
 
     def test_grid_rule_covers_only_planned_kinds(self):
         # no phys_echo trace runs with physical_refs "t1", and no hahn_echo
