@@ -308,15 +308,15 @@ def _segment_grid(seg_us, noise_dt_us):
     return count, seg_us / count * 1e-6
 
 
-def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
-                    static_offsets_hz) -> np.ndarray:
+def _segment_phases(noise, prepare, dur, keys, shot_ids, n_shots,
+                    noise_dt_us, static_offsets_hz) -> np.ndarray:
     """Pair phase (rad) accumulated in each delay segment, (shots, segments).
 
     ``prepare`` is the superposition label: "+" couples the logical
     detuning, "+D"/"+Q" one mode's frequency. ``dur`` holds the segment
-    lengths (us) of each shot; shots come in equal blocks, one per point,
-    and block p draws from the streams of ``seeds[p]``. A 0 us point draws
-    no noise.
+    lengths (us) of each shot; shots come in blocks of ``n_shots``, one per
+    point, and process p draws from the per-shot keys ``keys[TAG_NOISE_BASE + p]``
+    (`streams.point_keys`). A 0 us point draws no noise.
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
@@ -333,7 +333,6 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
     else:
         static = static_offsets_hz[0 if prepare == "+D" else 1]
     n_total, n_seg = dur.shape
-    n_shots = n_total // len(seeds)
     moving = dur[:, 0] > 0
     frozen = np.zeros(n_total)
     integral = np.zeros((n_total, n_seg))   # Hz s
@@ -342,22 +341,21 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
                  else proc.mode_weight(prepare[-1]))
         if coeff == 0.0 or proc.amplitude == 0.0:
             continue
-        keys = streams.point_keys(seeds, streams.TAG_NOISE_BASE + p_idx,
-                                  n_shots)
+        key = keys[streams.TAG_NOISE_BASE + p_idx]
         if proc.quasistatic:
             if proc.kind == "telegraph":
-                u = streams.uniforms(keys[moving], shot_ids[moving], 1)
+                u = streams.uniforms(key[moving], shot_ids[moving], 1)
                 vals = np.where(u < 0.5, 1.0, -1.0) * (0.5 * proc.amplitude)
             else:
                 std = np.repeat([marginal_std(proc, total, noise_dt_us)
                                  for total in dur[::n_shots].sum(axis=1)],
                                 n_shots)
-                vals = (streams.normals(keys[moving], shot_ids[moving], 0) *
+                vals = (streams.normals(key[moving], shot_ids[moving], 0) *
                         std[moving])
             frozen[moving] += coeff * vals
             continue
         if proc.kind == "white":
-            z = streams.normals(keys[moving], shot_ids[moving],
+            z = streams.normals(key[moving], shot_ids[moving],
                                 np.arange(n_seg))
             integral[moving] += coeff * z * np.sqrt(
                 0.5 * proc.amplitude * dur[moving] * 1e-6)
@@ -370,11 +368,11 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
             if proc.kind == "telegraph":
                 rate = proc.switching_rate_hz
                 ends = np.cumsum(dur_us) * (1e-6 * rate)
-                f = np.diff(_telegraph_integrals(keys[lo], shot_ids[sl], ends),
+                f = np.diff(_telegraph_integrals(key[lo], shot_ids[sl], ends),
                             axis=1, prepend=0.0)
                 integral[sl] += coeff * f * (0.5 * proc.amplitude / rate)
                 continue
-            z = streams.normals(keys[lo], shot_ids[sl], np.arange(n_seg))
+            z = streams.normals(key[lo], shot_ids[sl], np.arange(n_seg))
             low = _psd_factor(_one_over_f_cov(
                 proc.amplitude, n_seg, *_segment_grid(dur_us[0], noise_dt_us)))
             for i in range(n_seg):
@@ -386,7 +384,7 @@ def _segment_phases(noise, prepare, dur, seeds, shot_ids, noise_dt_us,
 def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
                     n_shots: int,
                     noise_dt_us: float = DEFAULT_NOISE_DT_US,
-                    static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
+                    static_offsets_hz=(0.0, 0.0), keys=None) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of each point of one trace.
 
     ``seqs`` is a list of sequences of one kind and one prepare label,
@@ -394,7 +392,9 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     sequence. The result holds the shots point by point: row
     ``p * n_shots + i`` is shot ``i`` of ``seqs[p]``, which reads its
     variates from the streams of ``seeds[p]`` at its own (key, shot, draw)
-    addresses. So a shot depends only on (params, its sequence, noise, its
+    addresses. ``keys`` is the `streams.point_keys` table of ``seeds``
+    when the caller has derived it (it reads the readout keys too);
+    otherwise the engine derives it. So a shot depends only on (params, its sequence, noise, its
     seed, its shot index): how points and shots are batched or threaded
     never changes results. ``static_offsets_hz`` is a constant
     (delta_f_D, delta_f_Q) frequency offset pair, used by campaigns to
@@ -419,6 +419,9 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     if any((s.kind, s.prepare) != (first.kind, first.prepare) for s in seqs):
         raise ValueError("a trace runs one kind and one prepare label")
     lam, cumdest = _rate_tables(params)
+    n_seg = len(first.segments_us)
+    if keys is None:
+        keys = streams.point_keys(seeds, n_shots, n_seg, len(noise))
 
     n_total = len(seqs) * n_shots
     shot_ids = np.tile(np.arange(n_shots, dtype=np.int64), len(seqs))
@@ -434,11 +437,11 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
         seg_phase = np.zeros(dur.shape)
     else:
         pair_plus, pair_minus = _PAIRS[first.prepare]
-        u0 = streams.uniforms(
-            streams.point_keys(seeds, streams.TAG_PREP, n_shots), shot_ids, 0)
+        u0 = streams.uniforms(keys[streams.TAG_PREP], shot_ids, 0)
         states[:] = np.where(u0 < 0.5, pair_plus, pair_minus)
-        seg_phase = _segment_phases(tuple(noise), first.prepare, dur, seeds,
-                                    shot_ids, noise_dt_us, static_offsets_hz)
+        seg_phase = _segment_phases(tuple(noise), first.prepare, dur, keys,
+                                    shot_ids, n_shots, noise_dt_us,
+                                    static_offsets_hz)
 
     for k in range(dur.shape[1]):
         if k:   # the refocusing pi pulse between the echo halves
@@ -447,9 +450,8 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
             minus = states == pair_minus
             states[plus] = pair_minus
             states[minus] = pair_plus
-        keys = streams.point_keys(seeds, streams.TAG_JUMP_BASE + k, n_shots)
-        _jump_segment(states, jumped, dur[:, k].copy(), keys, shot_ids, lam,
-                      cumdest)
+        _jump_segment(states, jumped, dur[:, k].copy(),
+                      keys[streams.TAG_JUMP_BASE + k], shot_ids, lam, cumdest)
         phase += seg_phase[:, k]
 
     if first.project_rad is not None:
@@ -459,9 +461,7 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
         coherent = in_pair & ~jumped
         p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] -
                                                project[coherent]))
-        u = streams.uniforms(
-            streams.point_keys(seeds, streams.TAG_PROJECT, n_shots), shot_ids,
-            dur.shape[1])
+        u = streams.uniforms(keys[streams.TAG_PROJECT], shot_ids, n_seg)
         states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
                                    pair_plus, pair_minus)
 
@@ -472,10 +472,10 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
 def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
                        noise=(), *, seed: int, n_shots: int,
                        noise_dt_us: float = DEFAULT_NOISE_DT_US,
-                       static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
+                       static_offsets_hz=(0.0, 0.0), keys=None) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of one pulse sequence: the
     one-point case of `run_trace_batch`, whose row i is shot i on the
     streams of ``seed``."""
     return run_trace_batch(params, [seq], noise, seeds=[seed],
                            n_shots=n_shots, noise_dt_us=noise_dt_us,
-                           static_offsets_hz=static_offsets_hz)
+                           static_offsets_hz=static_offsets_hz, keys=keys)

@@ -55,9 +55,17 @@ def stream_key(seed, *tags):
     return h if any(np.ndim(x) for x in (seed, *tags)) else h[0]
 
 
-def point_keys(seeds, tag, n_shots) -> np.ndarray:
-    """Each point's (seed, tag) key, repeated over its ``n_shots`` shots."""
-    return np.repeat(stream_key(seeds, tag), n_shots)
+def point_keys(seeds, n_shots, n_segments=0, n_noise=0) -> dict:
+    """Every per-point stream key of a group of points, from one
+    (tags x points) `stream_key` call: ``{tag: keys}``, where ``keys`` holds
+    each point's (seed, tag) key repeated over its ``n_shots`` shots. The
+    tags are `TAG_PREP`, `TAG_PROJECT`, `TAG_READOUT`, ``n_segments`` jump
+    tags and ``n_noise`` noise tags."""
+    tags = (TAG_PREP, TAG_PROJECT, TAG_READOUT,
+            *range(TAG_JUMP_BASE, TAG_JUMP_BASE + n_segments),
+            *range(TAG_NOISE_BASE, TAG_NOISE_BASE + n_noise))
+    keys = stream_key(seeds, np.array(tags)[:, None])
+    return dict(zip(tags, np.repeat(keys, n_shots, axis=1)))
 
 
 def uniforms(key, shot_ids, draw_ids):

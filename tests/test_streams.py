@@ -136,8 +136,23 @@ def test_array_keys_equal_scalar_keys():
                                     for t in range(3)]
     one = streams.stream_key(5, np.array([4]))
     assert one.shape == (1,) and one[0] == streams.stream_key(5, 4)
-    assert np.array_equal(streams.point_keys(np.array([3, 9]), 16, 2),
+    keys = streams.point_keys(np.array([3, 9]), 2, n_segments=1)
+    assert np.array_equal(keys[16],
                           [streams.stream_key(s, 16) for s in (3, 3, 9, 9)])
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_point_keys_equal_scalar_keys():
+    # one call derives every stream key of a unit's points, tag by tag
+    seeds = [0, 7, -1, 1 << 63, MASK, 1 << 70, -(1 << 70)]
+    for arg in (seeds, np.array([s & MASK for s in seeds], np.uint64)):
+        keys = streams.point_keys(arg, 3, n_segments=2, n_noise=3)
+        assert sorted(keys) == sorted([1, 2, 4, 16, 17, 4096, 4097, 4098])
+        for tag, col in keys.items():
+            assert col.dtype == np.uint64 and col.flags.c_contiguous
+            assert col.tolist() == [ref_key(s, tag) for s in seeds
+                                    for _ in range(3)]
+    assert sorted(streams.point_keys([5], 1)) == [1, 2, 4]
 
 
 @pytest.mark.usefixtures("warnings_are_errors")
