@@ -35,6 +35,11 @@ from .tables import (FREQUENCY, METRICS, read_appended, read_json,
                      read_table, write_json, write_table)
 
 MOVING_AVERAGE_WINDOW = 50
+# the layout of the bytes a seed writes, in `run_campaign`'s manifest: every
+# change that makes one seed write other bytes bumps it, so a resume never
+# mixes two. A manifest without it is layout 1, the one before the
+# streams' normals became PPND16.
+OUTPUT_LAYOUT = 2
 
 DEFAULT_DELAYS_US = {
     "bitflip": [0, 5, 10, 15, 20, 25, 30, 50, 80, 120, 180, 260, 340, 400],
@@ -389,6 +394,8 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
     The archive directory holds ``manifest.json``, append-only
     ``metrics.csv``, one CSV per trace under ``traces/`` and per-device
     fitted-frequency series. Fully deterministic given the campaign seed.
+    A resume refuses (ConfigError) an archive of another config or another
+    ``OUTPUT_LAYOUT`` before it changes a byte.
     """
     trace_dir = os.path.join(out_dir, "traces")
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -403,7 +410,8 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
                    for idx, (_, dev, exp) in enumerate(plan)]
     manifest = {"seed": config.seed, "config": config.to_dict(),
                 "config_sha256": config.config_hash(),
-                "package_version": __version__, "n_traces": n_traces,
+                "package_version": __version__,
+                "output_layout": OUTPUT_LAYOUT, "n_traces": n_traces,
                 "completed": False}
 
     start, rows = 0, []
@@ -415,6 +423,11 @@ def run_campaign(config: CampaignConfig, out_dir, *, resume: bool = False,
             raise ConfigError("invalid archive manifest: not an object")
         if old.get("config_sha256") != manifest["config_sha256"]:
             raise ConfigError("archive was produced by a different config")
+        layout = old.get("output_layout", 1)
+        if layout != OUTPUT_LAYOUT:
+            raise ConfigError(f"archive was written in output layout "
+                              f"{layout!r}, this version writes layout "
+                              f"{OUTPUT_LAYOUT}")
         start = next((idx for idx, path in enumerate(trace_paths)
                       if not os.path.exists(path)), n_traces)
         if os.path.exists(metrics_path):

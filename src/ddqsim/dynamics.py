@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import streams
 from .device import DeviceParams, DimonLevel, LEVEL_ORDER
@@ -70,7 +69,10 @@ def build_rate_matrix(params: DeviceParams) -> np.ndarray:
 
 
 def propagate_exact(rate_matrix: np.ndarray, p0, t_us: float) -> np.ndarray:
-    """Exact level populations exp(R t) @ p0 (the trajectory oracle)."""
+    """Exact level populations exp(R t) @ p0 (the trajectory oracle). The
+    one SciPy use in the simulator, imported here so that no command
+    loads SciPy for it."""
+    from scipy.linalg import expm
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (N_LEVELS,):
         raise ValueError(f"p0 must have shape ({N_LEVELS},)")
@@ -315,8 +317,9 @@ def _segment_phases(noise, prepare, dur, keys, shot_ids, n_shots,
     ``prepare`` is the superposition label: "+" couples the logical
     detuning, "+D"/"+Q" one mode's frequency. ``dur`` holds the segment
     lengths (us) of each shot; shots come in blocks of ``n_shots``, one per
-    point, and process p draws from the per-shot keys ``keys[TAG_NOISE_BASE + p]``
-    (`streams.point_keys`). A 0 us point draws no noise.
+    point, and process p draws from the per-shot keys
+    ``keys[TAG_NOISE_BASE + p]`` (`streams.point_keys`). A 0 us point draws
+    no noise.
 
     Static offsets and quasistatic processes hold one frequency per shot.
     White FM integrates to one Gaussian per segment with variance S_f T / 2,
@@ -394,13 +397,14 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     variates from the streams of ``seeds[p]`` at its own (key, shot, draw)
     addresses. ``keys`` is the `streams.point_keys` table of ``seeds``
     when the caller has derived it (it reads the readout keys too);
-    otherwise the engine derives it. So a shot depends only on (params, its sequence, noise, its
-    seed, its shot index): how points and shots are batched or threaded
-    never changes results. ``static_offsets_hz`` is a constant
-    (delta_f_D, delta_f_Q) frequency offset pair, used by campaigns to
-    freeze slow noise within one trace. ``noise_dt_us`` is the largest step
-    of the 1/f spectrum grid and sets the marginals of quasistatic white
-    and 1/f noise; white FM and telegraph phases do not depend on it.
+    otherwise the engine derives it. So a shot depends only on (params,
+    its sequence, noise, its seed, its shot index): how points and shots
+    are batched or threaded never changes results. ``static_offsets_hz``
+    is a constant (delta_f_D, delta_f_Q) frequency offset pair, used by
+    campaigns to freeze slow noise within one trace. ``noise_dt_us`` is the
+    largest step of the 1/f spectrum grid and sets the marginals of
+    quasistatic white and 1/f noise; white FM and telegraph phases do not
+    depend on it.
 
     During delays the pair phase accumulates 2 pi * integral of the coupled
     frequency offset; a refocusing pulse negates the accumulated phase and

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 _MAX_ITER = 500
 _STEP_TOL = 1e-9
@@ -57,8 +56,9 @@ def lm_least_squares(fun, x0, jacobian=None):
     most ``_COST_TOL`` times the new cost, or when no damped step goes
     downhill; the loop gives up after ``_MAX_ITER`` iterations, and at
     once, unconverged, when the cost at ``x0`` is not finite. The cost
-    never increases between accepted iterations; a singular or non-finite
-    trial step counts as uphill and raises the damping tenfold.
+    never increases between accepted iterations; a singular damped system
+    (`np.linalg.solve` raises LinAlgError) or a non-finite trial step
+    counts as uphill and raises the damping tenfold.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)
@@ -73,12 +73,16 @@ def lm_least_squares(fun, x0, jacobian=None):
         jac = (numeric_jacobian(fun, x) if jacobian is None
                else jacobian(x))
         neg_grad = -(jac.T @ r)
-        hess = jac.T @ jac
-        scaling = np.diag(np.maximum(hess.diagonal(), 1e-14))
+        system = jac.T @ jac
+        diag = system.reshape(-1)[::len(x) + 1]    # a view of its diagonal
+        hess_diag = diag.copy()
+        scaling = np.maximum(hess_diag, 1e-14)
         step = None
         for _ in range(40):
-            step, singular = lapack.dgesv(hess + lam * scaling, neg_grad)[2:]
-            if singular:
+            np.add(hess_diag, lam * scaling, out=diag)
+            try:
+                step = np.linalg.solve(system, neg_grad)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
                 step = None
                 continue

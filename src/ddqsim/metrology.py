@@ -251,26 +251,41 @@ def _envelope(x):
     return np.abs(np.fft.ifft(np.fft.fft(x) * h))
 
 
-def _ramsey_model(theta, t):
-    amp, rate, f_khz, phi0, c = theta
-    return amp * np.exp(-rate * t) * np.cos(2e-3 * math.pi * f_khz * t + phi0) + c
-
-
-def _ramsey_jacobian(theta, t):
-    """(n, 5) Jacobian of the residual y - `_ramsey_model` at one point."""
-    amp, rate, f_khz, phi0, _ = theta.tolist()
-    w = (2e-3 * math.pi) * t
+def _ramsey_terms(theta, t):
+    """The arrays exp(-rate t), phase 2 pi f t + phi0 and their product
+    exp(-rate t) cos(phase) of `_ramsey_model` at ``theta``: one point, or
+    a (5, rows, 1) stack of them, which gives (rows, n) arrays."""
+    _, rate, f_khz, phi0, _ = theta
     e = np.exp(-rate * t)
-    phase = f_khz * w + phi0
-    ec = e * np.cos(phase)
-    aes = amp * e * np.sin(phase)
-    cols = np.empty((5, len(t)))
+    phase = (2e-3 * math.pi) * t * f_khz
+    phase += phi0
+    ec = np.cos(phase)
+    ec *= e
+    return e, phase, ec
+
+
+def _ramsey_model(theta, t):
+    """A exp(-rate t) cos(2 pi f t + phi0) + C at ``theta`` = (A, rate, f,
+    phi0, C), one point or a stack as in `_ramsey_terms`."""
+    return _ramsey_terms(theta, t)[2] * theta[0] + theta[4]
+
+
+def _ramsey_jacobian(theta, t, terms=None):
+    """Jacobian of the residual y - `_ramsey_model` at ``theta``, from the
+    `_ramsey_terms` there when a residual has them: (n, 5) at one point,
+    (rows, n, 5) at a (5, rows, 1) stack."""
+    e, phase, ec = terms or _ramsey_terms(theta, t)
+    amp = theta[0]
+    aes = np.sin(phase)
+    aes *= e
+    aes *= amp
+    cols = np.empty((5, *ec.shape))
     np.negative(ec, out=cols[0])
     np.multiply(amp * t, ec, out=cols[1])
-    np.multiply(w, aes, out=cols[2])
+    np.multiply((2e-3 * math.pi) * t, aes, out=cols[2])
     cols[3] = aes
     cols[4] = -1.0
-    return cols.T
+    return cols.transpose(*range(1, cols.ndim), 0)
 
 
 def _no_oscillation(y):
@@ -297,9 +312,10 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
     from a log-envelope regression. A ``detuning_hint_khz`` only checks
     that the delays span >= 2 periods. Raises FitConvergenceError when the
     periodogram peak sits at DC (no oscillation to fit, `_no_oscillation`).
-    A ``start`` (the ``params`` of an earlier fit, as `bootstrap_bounds`
-    passes the main fit's) replaces that initialization and its grid and
-    oscillation checks: the caller has made them.
+    A ``start`` (the model parameters A, rate_per_us, delta_f_khz,
+    phi0_rad and C, as `bootstrap_bounds` passes one near the main fit's)
+    replaces that initialization and its grid and oscillation checks: the
+    caller has made them.
     Refined by damped Gauss-Newton on the closed-form Jacobian until one of
     `lm_least_squares`'s stop rules holds (<= 500 iterations). Raises
     FitConvergenceError when the solver stalls.
@@ -329,14 +345,21 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
         z = np.sum(yc * np.exp(-2j * math.pi * f0 * 1e-3 * t))
         theta0 = np.array([amp0, rate0, f0, float(np.angle(z)), c0])
     else:
-        theta0 = np.array([start[k] for k in ("A", "rate_per_us",
-                                              "delta_f_khz", "phi0_rad", "C")])
+        theta0 = np.array(start, dtype=float)
+    last = [None, None]     # the point and `_ramsey_terms` of the last call
 
     def resid(theta):
-        return y - _ramsey_model(theta.tolist(), t)
+        # `_ramsey_model`, keeping its terms for the Jacobian
+        point = theta.tolist()
+        last[:] = point, _ramsey_terms(point, t)
+        return y - (last[1][2] * point[0] + point[4])
 
-    theta, info = lm_least_squares(
-        resid, theta0, jacobian=lambda theta: _ramsey_jacobian(theta, t))
+    def jacobian(theta):
+        # lm_least_squares takes the Jacobian where it last took a residual
+        return _ramsey_jacobian(
+            theta, t, last[1] if theta.tolist() == last[0] else None)
+
+    theta, info = lm_least_squares(resid, theta0, jacobian=jacobian)
     if not info["converged"]:
         raise FitConvergenceError("oscillation fit did not converge", info)
     amp, rate, f_khz, phi, c = theta
@@ -487,6 +510,41 @@ def fit_trace(kind: str, traces, window_us: float) -> FitResult:
 # Bootstrap
 
 _MODEL_DOF = {"linear": 2, "ramsey": 5, "erasure": 3}
+_RAMSEY_PARAMS = ("A", "rate_per_us", "delta_f_khz", "phi0_rad", "C")
+# Gauss-Newton steps to a Ramsey refit's start: two cut the LM iterations of
+# a refit from 4.4 to 2.4 on the reference trace of the tests; from a third,
+# nearly converged, start LM rejects many more tiny trial steps
+_START_STEPS = 2
+
+
+def _gauss_newton_starts(fit: FitResult, synthetic) -> np.ndarray:
+    """(rows, 5) Ramsey refit starts, one per synthetic trace y* (a row of
+    ``synthetic``), ``_START_STEPS`` Gauss-Newton steps from the main fit's
+    parameters theta: theta - (J^T J)^-1 J^T r with r and J the residual
+    and its Jacobian, all rows in one solve per step. The first step's J
+    is the main fit's, shared by every row, and r = y* - fitted. A row
+    takes a step only where it lowers the row's cost, and no row takes any
+    once a J^T J is singular."""
+    t = fit.delays_us
+    theta = np.array([fit.params[k] for k in _RAMSEY_PARAMS])
+    starts = np.repeat(theta[None], len(synthetic), axis=0)
+    resid = synthetic - fit.fitted
+    cost = np.einsum("ij,ij->i", resid, resid)
+    jac = _ramsey_jacobian(theta, t)
+    for i in range(_START_STEPS):
+        if i:
+            jac = _ramsey_jacobian(starts.T[..., None], t)
+        jac_t = np.swapaxes(jac, -1, -2)
+        try:
+            step = np.linalg.solve(jac_t @ jac, jac_t @ resid[..., None])
+        except np.linalg.LinAlgError:
+            break
+        trial = starts - step[..., 0]
+        r = synthetic - _ramsey_model(trial.T[..., None], t)
+        c = np.einsum("ij,ij->i", r, r)
+        down = c <= cost
+        starts[down], resid[down], cost[down] = trial[down], r[down], c[down]
+    return starts
 
 
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
@@ -502,16 +560,15 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
     in `fit_linear_short`'s one line solve (all of a fit's points lie in its
     window). Ramsey and leakage rows are refit one at a time by
     `fit_ramsey`/`fit_erasure`, each a single `lm_least_squares` run. A
-    Ramsey refit starts from the main fit's parameters
-    (``start=fit.params``), so no refit repeats the periodogram and
-    envelope starts; the checks those starts made are made once per
-    bootstrap: the grid (`usable_delays`: a nonuniform grid is a
-    ConfigError) and the no-oscillation rule of `_no_oscillation` on all
-    rows in one batched FFT. A leakage refit keeps `fit_erasure`'s own
-    start. A row is dropped where the no-oscillation rule holds or its
-    refit raises FitConvergenceError; more than 20% drops is a
-    ResampleError. Any other error propagates, and an unknown model is a
-    ValueError before any draw. Deterministic given ``seed``.
+    Ramsey refit starts near the main fit (`_gauss_newton_starts`), so no
+    refit repeats the periodogram and envelope starts; the checks those
+    starts made are made once per bootstrap: the grid (`usable_delays`: a
+    nonuniform grid is a ConfigError) and the no-oscillation rule of
+    `_no_oscillation` on all rows in one batched FFT. A leakage refit keeps
+    `fit_erasure`'s own start. A row is dropped where the no-oscillation
+    rule holds or its refit raises FitConvergenceError; more than 20% drops
+    is a ResampleError. Any other error propagates, and an unknown model is
+    a ValueError before any draw. Deterministic given ``seed``.
     """
     if fit.model not in _MODEL_DOF:
         raise ValueError(f"no bootstrap refitter for model {fit.model!r}")
@@ -530,12 +587,13 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
             flat = _no_oscillation(synthetic)[1]
             dropped = int(np.count_nonzero(flat))
             synthetic = synthetic[~flat]
+            starts = _gauss_newton_starts(fit, synthetic)
         values = {k: [] for k in fit.params}
-        for y_star in synthetic:
+        for i, y_star in enumerate(synthetic):
             try:
                 if fit.model == "ramsey":
                     refit = fit_ramsey(fit.delays_us, y_star,
-                                       start=fit.params)
+                                       start=starts[i])
                 else:
                     refit = fit_erasure(fit.delays_us, y_star)
             except FitConvergenceError:

@@ -95,9 +95,10 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
         decayed = (blob != 0) & (tau < model.t_ro_us)
         w = np.clip(tau / model.t_ro_us, 0.0, 1.0)[decayed, None]
         means[decayed] = w * means[decayed] + (1.0 - w) * model.means[0]
-    z = np.stack([streams.normals(key, ids, 1),
-                  streams.normals(key, ids, 2)], axis=1)
-    return means + model.sigma * z
+    z = streams.normals(key, ids, np.arange(1, 3))
+    z *= model.sigma
+    z += means
+    return z
 
 
 def _weighted_log_densities(iq, means, covs, weights) -> np.ndarray:

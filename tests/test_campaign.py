@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ddqsim.campaign import (CampaignConfig, DEFAULT_DELAYS_US, MetricPoint,
-                             MOVING_AVERAGE_WINDOW, moving_average,
-                             read_metrics_csv, run_campaign,
+                             MOVING_AVERAGE_WINDOW, OUTPUT_LAYOUT,
+                             moving_average, read_metrics_csv, run_campaign,
                              simulate_counts_trace, simulate_points,
                              summarize, write_metrics_csv)
 import ddqsim
@@ -499,6 +499,29 @@ class TestRunCampaign:
         assert main(["campaign", "--config", str(cfg_path), "--out", str(out),
                      "--resume"]) == 2
         assert "manifest" in capsys.readouterr().err
+        assert archive_digest(out) == before
+
+    @pytest.mark.parametrize("layout", [None, 1, OUTPUT_LAYOUT + 1, "2"])
+    def test_resume_rejects_another_output_layout(self, tmp_path, capsys,
+                                                  layout):
+        # an archive of another layout (none recorded: layout 1) would mix
+        # two sets of bytes for one seed
+        cfg = tiny_config(repetitions=1)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "d"
+        run_campaign(cfg, out, stop_after=1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_layout"] == OUTPUT_LAYOUT
+        if layout is None:
+            del manifest["output_layout"]
+        else:
+            manifest["output_layout"] = layout
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = archive_digest(out)
+        assert main(["campaign", "--config", str(cfg_path), "--out", str(out),
+                     "--resume"]) == 2
+        assert "output layout" in capsys.readouterr().err
         assert archive_digest(out) == before
 
     def test_resume_rejects_changed_config(self, tmp_path):

@@ -796,6 +796,59 @@ class TestImports:
         assert (tmp_path / "archive" / "freq_q1.csv").exists()
         assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
+    def test_commands_without_spectral_analysis_load_no_scipy(self, tmp_path):
+        # sim-shots, analyze, campaign and summarize load no SciPy module at
+        # all; allan and psd still import theirs when they run
+        cfg = CampaignConfig(
+            devices=["q1"], experiments=["bitflip", "ramsey"], repetitions=2,
+            seed=3, shots_per_point=150, shots_physical=150,
+            bootstrap_resamples=10,
+            noise=[{"kind": "white", "amplitude": 2000.0,
+                    "coupling": "differential_D"}],
+            delays_us={"bitflip": [0, 10, 20, 30], "phys_t1": [0, 20, 50, 100],
+                       "ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
+        (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
+        freq = np.random.default_rng(4).normal(0.0, 50.0, 1024)
+        (tmp_path / "f.csv").write_text(
+            "timestamp_s,delta_f_hz,source\n" + "".join(
+                f"{10.0 * i},{v!r},logical\n"
+                for i, v in enumerate(freq.tolist())))
+        argvs = [
+            ["sim-shots", "--config", "q1", "--experiment", "ramsey",
+             "--shots", "200", "--seed", "1", "--delays", "0:30:11",
+             "--out", "shots.csv", "--trace-out", "trace.csv"],
+            ["analyze", "--trace", "trace.csv", "--kind", "ramsey",
+             "--bootstrap", "10", "--seed", "1", "--out", "fit.json"],
+            ["campaign", "--config", "c.json", "--out", "archive"],
+            ["summarize", "--in", "archive/metrics.csv",
+             "--out", "summary.json"]]
+        spectral = [
+            ["allan", "--in", "f.csv", "--out", "a.csv", "--fit-out",
+             "a.json"],
+            ["psd", "--in", "f.csv", "--out", "p.csv", "--fit-out", "p.json"]]
+        code = ("import json, sys\n"
+                "from ddqsim.cli import main\n"
+                "scipy = lambda: sorted(m for m in sys.modules\n"
+                "                       if m.split('.')[0] == 'scipy')\n"
+                "first, then = json.loads(sys.argv[1])\n"
+                "codes = [main(argv) for argv in first]\n"
+                "print(json.dumps([codes, scipy()]))\n"
+                "codes = [main(argv) for argv in then]\n"
+                "print(json.dumps([codes, 'scipy.signal' in scipy()]))\n")
+        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        out = subprocess.run([sys.executable, "-c", code,
+                              json.dumps([argvs, spectral])],
+                             cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        lines = out.stdout.splitlines()
+        assert json.loads(lines[-2]) == [[0, 0, 0, 0], []]
+        assert json.loads(lines[-1]) == [[0, 0], True]
+        assert (tmp_path / "archive" / "freq_q1.csv").exists()
+        assert (tmp_path / "a.json").exists()
+        assert (tmp_path / "p.json").exists()
+
 
 class TestParser:
     def test_unknown_flag_is_hard_error(self):

@@ -697,6 +697,34 @@ class TestSolver:
         assert info["converged"]
         assert x[0] == pytest.approx(0.02, rel=1e-8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_jacobian_entry_makes_uphill_trials(self, bad):
+        # the damped system then solves to a non-finite step, or is singular
+        # to np.linalg.solve: either way an uphill trial that raises the
+        # damping, never a warning, and no trial point is accepted
+        t = np.linspace(0, 5, 10)
+        y = 2.0 * t + 1.0
+        trials = []
+
+        def resid(theta):
+            trials.append(theta.tolist())
+            return theta[0] * t + theta[1] - y
+
+        def jacobian(theta):
+            jac = np.stack([t, np.ones_like(t)], axis=1)
+            jac[3, 0] = bad
+            return jac
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, info = lm_least_squares(resid, np.array([0.0, 0.0]),
+                                       jacobian=jacobian)
+        assert info["message"] == "no downhill step (stationary point)"
+        assert info["iterations"] == 1
+        assert x.tolist() == [0.0, 0.0]
+        assert info["cost"] == info["initial_cost"]
+        assert not any(np.all(np.isfinite(p)) for p in trials[1:])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_initial_cost_is_not_converged(self, bad):
         def resid(theta):

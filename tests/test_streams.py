@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -88,6 +89,70 @@ def ref_uniform(key, shot, draw):
     return (float(v >> 11) + 0.5) * (1.0 / float(1 << 53))
 
 
+# Wichura's AS241 PPND16 (Appl. Statist. 37, 477, 1988) on math, with the
+# published coefficients in their published order, lowest power first
+PPND16 = {
+    "central": ((3.3871328727963666080e0, 1.3314166789178437745e+2,
+                 1.9715909503065514427e+3, 1.3731693765509461125e+4,
+                 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+                 3.3430575583588128105e+4, 2.5090809287301226727e+3),
+                (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2,
+                 5.3941960214247511077e+3, 2.1213794301586595867e+4,
+                 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+                 5.2264952788528545610e+3)),
+    "near": ((1.42343711074968357734e0, 4.63033784615654529590e0,
+              5.76949722146069140550e0, 3.64784832476320460504e0,
+              1.27045825245236838258e0, 2.41780725177450611770e-1,
+              2.27238449892691845833e-2, 7.74545014278341407640e-4),
+             (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
+              6.89767334985100004550e-1, 1.48103976427480074590e-1,
+              1.51986665636164571966e-2, 5.47593808499534494600e-4,
+              1.05075007164441684324e-9)),
+    "far": ((6.65790464350110377720e0, 5.46378491116411436990e0,
+             1.78482653991729133580e0, 2.96560571828504891230e-1,
+             2.65321895265761230930e-2, 1.24266094738807843860e-3,
+             2.71155556874348757815e-5, 2.01033439929228813265e-7),
+            (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+             1.48753612908506148525e-2, 7.86869131145613259100e-4,
+             1.84631831751005468180e-5, 1.42151175831644588870e-7,
+             2.04426310338993978564e-15)),
+}
+
+
+def ref_horner(coef, r):
+    acc = coef[-1] * r
+    for c in coef[-2:0:-1]:
+        acc = (acc + c) * r
+    return acc + coef[0]
+
+
+def ref_ppnd16(p):
+    """(quantile, branch) of probability p; the central branch is exact
+    arithmetic NumPy repeats bit for bit, the tails go through math.log."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        num, den = PPND16["central"]
+        r = 0.180625 - q * q
+        return q * (ref_horner(num, r) / ref_horner(den, r)), "central"
+    r = math.sqrt(-math.log(p if q < 0 else 1.0 - p))
+    branch = "near" if r <= 5.0 else "far"
+    num, den = PPND16[branch]
+    r -= 1.6 if branch == "near" else 5.0
+    val = ref_horner(num, r) / ref_horner(den, r)
+    return (-val if q < 0 else val), branch
+
+
+def assert_ppnd16(u, z):
+    """z holds the PPND16 quantiles of u: bit for bit in the central
+    branch, within 2 ulp in the tails (np.log and math.log may differ)."""
+    for p, got in zip(np.ravel(u).tolist(), np.ravel(z).tolist()):
+        want, branch = ref_ppnd16(p)
+        if branch == "central":
+            assert got == want, p
+        else:
+            assert abs(got - want) <= 2 * math.ulp(want), p
+
+
 # seeds past 64 bits reduce mod 2^64, as a CLI --seed may be any int
 EDGE = (0, -1, 1 << 63, MASK, 1 << 70, -(1 << 70))
 # scalar, 0-d and array ids
@@ -175,9 +240,34 @@ class TestGolden:
         want = np.array([[ref_uniform(int(key), int(s), int(d))
                           for d in draw_list] for s in shot_list])
         assert np.array_equal(np.reshape(u, want.shape), want)
-        assert np.array_equal(
-            np.reshape(streams.normals(key, shots, draws), want.shape),
-            ndtri(want))
+        z = streams.normals(key, shots, draws)
+        assert np.shape(z) == np.shape(u) and type(z) is type(u)
+        assert_ppnd16(want, z)
+
+    def test_normals_match_ndtri(self):
+        # 2^20 draws: within 2e-15 of SciPy's inverse normal CDF
+        u = streams.uniforms(streams.stream_key(5, 16), np.arange(1 << 20),
+                             np.arange(2))
+        want = ndtri(u)
+        z = streams.normals(streams.stream_key(5, 16), np.arange(1 << 20),
+                            np.arange(2))
+        assert np.max(np.abs(z - want) / np.abs(want)) <= 2e-15
+
+    def test_ppnd16_edges(self):
+        # the extreme uniforms, the median, and both sides of the switches
+        # |p - 1/2| = 0.425 and r = sqrt(-log p) = 5
+        switch = math.exp(-25.0)
+        p = [2.0 ** -54, 1.0 - 2.0 ** -53, 0.5, 1e-300]
+        for x in (0.075, 0.925, switch, 1.0 - switch):
+            p += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+        assert {ref_ppnd16(x)[1] for x in p} == {"central", "near", "far"}
+        z = np.array(p)
+        streams._ppnd16(z)
+        assert_ppnd16(p, z)
+        want = ndtri(p)
+        assert z[2] == want[2] == 0.0
+        z, want = np.delete(z, 2), np.delete(want, 2)
+        assert np.max(np.abs(z - want) / np.abs(want)) <= 2e-15
 
     def test_shapes(self):
         key = streams.stream_key(1)
