@@ -765,40 +765,9 @@ class TestUnreadableInput:
 class TestImports:
     def test_commands_without_spectral_analysis_load_no_signal_or_optimize(
             self, tmp_path):
-        # scipy.signal and scipy.optimize serve only allan and psd; the
-        # other commands run through cli.main without loading either
-        cfg = CampaignConfig(
-            devices=["q1"], experiments=["ramsey"], repetitions=2, seed=3,
-            shots_per_point=150, physical_refs=False, readout_enabled=False,
-            bootstrap_resamples=10,
-            delays_us={"ramsey": [0, 3, 6, 9, 12, 15, 18, 21]})
-        (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
-        argvs = [
-            ["sim-shots", "--config", "q1", "--experiment", "ramsey",
-             "--shots", "200", "--seed", "1", "--delays", "0:30:11",
-             "--out", "shots.csv", "--trace-out", "trace.csv"],
-            ["analyze", "--trace", "trace.csv", "--kind", "ramsey",
-             "--bootstrap", "10", "--seed", "1", "--out", "fit.json"],
-            ["campaign", "--config", "c.json", "--out", "archive"],
-            ["summarize", "--in", "archive/metrics.csv",
-             "--out", "summary.json"]]
-        code = ("import json, sys\n"
-                "from ddqsim.cli import main\n"
-                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-                "print(codes, [m for m in ('scipy.signal', 'scipy.optimize') "
-                "if m in sys.modules])\n")
-        src = os.path.dirname(os.path.dirname(ddqsim.__file__))
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                             cwd=tmp_path,
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, timeout=300,
-                             check=True)
-        assert (tmp_path / "archive" / "freq_q1.csv").exists()
-        assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
-
-    def test_commands_without_spectral_analysis_load_no_scipy(self, tmp_path):
-        # sim-shots, analyze, campaign and summarize load no SciPy module at
-        # all; allan and psd still import theirs when they run
+        # sim-shots, analyze, campaign and summarize run through cli.main
+        # without loading any SciPy module, scipy.signal and scipy.optimize
+        # included; allan and psd still import theirs when they run
         cfg = CampaignConfig(
             devices=["q1"], experiments=["bitflip", "ramsey"], repetitions=2,
             seed=3, shots_per_point=150, shots_physical=150,
