@@ -233,8 +233,7 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
     (i, j) of initialization i and delay j draws from the streams of its
     point seed ``stream_key(seed, TAG_POINT + i, j)``, so results do not
     depend on ``threads``. A unit of work runs whole points of one
-    initialization: one `stream_key` call for its point seeds and one
-    (`streams.point_keys`) for every stream key of its points, one engine
+    initialization: one `stream_key` call for its point seeds, one engine
     call, then IQ emission and classification of all its shots, cut into
     points. With one thread a unit is a
     `run_trace_batch` call on as many points as fit in ``TRACE_BATCH_SHOTS``
@@ -262,14 +261,11 @@ def simulate_points(params: DeviceParams, kind: str, delays_us, shots, *,
                 for d in delays]
         seeds = streams.stream_key(seed, streams.TAG_POINT + i,
                                    np.arange(lo, lo + len(delays)))
-        keys = streams.point_keys(seeds, shots, len(seqs[0].segments_us),
-                                  len(noise))
         b = (run_sequence_batch(params, seqs[0], noise, seed=seeds[0],
-                                keys=keys, **engine) if threads > 1 else
-             run_trace_batch(params, seqs, noise, seeds=seeds, keys=keys,
-                             **engine))
+                                **engine) if threads > 1 else
+             run_trace_batch(params, seqs, noise, seeds=seeds, **engine))
         iq = (None if model is None else
-              sample_iq_batch(b.levels, model, params, seeds, keys))
+              sample_iq_batch(b.levels, model, params, seed=seeds))
         blobs = (BLOB_OF_LEVEL[b.levels] if clf is None
                  else classify_batch(clf, iq))
         return [SimPoint(labels[i], ShotBatch(b.levels[sl], b.phase_rad[sl],

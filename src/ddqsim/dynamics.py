@@ -387,7 +387,7 @@ def _segment_phases(noise, prepare, dur, keys, shot_ids, n_shots,
 def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
                     n_shots: int,
                     noise_dt_us: float = DEFAULT_NOISE_DT_US,
-                    static_offsets_hz=(0.0, 0.0), keys=None) -> ShotBatch:
+                    static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of each point of one trace.
 
     ``seqs`` is a list of sequences of one kind and one prepare label,
@@ -395,12 +395,11 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     sequence. The result holds the shots point by point: row
     ``p * n_shots + i`` is shot ``i`` of ``seqs[p]``, which reads its
     variates from the streams of ``seeds[p]`` at its own (key, shot, draw)
-    addresses. ``keys`` is the `streams.point_keys` table of ``seeds``
-    when the caller has derived it (it reads the readout keys too);
-    otherwise the engine derives it. So a shot depends only on (params,
-    its sequence, noise, its seed, its shot index): how points and shots
-    are batched or threaded never changes results. ``static_offsets_hz``
-    is a constant (delta_f_D, delta_f_Q) frequency offset pair, used by
+    addresses, every key of the points derived in one
+    `streams.point_keys` call. So a shot depends only on (params, its
+    sequence, noise, its seed, its shot index): how points and shots are
+    batched or threaded never changes results. ``static_offsets_hz`` is a
+    constant (delta_f_D, delta_f_Q) frequency offset pair, used by
     campaigns to freeze slow noise within one trace. ``noise_dt_us`` is the
     largest step of the 1/f spectrum grid and sets the marginals of
     quasistatic white and 1/f noise; white FM and telegraph phases do not
@@ -424,8 +423,7 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
         raise ValueError("a trace runs one kind and one prepare label")
     lam, cumdest = _rate_tables(params)
     n_seg = len(first.segments_us)
-    if keys is None:
-        keys = streams.point_keys(seeds, n_shots, n_seg, len(noise))
+    keys = streams.point_keys(seeds, n_shots, n_seg, len(noise))
 
     n_total = len(seqs) * n_shots
     shot_ids = np.tile(np.arange(n_shots, dtype=np.int64), len(seqs))
@@ -476,10 +474,10 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
 def run_sequence_batch(params: DeviceParams, seq: PulseSequence,
                        noise=(), *, seed: int, n_shots: int,
                        noise_dt_us: float = DEFAULT_NOISE_DT_US,
-                       static_offsets_hz=(0.0, 0.0), keys=None) -> ShotBatch:
+                       static_offsets_hz=(0.0, 0.0)) -> ShotBatch:
     """Simulate ``n_shots`` independent shots of one pulse sequence: the
     one-point case of `run_trace_batch`, whose row i is shot i on the
     streams of ``seed``."""
     return run_trace_batch(params, [seq], noise, seeds=[seed],
                            n_shots=n_shots, noise_dt_us=noise_dt_us,
-                           static_offsets_hz=static_offsets_hz, keys=keys)
+                           static_offsets_hz=static_offsets_hz)

@@ -73,15 +73,12 @@ def lm_least_squares(fun, x0, jacobian=None):
         jac = (numeric_jacobian(fun, x) if jacobian is None
                else jacobian(x))
         neg_grad = -(jac.T @ r)
-        system = jac.T @ jac
-        diag = system.reshape(-1)[::len(x) + 1]    # a view of its diagonal
-        hess_diag = diag.copy()
-        scaling = np.maximum(hess_diag, 1e-14)
+        hess = jac.T @ jac
+        scaling = np.diag(np.maximum(hess.diagonal(), 1e-14))
         step = None
         for _ in range(40):
-            np.add(hess_diag, lam * scaling, out=diag)
             try:
-                step = np.linalg.solve(system, neg_grad)
+                step = np.linalg.solve(hess + lam * scaling, neg_grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 step = None

@@ -253,8 +253,7 @@ def _envelope(x):
 
 def _ramsey_terms(theta, t):
     """The arrays exp(-rate t), phase 2 pi f t + phi0 and their product
-    exp(-rate t) cos(phase) of `_ramsey_model` at ``theta``: one point, or
-    a (5, rows, 1) stack of them, which gives (rows, n) arrays."""
+    exp(-rate t) cos(phase) of `_ramsey_model` at ``theta``."""
     _, rate, f_khz, phi0, _ = theta
     e = np.exp(-rate * t)
     phase = (2e-3 * math.pi) * t * f_khz
@@ -266,26 +265,25 @@ def _ramsey_terms(theta, t):
 
 def _ramsey_model(theta, t):
     """A exp(-rate t) cos(2 pi f t + phi0) + C at ``theta`` = (A, rate, f,
-    phi0, C), one point or a stack as in `_ramsey_terms`."""
+    phi0, C)."""
     return _ramsey_terms(theta, t)[2] * theta[0] + theta[4]
 
 
 def _ramsey_jacobian(theta, t, terms=None):
-    """Jacobian of the residual y - `_ramsey_model` at ``theta``, from the
-    `_ramsey_terms` there when a residual has them: (n, 5) at one point,
-    (rows, n, 5) at a (5, rows, 1) stack."""
+    """(n, 5) Jacobian of the residual y - `_ramsey_model` at one point,
+    from the `_ramsey_terms` there when a residual has them."""
     e, phase, ec = terms or _ramsey_terms(theta, t)
     amp = theta[0]
     aes = np.sin(phase)
     aes *= e
     aes *= amp
-    cols = np.empty((5, *ec.shape))
+    cols = np.empty((5, len(t)))
     np.negative(ec, out=cols[0])
     np.multiply(amp * t, ec, out=cols[1])
     np.multiply((2e-3 * math.pi) * t, aes, out=cols[2])
     cols[3] = aes
     cols[4] = -1.0
-    return cols.transpose(*range(1, cols.ndim), 0)
+    return cols.T
 
 
 def _no_oscillation(y):
@@ -511,40 +509,21 @@ def fit_trace(kind: str, traces, window_us: float) -> FitResult:
 
 _MODEL_DOF = {"linear": 2, "ramsey": 5, "erasure": 3}
 _RAMSEY_PARAMS = ("A", "rate_per_us", "delta_f_khz", "phi0_rad", "C")
-# Gauss-Newton steps to a Ramsey refit's start: two cut the LM iterations of
-# a refit from 4.4 to 2.4 on the reference trace of the tests; from a third,
-# nearly converged, start LM rejects many more tiny trial steps
-_START_STEPS = 2
 
 
 def _gauss_newton_starts(fit: FitResult, synthetic) -> np.ndarray:
     """(rows, 5) Ramsey refit starts, one per synthetic trace y* (a row of
-    ``synthetic``), ``_START_STEPS`` Gauss-Newton steps from the main fit's
-    parameters theta: theta - (J^T J)^-1 J^T r with r and J the residual
-    and its Jacobian, all rows in one solve per step. The first step's J
-    is the main fit's, shared by every row, and r = y* - fitted. A row
-    takes a step only where it lowers the row's cost, and no row takes any
-    once a J^T J is singular."""
-    t = fit.delays_us
+    ``synthetic``): one Gauss-Newton step from the main fit's parameters
+    theta, theta - (J^T J)^-1 J^T (y* - fitted), with J the Jacobian of the
+    main fit's residual, one solve for all rows. Every row starts at theta
+    when J^T J is singular."""
     theta = np.array([fit.params[k] for k in _RAMSEY_PARAMS])
-    starts = np.repeat(theta[None], len(synthetic), axis=0)
-    resid = synthetic - fit.fitted
-    cost = np.einsum("ij,ij->i", resid, resid)
-    jac = _ramsey_jacobian(theta, t)
-    for i in range(_START_STEPS):
-        if i:
-            jac = _ramsey_jacobian(starts.T[..., None], t)
-        jac_t = np.swapaxes(jac, -1, -2)
-        try:
-            step = np.linalg.solve(jac_t @ jac, jac_t @ resid[..., None])
-        except np.linalg.LinAlgError:
-            break
-        trial = starts - step[..., 0]
-        r = synthetic - _ramsey_model(trial.T[..., None], t)
-        c = np.einsum("ij,ij->i", r, r)
-        down = c <= cost
-        starts[down], resid[down], cost[down] = trial[down], r[down], c[down]
-    return starts
+    jac = _ramsey_jacobian(theta, fit.delays_us)
+    try:
+        step = np.linalg.solve(jac.T @ jac, jac.T @ (synthetic - fit.fitted).T)
+    except np.linalg.LinAlgError:
+        step = np.zeros((len(theta), len(synthetic)))
+    return theta - step.T
 
 
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,

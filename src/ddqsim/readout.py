@@ -67,15 +67,14 @@ class ReadoutModel:
 
 
 def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
-                    params: DeviceParams, seed, keys=None) -> np.ndarray:
+                    params: DeviceParams, seed) -> np.ndarray:
     """Vectorized IQ emission for a batch of final levels.
 
     ``seed`` is one seed, or a list or array of seeds, one per equal block of
     ``levels``. Shot i of a block draws at (stream_key(its seed,
     TAG_READOUT), i) on the deterministic counter streams, so each block
     reads out as a one-seed call on that block would, and campaign shot
-    records do not depend on batching. ``keys`` is the `streams.point_keys`
-    table of those seeds when the caller has derived it.
+    records do not depend on batching.
     """
     levels = np.asarray(levels)
     seeds = seed if np.ndim(seed) else [seed]
@@ -83,9 +82,7 @@ def sample_iq_batch(levels: np.ndarray, model: ReadoutModel,
     if rest:
         raise ValueError("levels must split into one equal block per seed")
     ids = np.tile(np.arange(n, dtype=np.int64), len(seeds))
-    if keys is None:
-        keys = streams.point_keys(seeds, n)
-    key = keys[streams.TAG_READOUT]
+    key = np.repeat(streams.stream_key(seeds, streams.TAG_READOUT), n)
     blob = BLOB_OF_LEVEL[levels]
     means = model.means[blob]
     if model.t_ro_us > 0:

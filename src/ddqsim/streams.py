@@ -19,6 +19,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
+_TOP = 1.0 - _INV_2_53    # the largest float64 below 1
 
 # Stream tags, kept here so independent consumers never collide, and the
 # seed each hangs off: the campaign seed, a trace seed (the seed of
@@ -59,12 +60,12 @@ def stream_key(seed, *tags):
 
 
 def point_keys(seeds, n_shots, n_segments=0, n_noise=0) -> dict:
-    """Every per-point stream key of a group of points, from one
-    (tags x points) `stream_key` call: ``{tag: keys}``, where ``keys`` holds
-    each point's (seed, tag) key repeated over its ``n_shots`` shots. The
-    tags are `TAG_PREP`, `TAG_PROJECT`, `TAG_READOUT`, ``n_segments`` jump
-    tags and ``n_noise`` noise tags."""
-    tags = (TAG_PREP, TAG_PROJECT, TAG_READOUT,
+    """Every engine stream key of a group of points, from one (tags x
+    points) `stream_key` call: ``{tag: keys}``, where ``keys`` holds each
+    point's (seed, tag) key repeated over its ``n_shots`` shots. The tags
+    are `TAG_PREP`, `TAG_PROJECT`, ``n_segments`` jump tags and ``n_noise``
+    noise tags."""
+    tags = (TAG_PREP, TAG_PROJECT,
             *range(TAG_JUMP_BASE, TAG_JUMP_BASE + n_segments),
             *range(TAG_NOISE_BASE, TAG_NOISE_BASE + n_noise))
     keys = stream_key(seeds, np.array(tags)[:, None])
@@ -92,12 +93,19 @@ def uniforms(key, shot_ids, draw_ids):
         v = base[..., None] + draws
     else:
         v = np.add(base, draws, out=draws if draws.ndim else base)
-    _mix(v)
-    v >>= 11
-    out = v.astype(np.float64)
+    out = _unit(_mix(v))
+    return out if out.ndim else out[()]
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Floats in (0, 1) from the top 53 bits of uint64 ``words`` (shifted
+    in place): (v + 1/2) 2^-53, where the top v, which rounds to 1, is
+    `_TOP`."""
+    words >>= 11
+    out = words.astype(np.float64)
     out += 0.5
     out *= _INV_2_53
-    return out if out.ndim else out[()]
+    return np.minimum(out, _TOP, out=out)
 
 
 # PPND16's rational functions: (numerator, denominator) coefficient pairs,

@@ -86,7 +86,13 @@ def ref_key(seed, *tags):
 def ref_uniform(key, shot, draw):
     base = ref_mix((key + (shot & MASK) * GOLDEN) & MASK)
     v = ref_mix((base + (draw & MASK) * GOLDEN) & MASK)
-    return (float(v >> 11) + 0.5) * (1.0 / float(1 << 53))
+    return unit(v)
+
+
+def unit(v):
+    # the top 53-bit value rounds to 1.0, and is kept below it
+    return min((float(v >> 11) + 0.5) * (1.0 / float(1 << 53)),
+               1.0 - 2.0 ** -53)
 
 
 # Wichura's AS241 PPND16 (Appl. Statist. 37, 477, 1988) on math, with the
@@ -212,12 +218,12 @@ def test_point_keys_equal_scalar_keys():
     seeds = [0, 7, -1, 1 << 63, MASK, 1 << 70, -(1 << 70)]
     for arg in (seeds, np.array([s & MASK for s in seeds], np.uint64)):
         keys = streams.point_keys(arg, 3, n_segments=2, n_noise=3)
-        assert sorted(keys) == sorted([1, 2, 4, 16, 17, 4096, 4097, 4098])
+        assert sorted(keys) == [1, 2, 16, 17, 4096, 4097, 4098]
         for tag, col in keys.items():
             assert col.dtype == np.uint64 and col.flags.c_contiguous
             assert col.tolist() == [ref_key(s, tag) for s in seeds
                                     for _ in range(3)]
-    assert sorted(streams.point_keys([5], 1)) == [1, 2, 4]
+    assert sorted(streams.point_keys([5], 1)) == [1, 2]
 
 
 @pytest.mark.usefixtures("warnings_are_errors")
@@ -268,6 +274,16 @@ class TestGolden:
         assert z[2] == want[2] == 0.0
         z, want = np.delete(z, 2), np.delete(want, 2)
         assert np.max(np.abs(z - want) / np.abs(want)) <= 2e-15
+
+    def test_unit_stays_below_one(self):
+        # the words of the lowest, a middle and the top 53-bit values
+        words = [0, 1 << 11, (1 << 63) - 1, MASK - (1 << 11), MASK]
+        u = streams._unit(np.array(words, dtype=np.uint64))
+        assert u.tolist() == [unit(w) for w in words]
+        assert u[0] == 2.0 ** -54 and u[-1] == 1.0 - 2.0 ** -53 > u[-2]
+        z = u.copy()
+        streams._ppnd16(z)
+        assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
 
     def test_shapes(self):
         key = streams.stream_key(1)
