@@ -301,7 +301,7 @@ def _no_oscillation(y):
 
 
 def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
-               start: dict | None = None) -> FitResult:
+               start=None) -> FitResult:
     """Decaying-oscillation fit A exp(-t/T2R) cos(2 pi df t + phi0) + C.
 
     Needs >= 8 uniformly spaced delays (`usable_delays`). Initialization:
