@@ -253,7 +253,8 @@ def _envelope(x):
 
 def _ramsey_terms(theta, t):
     """The arrays exp(-rate t), phase 2 pi f t + phi0 and their product
-    exp(-rate t) cos(phase) of `_ramsey_model` at ``theta``."""
+    exp(-rate t) cos(phase) of `_ramsey_model` at ``theta``: one point, or
+    a (5, rows, 1) stack of points, which gives (rows, n) arrays."""
     _, rate, f_khz, phi0, _ = theta
     e = np.exp(-rate * t)
     phase = (2e-3 * math.pi) * t * f_khz
@@ -265,25 +266,26 @@ def _ramsey_terms(theta, t):
 
 def _ramsey_model(theta, t):
     """A exp(-rate t) cos(2 pi f t + phi0) + C at ``theta`` = (A, rate, f,
-    phi0, C)."""
+    phi0, C), one point or a stack as in `_ramsey_terms`."""
     return _ramsey_terms(theta, t)[2] * theta[0] + theta[4]
 
 
 def _ramsey_jacobian(theta, t, terms=None):
-    """(n, 5) Jacobian of the residual y - `_ramsey_model` at one point,
-    from the `_ramsey_terms` there when a residual has them."""
+    """Jacobian of the residual y - `_ramsey_model` at ``theta``, from the
+    `_ramsey_terms` there when a residual has them: (n, 5) at one point,
+    (rows, n, 5) at a stack."""
     e, phase, ec = terms or _ramsey_terms(theta, t)
     amp = theta[0]
     aes = np.sin(phase)
     aes *= e
     aes *= amp
-    cols = np.empty((5, len(t)))
+    cols = np.empty((5, *ec.shape))
     np.negative(ec, out=cols[0])
     np.multiply(amp * t, ec, out=cols[1])
     np.multiply((2e-3 * math.pi) * t, aes, out=cols[2])
     cols[3] = aes
     cols[4] = -1.0
-    return cols.T
+    return np.moveaxis(cols, 0, -1)
 
 
 def _no_oscillation(y):
@@ -513,17 +515,26 @@ _RAMSEY_PARAMS = ("A", "rate_per_us", "delta_f_khz", "phi0_rad", "C")
 
 def _gauss_newton_starts(fit: FitResult, synthetic) -> np.ndarray:
     """(rows, 5) Ramsey refit starts, one per synthetic trace y* (a row of
-    ``synthetic``): one Gauss-Newton step from the main fit's parameters
-    theta, theta - (J^T J)^-1 J^T (y* - fitted), with J the Jacobian of the
-    main fit's residual, one solve for all rows. Every row starts at theta
-    when J^T J is singular."""
+    ``synthetic``): two Gauss-Newton steps theta - (J^T J)^-1 J^T r from
+    the main fit's parameters, r = y* - model. The first step takes the
+    main fit's J and r = y* - fitted, one solve for all rows; the second
+    each row's own J and r at its first step, one batched solve. A
+    singular J^T J ends the steps."""
+    t = fit.delays_us
     theta = np.array([fit.params[k] for k in _RAMSEY_PARAMS])
-    jac = _ramsey_jacobian(theta, fit.delays_us)
-    try:
-        step = np.linalg.solve(jac.T @ jac, jac.T @ (synthetic - fit.fitted).T)
-    except np.linalg.LinAlgError:
-        step = np.zeros((len(theta), len(synthetic)))
-    return theta - step.T
+    starts = np.repeat(theta[None], len(synthetic), axis=0)
+    jac, resid = _ramsey_jacobian(theta, t), synthetic - fit.fitted
+    for step in range(2):
+        if step:
+            jac = _ramsey_jacobian(starts.T[..., None], t)
+            resid = synthetic - _ramsey_model(starts.T[..., None], t)
+        jac_t = np.swapaxes(jac, -1, -2)
+        try:
+            starts -= np.linalg.solve(jac_t @ jac,
+                                      jac_t @ resid[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+    return starts
 
 
 def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,

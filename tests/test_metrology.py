@@ -417,6 +417,30 @@ class TestBootstrapReference:
         assert calls == {"_ramsey_step": 1, "_no_oscillation": 1}
         assert fit.diagnostics["bootstrap"]["dropped"] == 0
 
+    def test_refit_starts_sit_near_each_refit(self):
+        # two Gauss-Newton steps leave a row's cost within 1e-4 of the way
+        # from the main fit's parameters down to its refit's; a singular
+        # J^T J (zero amplitude) leaves every row at the main fit
+        fit = fit_ramsey(*reference_traces()["ramsey"])
+        theta = np.array([fit.params[k] for k in metrology._RAMSEY_PARAMS])
+        rng = np.random.default_rng(3)
+        synthetic = fit.fitted + rng.permuted(
+            np.tile(fit.residuals, (4, 1)), axis=1)
+        starts = metrology._gauss_newton_starts(fit, synthetic)
+
+        def cost(point, y):
+            r = y - metrology._ramsey_model(point, fit.delays_us)
+            return float(r @ r)
+        for y, start in zip(synthetic, starts):
+            refit = fit_ramsey(fit.delays_us, y, start=theta).params
+            low = cost([refit[k] for k in metrology._RAMSEY_PARAMS], y)
+            assert cost(start, y) - low <= 1e-4 * (cost(theta, y) - low)
+        flat = FitResult("ramsey", {**fit.params, "A": 0.0}, fit.delays_us,
+                         fit.fitted, fit.residuals)
+        theta[0] = 0.0
+        assert np.array_equal(metrology._gauss_newton_starts(flat, synthetic),
+                              np.tile(theta, (4, 1)))
+
     def test_unknown_model_is_an_error_not_a_drop(self):
         t = np.linspace(0, 30, 8)
         fit = FitResult("bogus", {"x": 1.0}, t, np.zeros(8), np.full(8, 0.01))

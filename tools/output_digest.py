@@ -103,13 +103,13 @@ RECORDED = {
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
-    "59878d5a26915f96b50828c12237d608f19cbfe0d5daf14a3dea5a593bda8c32": {
+    "b027545a7e264f9a37748312f02a0c44f00bfaa1a7b180801255f51f17130a42": {
         "sim-shots":
             "2d47bc76f6ecfd19c08e152d2685ee40a68550be0b4a0d6a768f2e1377d8127d",
         "analyze":
-            "48b0190eac00ab9da8140ccc1b2abc6000718f740f28941d378438ae32998e96",
+            "7a8297c66c51b32817df2e6f3e9d4db663cb268244f1be5bd8ee149ee8173ff4",
         "campaign":
-            "8c9acaa61ebffb71ba2506f33ed5e96b672dae26f2b513f8152dba0787f1a6bb",
+            "8af65d4ef31427bab057662ee9ef8badb35ae7125988edfe09e185ba99df2b61",
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
