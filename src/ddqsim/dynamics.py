@@ -200,7 +200,12 @@ def _jump_segment(states, jumped, t_rem, keys, shot_ids, lam, cumdest):
         if jumpers.size:
             t_rem[jumpers] -= wait[hop]
             u_dest = u[hop, 1]
-            dest = (u_dest[:, None] > cumdest[states[jumpers]]).sum(axis=1)
+            # the destination is the count of cumulative probabilities of
+            # the source's row below u, summed a column at a time
+            src = states[jumpers]
+            dest = np.zeros(jumpers.size, dtype=states.dtype)
+            for column in cumdest.T:
+                dest += u_dest > column[src]
             states[jumpers] = dest
             jumped[jumpers] = True
             active = jumpers[lam[states[jumpers]] > 0]

@@ -15,11 +15,14 @@ floored at 1e-6 absolute) is therefore a single call of ``fun`` for all 2p
 perturbed points, and stays directly checkable against finite differences
 in tests.
 
-The loop stops on the first of three rules: the relative parameter step
-falls below 1e-9; an accepted step lowers the cost by no more than 1e-10 of
-the new cost (the stalled-cost stop of Madsen, Nielsen and Tingleff,
-Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2); or no
-damped step goes downhill (a stationary point).
+The loop stops on the first of three rules: a damped step's size relative
+to the parameters falls below 1e-9 (taken if it goes downhill, and ending
+the fit either way, so a fit that starts at its minimum ends on one trial
+instead of damping an uphill rounding-level step 40 times); an accepted
+step lowers the cost by no more than 1e-10 of the new cost (the
+stalled-cost stop of Madsen, Nielsen and Tingleff, Methods for Non-Linear
+Least Squares Problems, 2004, sec. 3.2); or no damped step goes downhill
+(a stationary point).
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ def lm_least_squares(fun, x0, jacobian=None):
     ``jacobian(x)``, when given, returns the (n, p) Jacobian of ``fun`` at
     x; otherwise it is taken by `numeric_jacobian`. Returns ``(x, info)``
     where info carries ``converged``, ``iterations``, ``cost`` and
-    ``message``. Convergence is declared when the relative parameter step
-    falls below ``_STEP_TOL``, when an accepted step lowers the cost by at
-    most ``_COST_TOL`` times the new cost, or when no damped step goes
-    downhill; the loop gives up after ``_MAX_ITER`` iterations, and at
+    ``message``. Convergence is declared when a damped step is below
+    ``_STEP_TOL`` relative to the new point (taken only if it does not go
+    uphill), when an accepted step lowers the cost by at most
+    ``_COST_TOL`` times the new cost, or when no damped step goes downhill;
+    the loop gives up after ``_MAX_ITER`` iterations, and at
     once, unconverged, when the cost at ``x0`` is not finite. The cost
     never increases between accepted iterations; a singular damped system
     (`np.linalg.solve` raises LinAlgError) or a non-finite trial step
@@ -86,7 +90,11 @@ def lm_least_squares(fun, x0, jacobian=None):
             x_new = x + step
             r_new = np.asarray(fun(x_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
+            downhill = math.isfinite(cost_new) and cost_new <= cost
+            # NaN-propagating: a non-finite step is never below tolerance
+            tiny = float((np.abs(step) / np.maximum(np.abs(x_new), 1.0)
+                          ).max()) < _STEP_TOL
+            if downhill or tiny:
                 break
             lam *= 10.0
             step = None
@@ -95,13 +103,13 @@ def lm_least_squares(fun, x0, jacobian=None):
             info["converged"] = True
             info["message"] = "no downhill step (stationary point)"
             break
-        rel = max(abs(s) / max(abs(v), 1.0)
-                  for s, v in zip(step.tolist(), x_new.tolist()))
-        stalled = cost - cost_new <= _COST_TOL * cost_new
-        x, r, cost = x_new, r_new, cost_new
-        lam = max(lam / 3.0, 1e-14)
-        info["cost"] = cost
-        if rel < _STEP_TOL:
+        stalled = False
+        if downhill:
+            stalled = cost - cost_new <= _COST_TOL * cost_new
+            x, r, cost = x_new, r_new, cost_new
+            lam = max(lam / 3.0, 1e-14)
+            info["cost"] = cost
+        if tiny:
             info["converged"] = True
             info["message"] = "parameter step below tolerance"
             break

@@ -279,13 +279,13 @@ def _ramsey_jacobian(theta, t, terms=None):
     aes = np.sin(phase)
     aes *= e
     aes *= amp
-    cols = np.empty((5, *ec.shape))
-    np.negative(ec, out=cols[0])
-    np.multiply(amp * t, ec, out=cols[1])
-    np.multiply((2e-3 * math.pi) * t, aes, out=cols[2])
-    cols[3] = aes
-    cols[4] = -1.0
-    return np.moveaxis(cols, 0, -1)
+    jac = np.empty((*ec.shape, 5))
+    np.negative(ec, out=jac[..., 0])
+    np.multiply(amp * t, ec, out=jac[..., 1])
+    np.multiply((2e-3 * math.pi) * t, aes, out=jac[..., 2])
+    jac[..., 3] = aes
+    jac[..., 4] = -1.0
+    return jac
 
 
 def _no_oscillation(y):
@@ -511,29 +511,38 @@ def fit_trace(kind: str, traces, window_us: float) -> FitResult:
 
 _MODEL_DOF = {"linear": 2, "ramsey": 5, "erasure": 3}
 _RAMSEY_PARAMS = ("A", "rate_per_us", "delta_f_khz", "phi0_rad", "C")
+# Gauss-Newton steps of a Ramsey refit's start: three leave nearly every
+# refit one solve from its stop rule
+_START_STEPS = 3
 
 
 def _gauss_newton_starts(fit: FitResult, synthetic) -> np.ndarray:
     """(rows, 5) Ramsey refit starts, one per synthetic trace y* (a row of
-    ``synthetic``): two Gauss-Newton steps theta - (J^T J)^-1 J^T r from
-    the main fit's parameters, r = y* - model. The first step takes the
-    main fit's J and r = y* - fitted, one solve for all rows; the second
-    each row's own J and r at its first step, one batched solve. A
-    singular J^T J ends the steps."""
+    ``synthetic``): `_START_STEPS` Gauss-Newton steps theta - (J^T J)^-1
+    J^T (y* - model) from the main fit's parameters, each row on its own J,
+    one batched solve per step. A singular J^T J ends the steps (at the
+    main fit, the first step: every row then starts there). A row whose
+    start fits its y* no better than the main fit does (an undamped step
+    can overshoot, or overflow) starts at the main fit's parameters."""
     t = fit.delays_us
     theta = np.array([fit.params[k] for k in _RAMSEY_PARAMS])
-    starts = np.repeat(theta[None], len(synthetic), axis=0)
-    jac, resid = _ramsey_jacobian(theta, t), synthetic - fit.fitted
-    for step in range(2):
-        if step:
-            jac = _ramsey_jacobian(starts.T[..., None], t)
-            resid = synthetic - _ramsey_model(starts.T[..., None], t)
-        jac_t = np.swapaxes(jac, -1, -2)
-        try:
-            starts -= np.linalg.solve(jac_t @ jac,
-                                      jac_t @ resid[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
+    starts = np.tile(theta, (len(synthetic), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_START_STEPS):
+            point = starts.T[..., None]
+            terms = _ramsey_terms(point, t)
+            jac = _ramsey_jacobian(point, t, terms)
+            jac_t = np.swapaxes(jac, 1, 2)
+            resid = synthetic - (terms[2] * point[0] + point[4])
+            try:
+                starts -= np.linalg.solve(jac_t @ jac,
+                                          jac_t @ resid[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                break
+        resid = synthetic - _ramsey_model(starts.T[..., None], t)
+        worse = ~(np.sum(resid * resid, axis=1) <=
+                  np.sum((synthetic - fit.fitted) ** 2, axis=1))
+    starts[worse] = theta
     return starts
 
 

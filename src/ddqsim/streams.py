@@ -90,7 +90,12 @@ def uniforms(key, shot_ids, draw_ids):
     draws = np.array(draw_ids, dtype=np.uint64)
     draws *= _GOLDEN
     if draws.ndim and base.ndim:
-        v = base[..., None] + draws
+        v = np.empty((base.size, draws.size), dtype=np.uint64)
+        if draws.size < 8:      # a broadcast over a short row is slow
+            for j, d in enumerate(draws):
+                np.add(base, d, out=v[:, j])
+        else:
+            np.add(base[:, None], draws, out=v)
     else:
         v = np.add(base, draws, out=draws if draws.ndim else base)
     out = _unit(_mix(v))

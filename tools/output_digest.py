@@ -103,13 +103,13 @@ RECORDED = {
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
-    "b027545a7e264f9a37748312f02a0c44f00bfaa1a7b180801255f51f17130a42": {
+    "1e993581b332ade55764970f50839f541b3e7567bac36be92a46df6b9b1cc347": {
         "sim-shots":
             "2d47bc76f6ecfd19c08e152d2685ee40a68550be0b4a0d6a768f2e1377d8127d",
         "analyze":
-            "7a8297c66c51b32817df2e6f3e9d4db663cb268244f1be5bd8ee149ee8173ff4",
+            "b1491db3407e20b06b60d6b283e0c843fedeb5cbad9510e9b3a8674017a45617",
         "campaign":
-            "8af65d4ef31427bab057662ee9ef8badb35ae7125988edfe09e185ba99df2b61",
+            "22079efaa3c50434d105970de37247c03b7527742e2428efeea88807e6114f1a",
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
