@@ -522,8 +522,9 @@ def _gauss_newton_starts(fit: FitResult, synthetic) -> np.ndarray:
     J^T (y* - model) from the main fit's parameters, each row on its own J,
     one batched solve per step. A singular J^T J ends the steps (at the
     main fit, the first step: every row then starts there). A row whose
-    start fits its y* no better than the main fit does (an undamped step
-    can overshoot, or overflow) starts at the main fit's parameters."""
+    start fits its y* worse than the main fit does, or not at all (an
+    undamped step can overshoot, or overflow), starts at the main fit's
+    parameters."""
     t = fit.delays_us
     theta = np.array([fit.params[k] for k in _RAMSEY_PARAMS])
     starts = np.tile(theta, (len(synthetic), 1))

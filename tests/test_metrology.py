@@ -441,7 +441,7 @@ class TestBootstrapReference:
         assert np.array_equal(metrology._gauss_newton_starts(flat, synthetic),
                               np.tile(theta, (4, 1)))
 
-    def test_a_start_no_better_than_the_main_fit_is_the_main_fit(self):
+    def test_a_start_worse_than_the_main_fit_is_the_main_fit(self):
         # at 30 times the residuals some rows' undamped steps end uphill,
         # and a spike at t = 0 makes them overflow exp(): those rows start
         # at the main fit, every other row's start fits it at least as
