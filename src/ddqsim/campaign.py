@@ -214,10 +214,10 @@ DEFAULT_PREPARE = {"bitflip": ("10", "01"), "hahn_echo": ("+",),
                    "ramsey": ("+",), "phys_t1": ("01",), "phys_echo": ("+Q",),
                    "phys_ramsey": ("+Q",)}
 # shots per `run_trace_batch` call: a longer trace runs in groups of whole
-# points, so the engine's per-shot temporaries stay bounded. At 2^14 shots
-# a per-shot array is 128 KiB and a unit's heap peak about 4 MB; at 2^15 it
-# was 5.6 MB, and a small array that outlived the unit could keep a 2-4.6 MB
-# hole of freed heap in the process after it
+# points, so the engine's per-shot temporaries stay bounded: a per-shot
+# array is 128 KiB and a unit grows the heap by about 4 MB. A small array
+# that outlives a unit keeps the freed heap below it as a hole for the rest
+# of the process, so a larger unit leaves larger holes
 TRACE_BATCH_SHOTS = 1 << 14
 
 
