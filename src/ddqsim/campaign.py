@@ -25,6 +25,7 @@ from .dynamics import (DEFAULT_DETUNING_KHZ, DEFAULT_NOISE_DT_US,
                        PulseSequence, ShotBatch, run_sequence_batch,
                        run_trace_batch)
 from .errors import ConfigError
+from .fitting import quantiles
 from .metrology import (BOOTSTRAP_RESAMPLES, DEFAULT_FIT_WINDOW_US,
                         LOGICAL_KINDS, TraceData, check_grid, trace_metrics,
                         write_trace_csv)
@@ -529,7 +530,7 @@ def summarize(rows) -> dict:
         v = np.asarray([x for x in vals if np.isfinite(x)], dtype=float)
         if len(v) == 0:
             continue
-        q1, med, q3 = np.percentile(v, [25, 50, 75])
+        q1, med, q3 = quantiles(v, [0.25, 0.5, 0.75])
         iqr = q3 - q1
         in_lo = v[v >= q1 - 1.5 * iqr]
         in_hi = v[v <= q3 + 1.5 * iqr]

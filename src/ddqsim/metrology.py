@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyLogicalSubspaceError,
                      FitConvergenceError, ResampleError)
-from .fitting import lm_least_squares
+from .fitting import lm_least_squares, quantiles
 from .tables import TRACE, read_table, write_table
 
 DEFAULT_FIT_WINDOW_US = 30.0
@@ -611,9 +611,9 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
         if len(vals) == 0:
             bounds[k] = (est, est)
             continue
-        lo = float(np.quantile(vals, BOOTSTRAP_QUANTILE))
-        hi = float(np.quantile(vals, 1.0 - BOOTSTRAP_QUANTILE))
-        bounds[k] = (min(lo, est), max(hi, est))
+        lo, hi = quantiles(vals,
+                           [BOOTSTRAP_QUANTILE, 1.0 - BOOTSTRAP_QUANTILE])
+        bounds[k] = (min(float(lo), est), max(float(hi), est))
     fit.bounds = bounds
     fit.diagnostics["bootstrap"] = {"n_resamples": n_resamples,
                                     "dropped": dropped, "seed": seed,

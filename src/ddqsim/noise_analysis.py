@@ -7,9 +7,8 @@ Handbook of Frequency Stability Analysis, NIST SP 1065, 2008). B is the
 one-sided white PSD (Hz^2/Hz) and A the 1/f amplitude (Hz^2 at 1 Hz) in both
 estimators, so the two fits can cross-check each other. Slow Lorentzian
 (telegraph) features are detected as bumps above the fitted model, not fit.
-A fit states a clamped amplitude in its returned diagnostics only. SciPy's
-optimize and signal stacks are imported inside the functions that use them,
-so importing this module (as every CLI command does) stays cheap.
+A fit states a clamped amplitude in its returned diagnostics only. Both
+estimators and both fits are NumPy code.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitConvergenceError
-from .fitting import lm_least_squares
+from .fitting import lm_least_squares, quantiles
 from .tables import ALLAN, FREQUENCY, PSD, read_table, write_table
 
 
@@ -123,6 +122,30 @@ def overlapping_allan(series: FrequencySeries, taus=None) -> AllanCurve:
     return AllanCurve(tau_s=taus, sigma_hz=sigmas, n_pairs=counts)
 
 
+def _nnls2(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Non-negative least squares min ||design @ x - y||, x >= 0, for an
+    (n, 2) design, in closed form. The problem is convex, so its minimum is
+    the unconstrained 2x2 normal-equations solve if that is non-negative,
+    and otherwise lies on an edge: the better of the two one-column fits
+    (the other coefficient clamped at 0), or all zeros. A rank-one design
+    takes an edge, where its minimum also lies."""
+    c0, c1 = design[:, 0], design[:, 1]
+    g00, g01, g11 = (c0 * c0).sum(), (c0 * c1).sum(), (c1 * c1).sum()
+    r0, r1 = (c0 * y).sum(), (c1 * y).sum()
+    det = g00 * g11 - g01 * g01
+    if det > 1e-12 * g00 * g11:
+        x = np.array([g11 * r0 - g01 * r1, g00 * r1 - g01 * r0]) / det
+        if np.all(x >= 0.0):
+            return x
+    best, best_cost = np.zeros(2), (y * y).sum()
+    for k, (c, g, r) in enumerate(((c0, g00, r0), (c1, g11, r1))):
+        cost = ((r / g * c - y) ** 2).sum() if r > 0.0 else best_cost
+        if cost < best_cost:
+            best, best_cost = np.zeros(2), cost
+            best[k] = r / g
+    return best
+
+
 def _allan_model(a: float, b: float, tau: np.ndarray) -> np.ndarray:
     # white (B/(2 tau)) and flicker (2 ln2 A) variances add
     return np.sqrt(b / (2.0 * tau) + 2.0 * math.log(2.0) * a)
@@ -148,9 +171,8 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
         raise ConfigError("tau grid must span >= 1.5 decades")
     if np.all(sig <= 0):
         return 0.0, 0.0, {"converged": True, "warning": "zero curve"}
-    from scipy.optimize import nnls
     design = np.stack([1.0 / tau, np.ones_like(tau)], axis=1)
-    (half_b, flicker), _ = nnls(design, sig ** 2)
+    half_b, flicker = _nnls2(design, sig ** 2)
     a, b = flicker / (2.0 * math.log(2.0)), 2.0 * half_b
     positive = sig > 0
     tau_p, log_sig = tau[positive], np.log(sig[positive])
@@ -206,11 +228,15 @@ def flag_allan_bumps(curve: AllanCurve) -> tuple[np.ndarray, float, float]:
 
 
 def welch_psd(series: FrequencySeries, segment_length: int | None = None):
-    """One-sided Welch PSD (Hz^2/Hz vs Hz).
+    """One-sided Welch PSD (Hz^2/Hz vs Hz), as ``scipy.signal.welch``
+    computes it with these settings (Welch, IEEE Trans. Audio Electroacoust.
+    15, 70, 1967).
 
-    Hann window, 50% overlap and a power-of-two segment of roughly N/8 by
-    default; window-power (density) normalization so the PSD integrates to
-    the series variance for white input.
+    Periodic Hann window, 50% overlap (``int(0.5 * segment_length)``) and a
+    power-of-two segment of roughly N/8 by default; samples after the last
+    whole segment are dropped. Each segment's mean is removed, and the
+    averaged periodogram is normalized by window power (density), so the PSD
+    integrates to the series variance for white input.
     """
     y = series.values
     n = len(y)
@@ -221,12 +247,20 @@ def welch_psd(series: FrequencySeries, segment_length: int | None = None):
         raise ConfigError("segment length must be >= 8")
     if segment_length > n:
         raise ConfigError("segment length exceeds series length")
-    from scipy.signal import welch
-    freqs, psd = welch(y, fs=1.0 / series.tau0_s, window="hann",
-                       nperseg=segment_length,
-                       noverlap=int(0.5 * segment_length),
-                       detrend="constant", scaling="density")
-    return freqs, psd
+    fs = 1.0 / series.tau0_s
+    step = segment_length - int(0.5 * segment_length)
+    starts = step * np.arange((n - segment_length) // step + 1)
+    segments = y[starts[:, None] + np.arange(segment_length)]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length)
+                                / segment_length)
+    spectra = np.fft.rfft(segments * window, axis=1)
+    psd = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0)
+    psd *= 1.0 / (fs * (window * window).sum())
+    # one-sided: every bin but DC and (even length) Nyquist holds two
+    last = len(psd) - 1 if segment_length % 2 == 0 else len(psd)
+    psd[1:last] *= 2.0
+    return np.fft.rfftfreq(segment_length, 1.0 / fs), psd
 
 
 def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
@@ -237,14 +271,14 @@ def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
     f, s = f[sel], s[sel]
     if len(f) < 6:
         raise ConfigError("need >= 6 nonzero frequency bins")
-    from scipy.optimize import nnls
     design = np.stack([1.0 / f, np.ones_like(f)], axis=1)
-    coeffs, _ = nnls(design, s)
-    a0, b0 = coeffs
-    lo = s[f <= np.quantile(f, 0.33)]
-    hi = s[f >= np.quantile(f, 0.67)]
-    a0 = a0 if a0 > 0 else max(float(np.median(lo) * np.median(f)), 1e-30)
-    b0 = b0 if b0 > 0 else max(float(np.median(hi)), 1e-30)
+    a0, b0 = _nnls2(design, s)
+    # a clamped coefficient starts from the median of an outer third
+    f_lo, f_mid, f_hi = quantiles(f, [0.33, 0.5, 0.67])
+    if a0 <= 0:
+        a0 = max(float(quantiles(s[f <= f_lo], 0.5) * f_mid), 1e-30)
+    if b0 <= 0:
+        b0 = max(float(quantiles(s[f >= f_hi], 0.5)), 1e-30)
 
     def resid(theta):
         with np.errstate(over="ignore"):

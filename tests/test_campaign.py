@@ -378,8 +378,9 @@ class TestRunCampaign:
         assert len(rows1) == len(rows2)
 
     def test_campaign_loads_no_spectral_analysis(self, tmp_path):
-        # the spectral analysis (scipy.signal) serves only the allan and
-        # psd commands; a campaign writes its frequency series without it
+        # the spectral analysis serves only the allan and psd commands; a
+        # campaign writes its frequency series without importing it, and
+        # no command loads scipy.signal (only the tests import it)
         code = (
             "import sys\n"
             "from ddqsim.campaign import CampaignConfig, run_campaign\n"

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -763,11 +765,12 @@ class TestUnreadableInput:
 
 
 class TestImports:
-    def test_commands_without_spectral_analysis_load_no_signal_or_optimize(
+    def test_six_commands_and_propagate_exact_load_no_scipy_or_numpy_ma(
             self, tmp_path):
-        # sim-shots, analyze, campaign and summarize run through cli.main
-        # without loading any SciPy module, scipy.signal and scipy.optimize
-        # included; allan and psd still import theirs when they run
+        # every command runs through cli.main, allan and psd --fit-out
+        # included, and then the exact propagator, all in one process that
+        # loads no SciPy module; nor does any of them load numpy.ma, which
+        # np.quantile, np.percentile and np.median import on a first call
         cfg = CampaignConfig(
             devices=["q1"], experiments=["bitflip", "ramsey"], repetitions=2,
             seed=3, shots_per_point=150, shots_physical=150,
@@ -790,33 +793,51 @@ class TestImports:
              "--bootstrap", "10", "--seed", "1", "--out", "fit.json"],
             ["campaign", "--config", "c.json", "--out", "archive"],
             ["summarize", "--in", "archive/metrics.csv",
-             "--out", "summary.json"]]
-        spectral = [
+             "--out", "summary.json"],
             ["allan", "--in", "f.csv", "--out", "a.csv", "--fit-out",
              "a.json"],
             ["psd", "--in", "f.csv", "--out", "p.csv", "--fit-out", "p.json"]]
         code = ("import json, sys\n"
+                "from ddqsim import build_rate_matrix, load_device, "
+                "propagate_exact\n"
                 "from ddqsim.cli import main\n"
-                "scipy = lambda: sorted(m for m in sys.modules\n"
-                "                       if m.split('.')[0] == 'scipy')\n"
-                "first, then = json.loads(sys.argv[1])\n"
-                "codes = [main(argv) for argv in first]\n"
-                "print(json.dumps([codes, scipy()]))\n"
-                "codes = [main(argv) for argv in then]\n"
-                "print(json.dumps([codes, 'scipy.signal' in scipy()]))\n")
+                "loaded = lambda: sorted(\n"
+                "    m for m in sys.modules\n"
+                "    if m.split('.')[0] == 'scipy' or m == 'numpy.ma')\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([codes, loaded()]))\n"
+                "p = propagate_exact(build_rate_matrix(load_device('q1')),\n"
+                "                    [0, 1, 0, 0, 0, 0], 50.0)\n"
+                "print(json.dumps([round(float(p.sum()), 9), loaded()]))\n")
         src = os.path.dirname(os.path.dirname(ddqsim.__file__))
-        out = subprocess.run([sys.executable, "-c", code,
-                              json.dumps([argvs, spectral])],
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                              cwd=tmp_path,
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=300,
                              check=True)
         lines = out.stdout.splitlines()
-        assert json.loads(lines[-2]) == [[0, 0, 0, 0], []]
-        assert json.loads(lines[-1]) == [[0, 0], True]
-        assert (tmp_path / "archive" / "freq_q1.csv").exists()
-        assert (tmp_path / "a.json").exists()
-        assert (tmp_path / "p.json").exists()
+        assert json.loads(lines[-2]) == [[0] * 6, []]
+        assert json.loads(lines[-1]) == [1.0, []]
+        for name in ("archive/freq_q1.csv", "summary.json", "a.json",
+                     "p.json"):
+            assert (tmp_path / name).exists()
+
+    def test_no_module_of_the_package_imports_scipy(self):
+        # SciPy is a test oracle only; a docstring may still name it
+        package = pathlib.Path(ddqsim.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert len(list(package.glob("*.py"))) > 10
+        assert found == []
 
 
 class TestParser:

@@ -7,11 +7,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import ddqsim
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
 from ddqsim import streams
-from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence,
+from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence, _expm,
                              _one_over_f_cov, _rate_tables, _segment_grid,
                              _telegraph_integrals, build_rate_matrix,
                              propagate_exact, run_sequence_batch)
@@ -147,6 +148,45 @@ class TestPropagateExact:
             propagate_exact(rates, [-0.1, 1.1, 0, 0, 0, 0], 1.0)
         with pytest.raises(ValueError):
             propagate_exact(rates, [1, 0, 0, 0, 0, 0], -1.0)
+
+
+class TestExpmOracle:
+    def test_zero_matrix(self):
+        zero = np.zeros((6, 6))
+        assert np.allclose(_expm(zero), expm(zero), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 10.0,
+                                      1e2, 1e3, 1e4])
+    def test_random_rate_matrices(self, norm):
+        # generators of random six-level jump processes, scaled so that
+        # the 1-norm of t R is ``norm``
+        rng = np.random.default_rng(int(norm * 1e3))
+        for _ in range(20):
+            rates = rng.exponential(size=(6, 6)) * (rng.random((6, 6)) < 0.6)
+            np.fill_diagonal(rates, 0.0)
+            np.fill_diagonal(rates, -rates.sum(axis=0))
+            tr = rates * (norm / np.abs(rates).sum(axis=0).max())
+            assert np.allclose(_expm(tr), expm(tr), rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("angle", [0.5, 10.0, 326.0])
+    def test_rotation_generator(self, angle):
+        # exp of [[0, -w], [w, 0]] is a rotation by w; 10 and 326 sit just
+        # under 2 and 64 times theta_13, so one squaring fewer leaves the
+        # approximant a norm near 2 theta_13, where it is off by 1e-9
+        gen = np.array([[0.0, -angle], [angle, 0.0]])
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        assert np.allclose(_expm(gen), rot, rtol=0.0, atol=1e-13)
+        assert np.allclose(_expm(gen), expm(gen), rtol=0.0, atol=1e-12)
+
+    def test_q1_rate_matrix(self, q1):
+        rates = build_rate_matrix(q1)
+        p0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        for t in (0.0, 1e-3, 0.5, 20.0, 400.0, 1e4, 1e6):
+            assert np.allclose(_expm(rates * t), expm(rates * t),
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(propagate_exact(rates, p0, t),
+                               expm(rates * t) @ p0, rtol=0.0, atol=1e-12)
 
 
 class TestPulseSequence:

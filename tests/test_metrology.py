@@ -11,7 +11,7 @@ from ddqsim.device import load_device
 from ddqsim.dynamics import build_rate_matrix, propagate_exact
 from ddqsim.errors import (ConfigError, EmptyLogicalSubspaceError,
                            FitConvergenceError, ResampleError)
-from ddqsim.fitting import lm_least_squares, numeric_jacobian
+from ddqsim.fitting import lm_least_squares, numeric_jacobian, quantiles
 from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               DEFAULT_FIT_WINDOW_US, FitResult, TraceData,
                               bitflip_difference, bitflip_probability,
@@ -666,6 +666,25 @@ class TestTraceCsv:
     def test_negative_counts_or_empty_points_rejected(self, counts):
         with pytest.raises(ConfigError, match="n_total >= 1"):
             TraceData(delays_us=[0, 1], **counts)
+
+
+class TestQuantiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_equals_numpy_quantile(self, values, qs):
+        # == counts -0.0 and 0.0 equal: only a zero's sign may differ
+        assert np.array_equal(quantiles(values, qs), np.quantile(values, qs))
+
+    def test_ties_and_the_package_quantiles_equal_numpy(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 20, 250, 251):
+            values = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1], n)
+            for q in (BOOTSTRAP_QUANTILE, 1.0 - BOOTSTRAP_QUANTILE, 0.33,
+                      0.5, 0.67, 0.0, 1.0):
+                assert quantiles(values, q) == np.quantile(values, q)
+            assert np.array_equal(quantiles(values, [0.25, 0.5, 0.75]),
+                                  np.percentile(values, [25, 50, 75]))
 
 
 class TestSolver:

@@ -6,14 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
+from scipy.signal import welch
 
 import ddqsim
 from ddqsim.errors import ConfigError
 from ddqsim.noise import NoiseProcess, synthesize_noise
-from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, default_taus,
-                                   fit_allan_model, fit_psd_model,
-                                   flag_allan_bumps, overlapping_allan,
-                                   read_frequency_csv, welch_psd)
+from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, _nnls2,
+                                   default_taus, fit_allan_model,
+                                   fit_psd_model, flag_allan_bumps,
+                                   overlapping_allan, read_frequency_csv,
+                                   welch_psd)
 from ddqsim.tables import FREQUENCY, write_table
 
 
@@ -229,6 +232,61 @@ class TestWelch:
             welch_psd(s, segment_length=128)
 
 
+class TestWelchOracle:
+    # (series length, segment length or None for the default); the step is
+    # half a segment, so 1000 and 777 leave trailing samples, and an odd
+    # segment has no Nyquist bin
+    @pytest.mark.parametrize("n, segment", [
+        (1024, None), (1000, None), (257, None), (777, None),
+        (1024, 100), (1000, 64), (999, 37), (64, 64)])
+    def test_matches_scipy_welch(self, n, segment):
+        rng = np.random.default_rng(n)
+        series = FrequencySeries(rng.normal(0.0, 40.0, n)
+                                 + np.cumsum(rng.normal(0.0, 2.0, n)), 7.5)
+        freqs, psd = welch_psd(series, segment)
+        if segment is None:
+            segment = 2 ** max(3, int(math.log2(max(n // 8, 8))))
+        ref_freqs, ref_psd = welch(series.values, fs=1.0 / series.tau0_s,
+                                   window="hann", nperseg=segment,
+                                   noverlap=int(0.5 * segment),
+                                   detrend="constant", scaling="density")
+        assert len(psd) == segment // 2 + 1
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.allclose(psd, ref_psd, rtol=1e-13, atol=0.0)
+
+
+class TestNnlsOracle:
+    tau = 10.0 * 2.0 ** np.arange(8)
+
+    def design(self):
+        return np.stack([1.0 / self.tau, np.ones_like(self.tau)], axis=1)
+
+    @pytest.mark.parametrize("coeffs, zeros", [
+        ((200.0, 3.0), ()),            # interior
+        ((-20.0, 3.0), (0,)),          # first column clamped
+        ((200.0, -3.0), (1,)),         # second column clamped
+        ((-200.0, -3.0), (0, 1)),      # all zeros
+    ], ids=["interior", "clamp-first", "clamp-second", "zero"])
+    def test_matches_scipy_nnls(self, coeffs, zeros):
+        rng = np.random.default_rng(8)
+        design = self.design()
+        y = design @ np.array(coeffs) + rng.normal(0.0, 0.05, len(self.tau))
+        got, (want, _) = _nnls2(design, y), nnls(design, y)
+        assert [k for k in (0, 1) if got[k] == 0.0] == list(zeros)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rank_one_design_matches_scipy_nnls(self, sign):
+        # the columns point in opposite directions, so the data lie along
+        # one of them and the minimum is unique
+        column = np.linspace(0.5, 3.0, 9)
+        design = np.stack([column, -0.5 * column], axis=1)
+        y = sign * 2.0 * column + np.random.default_rng(9).normal(0, 0.1, 9)
+        got, (want, _) = _nnls2(design, y), nnls(design, y)
+        assert np.count_nonzero(got) == 1
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestPsdModelFit:
     def test_planted_pair_recovery(self):
         a, b = 5.9e5, 0.5e6
@@ -354,8 +412,9 @@ class TestBumpFlagging:
             flag_allan_bumps(curve)
 
 
-# run first in a fresh process, where scipy.signal and scipy.optimize are not
-# loaded yet, and again in the test process
+# run first in a fresh process, where the package loads no SciPy module, and
+# again in the test process, where the oracle tests may have loaded
+# scipy.signal and scipy.optimize
 FIRST_CALLS = """
 import sys
 import numpy as np

@@ -113,6 +113,16 @@ RECORDED = {
         "noise":
             "cd93d1c6a49604572047600fc567ba7e89e6675dc99fb93ecc33dc2587795fee",
     },
+    "184fb80231a13c08704d8c216e45fcfd6637495889de4295774bf6cdfcb6125a": {
+        "sim-shots":
+            "2d47bc76f6ecfd19c08e152d2685ee40a68550be0b4a0d6a768f2e1377d8127d",
+        "analyze":
+            "b1491db3407e20b06b60d6b283e0c843fedeb5cbad9510e9b3a8674017a45617",
+        "campaign":
+            "22079efaa3c50434d105970de37247c03b7527742e2428efeea88807e6114f1a",
+        "noise":
+            "71e1cd21b1f0b1f1cceb45d47f2bfed98707c458ac6db8da1694db8fd0e31773",
+    },
 }
 
 
