@@ -1,5 +1,5 @@
 """Levenberg-Marquardt least squares with closed-form or numeric Jacobians,
-and the package's sample quantiles.
+the package's line solve and its sample quantiles.
 
 Small on purpose: every model in this package has a handful of parameters
 and tens of data points. `lm_least_squares` is the one damped Gauss-Newton
@@ -123,6 +123,17 @@ def lm_least_squares(fun, x0, jacobian=None):
             info["message"] = "cost change below tolerance"
             break
     return x, info
+
+
+def line_fit(x, y):
+    """Least-squares slope and offset of ``y`` against ``x``, for a 1-D
+    ``y`` or for each row of a 2-D one, from elementwise sums with both
+    ``x`` and ``y`` centred (no LAPACK call)."""
+    x = np.asarray(x, dtype=float)
+    xc = x - x.mean()
+    y_mean = np.mean(y, axis=-1, keepdims=True)
+    slope = ((y - y_mean) * xc).sum(axis=-1) / (xc * xc).sum()
+    return slope, y_mean[..., 0] - slope * x.mean()
 
 
 def quantiles(values, qs) -> np.ndarray:

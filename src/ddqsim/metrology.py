@@ -22,12 +22,15 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyLogicalSubspaceError,
                      FitConvergenceError, ResampleError)
-from .fitting import lm_least_squares, quantiles
+from .fitting import line_fit, lm_least_squares, quantiles
 from .tables import TRACE, read_table, write_table
 
 DEFAULT_FIT_WINDOW_US = 30.0
 BOOTSTRAP_RESAMPLES = 250
 BOOTSTRAP_QUANTILE = 0.05
+# the longest time constant a fit resolves, in us: a longer one, or a decay
+# rate that is not positive, is archived as an empty estimate
+LONGEST_DECAY_US = 1e12
 
 
 @dataclass
@@ -106,11 +109,9 @@ def postselect_trace(trace: TraceData):
     """Vectorized postselection; returns (delays, p0l, p1l, erasure, kept)."""
     logical = trace.n01 + trace.n10
     kept = logical >= 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p0l = np.where(kept, trace.n10 / np.maximum(logical, 1), np.nan)
-        p1l = np.where(kept, trace.n01 / np.maximum(logical, 1), np.nan)
-        erasure = trace.n00 / np.maximum(trace.n00 + logical, 1)
-    return trace.delays_us[kept], p0l[kept], p1l[kept], erasure[kept], kept
+    p0l, p1l = trace.n10[kept] / logical[kept], trace.n01[kept] / logical[kept]
+    erasure = trace.n00[kept] / (trace.n00 + logical)[kept]
+    return trace.delays_us[kept], p0l, p1l, erasure, kept
 
 
 def bitflip_probability(p1l_given_init0: float, p0l_given_init1: float) -> float:
@@ -209,9 +210,9 @@ def _ramsey_step(t: np.ndarray) -> float:
 
 def _line_params(t, y) -> dict:
     """Least-squares line parameters of ``y`` against ``t``, or of every row
-    of a 2-D ``y``, from one `np.polyfit` call: slope and offset, the decay
+    of a 2-D ``y``, from one `line_fit` call: slope and offset, the decay
     rate gamma = -slope (per ms) and T = 1/gamma (inf where gamma <= 0)."""
-    slope, offset = np.polyfit(t, np.transpose(y), 1)
+    slope, offset = line_fit(t, y)
     gamma_per_ms = -slope * 1e3
     with np.errstate(divide="ignore"):
         t_ms = np.where(gamma_per_ms > 0, 1.0 / gamma_per_ms, math.inf)
@@ -224,8 +225,8 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
     """Short-window linear decay fit (ordinary least squares).
 
     Fits offset + slope*t to all points with delay <= cutoff and reports the
-    decay rate gamma = -slope (per ms) plus T = 1/gamma. A non-negative
-    slope sets ``diagnostics["warning"]`` to "no decay resolvable".
+    decay rate gamma = -slope (per ms) plus T = 1/gamma. A slope >= -1 /
+    `LONGEST_DECAY_US` warns "no decay resolvable" in ``diagnostics``.
     """
     delays_us = np.asarray(delays_us, dtype=float)
     sel = usable_delays("linear", delays_us, cutoff_us)
@@ -233,7 +234,7 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
     y = np.asarray(signal, dtype=float)[sel]
     params = {k: float(v) for k, v in _line_params(t, y).items()}
     diagnostics = {"n_points": int(len(t)), "converged": True}
-    if params["slope_per_us"] >= -1e-12:  # zero within rounding, or rising
+    if params["slope_per_us"] >= -1.0 / LONGEST_DECAY_US:
         diagnostics["warning"] = "no decay resolvable"
     fitted = params["offset"] + params["slope_per_us"] * t
     return FitResult("linear", params, t, fitted, y - fitted,
@@ -337,8 +338,7 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
         env = _envelope(yc)
         good = env > 1e-3 * env.max()
         if good.sum() >= 2 and span > 0:
-            tg = t[good] - t[good].mean()
-            esl = float(tg @ np.log(env[good])) / float(tg @ tg)
+            esl = float(line_fit(t[good], np.log(env[good]))[0])
             rate0 = min(max(-esl, 0.05 / span), 50.0 / span)
         else:
             rate0 = 1.0 / span
@@ -438,17 +438,15 @@ def fit_erasure(delays_us, p00) -> FitResult:
                      diagnostics=dict(info))
 
 
-# per analysis kind: its fit model, the metric row it reports ({} stands
-# for a physical reference's mode, d or q) and the fit parameter that row
-# estimates (None: a linear fit's time constant 1e3 / gamma_per_ms in us)
-KIND_METRIC = {"bitflip": ("linear", "t1l_us", None),
-               "hahn_echo": ("linear", "t2el_us", None),
-               "ramsey": ("ramsey", "t2rl_us", "T2R_us"),
-               "erasure": ("erasure", "gamma_erasure_per_ms",
-                           "gamma_erasure_per_ms"),
-               "phys_t1": ("erasure", "phys_t1_{}_us", "T_erasure_us"),
-               "phys_echo": ("linear", "phys_t2e_{}_us", None),
-               "phys_ramsey": ("ramsey", "phys_t2r_{}_us", "T2R_us")}
+# per analysis kind: its fit model and the metric row it reports ({} stands
+# for a physical reference's mode, d or q)
+KIND_METRIC = {"bitflip": ("linear", "t1l_us"),
+               "hahn_echo": ("linear", "t2el_us"),
+               "ramsey": ("ramsey", "t2rl_us"),
+               "erasure": ("erasure", "gamma_erasure_per_ms"),
+               "phys_t1": ("erasure", "phys_t1_{}_us"),
+               "phys_echo": ("linear", "phys_t2e_{}_us"),
+               "phys_ramsey": ("ramsey", "phys_t2r_{}_us")}
 LOGICAL_KINDS = ("bitflip", "hahn_echo", "ramsey")
 # the analysis kinds fitted to one trace set of an experiment kind: a
 # logical kind's trace set is fitted for its leakage ("erasure") too
@@ -624,37 +622,26 @@ def bootstrap_bounds(fit: FitResult, n_resamples: int = BOOTSTRAP_RESAMPLES,
 # --------------------------------------------------------------------------
 # Metric rows
 
-# fit parameter whose bootstrap quantiles bound a logical time constant,
-# and the numerator that turns that rate into microseconds
+# per model: the fit parameter holding its decay rate, and the numerator
+# that turns that rate into a time constant in us
 _RATE_OF_MODEL = {"linear": ("gamma_per_ms", 1e3),
-                  "ramsey": ("rate_per_us", 1.0)}
-
-
-def _bounds_for(fit: FitResult, resamples: int, seed: int) -> tuple:
-    """Bootstrap bounds on a time constant, inverted from its rate quantiles."""
-    try:
-        bounds = bootstrap_bounds(fit, n_resamples=resamples, seed=seed)
-    except ResampleError:
-        return math.nan, math.nan
-    rate, numerator = _RATE_OF_MODEL[fit.model]
-    glo, ghi = bounds[rate]
-    lo = numerator / ghi if ghi > 0 else math.inf
-    hi = numerator / glo if glo > 0 else math.inf
-    return min(lo, hi), max(lo, hi)
+                  "ramsey": ("rate_per_us", 1.0),
+                  "erasure": ("gamma_erasure_per_ms", 1e3)}
 
 
 def trace_metrics(kind: str, traces, window_us: float, resamples: int = 0,
                   seed: int = 0) -> list:
     """Metric rows ``(metric, estimate, lower, upper)`` of one trace set of
     experiment ``kind``: one row per `fit_trace` fit of the kind and, for a
-    logical kind, of its leakage, named and estimated by `KIND_METRIC` (NaN
-    for a linear fit that resolved no decay), with the mode d for a first
-    init label 10 or +D, else q; a ramsey fit adds ``delta_f_hz``.
-
-    Only a logical kind's own fit is bootstrapped (``resamples`` refits
-    from ``seed``, bounds at its quantiles); every other bound is NaN. An
-    expected fit failure (FitConvergenceError, or ConfigError for too few
-    usable points) leaves a gap: that fit writes no row.
+    logical kind, of its leakage, named by `KIND_METRIC` (mode d for a first
+    init label 10 or +D, else q); a ramsey fit adds ``delta_f_hz``. A row
+    named for its model's rate (`_RATE_OF_MODEL`) holds it; any other holds
+    numerator / rate if that is below `LONGEST_DECAY_US`, else NaN. Only a
+    logical kind's own fit with an estimate is bootstrapped (``resamples``
+    refits from ``seed``), bounded by the numerator over the rate quantiles
+    (inf over one <= 0); every other bound is NaN. An expected fit failure
+    (FitConvergenceError, or ConfigError for too few usable points) leaves
+    a gap: that fit writes no row.
     """
     rows = []
     mode = "d" if traces[0].init_label in ("10", "+D") else "q"
@@ -663,18 +650,22 @@ def trace_metrics(kind: str, traces, window_us: float, resamples: int = 0,
             fit = fit_trace(fitted, traces, window_us)
         except (FitConvergenceError, ConfigError):
             continue
-        _, metric, param = KIND_METRIC[fitted]
-        if param:
-            estimate = fit.params[param]
-        elif fit.diagnostics.get("warning") == "no decay resolvable":
-            estimate = math.nan
-        else:
-            estimate = 1e3 / fit.params["gamma_per_ms"]
+        metric = KIND_METRIC[fitted][1]
+        rate_name, numerator = _RATE_OF_MODEL[fit.model]
+        estimate = rate = fit.params[rate_name]
+        if metric != rate_name:
+            resolved = rate > 0 and numerator / rate < LONGEST_DECAY_US
+            estimate = numerator / rate if resolved else math.nan
         lo = hi = math.nan
         # a fit without a time constant has nothing to bound
         if (fitted in LOGICAL_KINDS and resamples > 0
                 and not math.isnan(estimate)):
-            lo, hi = _bounds_for(fit, resamples, seed)
+            try:
+                glo, ghi = bootstrap_bounds(fit, resamples, seed)[rate_name]
+                lo, hi = (numerator / g if g > 0 else math.inf
+                          for g in (ghi, glo))
+            except ResampleError:
+                pass
         rows.append((metric.format(mode), estimate, lo, hi))
         if fitted == "ramsey":
             flo, fhi = (fit.bounds or {}).get("delta_f_khz", (math.nan,) * 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitConvergenceError
-from .fitting import lm_least_squares, quantiles
+from .fitting import line_fit, lm_least_squares, quantiles
 from .tables import ALLAN, FREQUENCY, PSD, read_table, write_table
 
 
@@ -122,28 +122,17 @@ def overlapping_allan(series: FrequencySeries, taus=None) -> AllanCurve:
     return AllanCurve(tau_s=taus, sigma_hz=sigmas, n_pairs=counts)
 
 
-def _nnls2(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Non-negative least squares min ||design @ x - y||, x >= 0, for an
-    (n, 2) design, in closed form. The problem is convex, so its minimum is
-    the unconstrained 2x2 normal-equations solve if that is non-negative,
-    and otherwise lies on an edge: the better of the two one-column fits
-    (the other coefficient clamped at 0), or all zeros. A rank-one design
-    takes an edge, where its minimum also lies."""
-    c0, c1 = design[:, 0], design[:, 1]
-    g00, g01, g11 = (c0 * c0).sum(), (c0 * c1).sum(), (c1 * c1).sum()
-    r0, r1 = (c0 * y).sum(), (c1 * y).sum()
-    det = g00 * g11 - g01 * g01
-    if det > 1e-12 * g00 * g11:
-        x = np.array([g11 * r0 - g01 * r1, g00 * r1 - g01 * r0]) / det
-        if np.all(x >= 0.0):
-            return x
-    best, best_cost = np.zeros(2), (y * y).sum()
-    for k, (c, g, r) in enumerate(((c0, g00, r0), (c1, g11, r1))):
-        cost = ((r / g * c - y) ** 2).sum() if r > 0.0 else best_cost
-        if cost < best_cost:
-            best, best_cost = np.zeros(2), cost
-            best[k] = r / g
-    return best
+def _nnls_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Non-negative least squares (a, b) of ``y`` on the line a x + b. The
+    problem is convex: its minimum is `line_fit` if both are >= 0, else the
+    best non-negative edge, in this order: slope only, offset only, zero."""
+    slope, offset = line_fit(x, y)
+    if slope >= 0.0 and offset >= 0.0:
+        return np.array([slope, offset])
+    edges = [e for e in (((x * y).sum() / (x * x).sum(), 0.0),
+                         (0.0, y.mean()), (0.0, 0.0)) if min(e) >= 0.0]
+    costs = [((a * x + b - y) ** 2).sum() for a, b in edges]
+    return np.array(edges[costs.index(min(costs))])
 
 
 def _allan_model(a: float, b: float, tau: np.ndarray) -> np.ndarray:
@@ -154,8 +143,8 @@ def _allan_model(a: float, b: float, tau: np.ndarray) -> np.ndarray:
 def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
     """Fit sigma^2(tau) = B/(2 tau) + 2 ln2 A in log space.
 
-    The start is a non-negative least-squares fit of sigma^2 against
-    [1/tau, 1]. Each log residual is weighted by sqrt(tau_min/tau): an
+    The start is a non-negative line fit of sigma^2 against 1/tau
+    (`_nnls_line`). Each log residual is weighted by sqrt(tau_min/tau): an
     overlapping Allan point at tau = m tau0 has roughly N/m degrees of
     freedom (NIST SP 1065, section 5), so its relative scatter grows as
     sqrt(tau) and the sparse long-tau points must not outvote the rest.
@@ -171,8 +160,7 @@ def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
         raise ConfigError("tau grid must span >= 1.5 decades")
     if np.all(sig <= 0):
         return 0.0, 0.0, {"converged": True, "warning": "zero curve"}
-    design = np.stack([1.0 / tau, np.ones_like(tau)], axis=1)
-    half_b, flicker = _nnls2(design, sig ** 2)
+    half_b, flicker = _nnls_line(1.0 / tau, sig ** 2)
     a, b = flicker / (2.0 * math.log(2.0)), 2.0 * half_b
     positive = sig > 0
     tau_p, log_sig = tau[positive], np.log(sig[positive])
@@ -271,8 +259,7 @@ def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
     f, s = f[sel], s[sel]
     if len(f) < 6:
         raise ConfigError("need >= 6 nonzero frequency bins")
-    design = np.stack([1.0 / f, np.ones_like(f)], axis=1)
-    a0, b0 = _nnls2(design, s)
+    a0, b0 = _nnls_line(1.0 / f, s)
     # a clamped coefficient starts from the median of an outer third
     f_lo, f_mid, f_hi = quantiles(f, [0.33, 0.5, 0.67])
     if a0 <= 0:

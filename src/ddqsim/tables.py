@@ -58,11 +58,21 @@ def _whole_file(path):
     os.replace(tmp, path)
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float in it, at any depth, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(path, obj, sort_keys: bool = False) -> None:
-    """Write ``obj`` as indented JSON, whole; values JSON cannot hold are
-    written as their ``str``."""
+    """Write ``obj`` whole as indented strict JSON (RFC 8259): non-finite
+    floats as null, other values JSON cannot hold as their ``str``."""
     with _whole_file(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys, default=str)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=sort_keys,
+                  default=str, allow_nan=False)
 
 
 def write_table(path, table: dict, blocks, append: bool = False) -> None:

@@ -502,7 +502,9 @@ class TestRunCampaign:
         assert "manifest" in capsys.readouterr().err
         assert archive_digest(out) == before
 
-    @pytest.mark.parametrize("layout", [None, 1, OUTPUT_LAYOUT + 1, "2"])
+    @pytest.mark.parametrize("layout", [None, 1, OUTPUT_LAYOUT - 1,
+                                        OUTPUT_LAYOUT + 1,
+                                        str(OUTPUT_LAYOUT)])
     def test_resume_rejects_another_output_layout(self, tmp_path, capsys,
                                                   layout):
         # an archive of another layout (none recorded: layout 1) would mix
@@ -647,6 +649,33 @@ class TestLosslessDevice:
         assert len(t1l) == 1
         assert all(map(math.isnan, (t1l[0].estimate, t1l[0].lower,
                                     t1l[0].upper)))
+
+    def test_ramsey_without_decay_archives_an_empty_estimate(
+            self, tmp_path, monkeypatch):
+        # without relaxation or noise nothing dephases the Ramsey fringes:
+        # on this seed the fitted decay rate comes out negative, which is
+        # no time constant, as a flat linear fit is none
+        monkeypatch.chdir(tmp_path)
+        q1_config(tmp_path / "lossless.json", T1_D_us=1e12, T1_Q_us=1e12,
+                  n_th=0.0)
+        real, rates = metrology.fit_ramsey, []
+
+        def spy(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            if kwargs.get("start") is None:     # the trace's own fit
+                rates.append(fit.params["rate_per_us"])
+            return fit
+        monkeypatch.setattr(metrology, "fit_ramsey", spy)
+        cfg = tiny_config(devices=["lossless.json"], experiments=["ramsey"],
+                          repetitions=1, seed=5, noise=[],
+                          physical_refs="none")
+        rows = run_campaign(cfg, "arch")
+        assert len(rates) == 1 and rates[0] <= 0.0
+        (t2rl,) = [r for r in rows if r.metric == "t2rl_us"]
+        assert all(map(math.isnan, (t2rl.estimate, t2rl.lower, t2rl.upper)))
+        (line,) = [line for line in open("arch/metrics.csv")
+                   if ",t2rl_us," in line]
+        assert line.endswith(",t2rl_us,,,\n")
 
 
 class TestFitGaps:

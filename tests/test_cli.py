@@ -379,6 +379,32 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.splitlines() == ["warning: no decay resolvable"]
 
+    def test_rising_trace_writes_strict_json(self, tmp_path, capsys):
+        # the init 01 trace gains |01> shots, so the bit-flip difference
+        # rises: T_ms and its bounds are infinite, which strict JSON
+        # (RFC 8259) cannot hold, so every such value is null
+        trace = tmp_path / "rising.csv"
+        trace.write_text(
+            "delay_us,n00,n01,n10,n_total,init_label,timestamp_s\n" +
+            "".join(f"{t}.0,0,{n01},{1000 - n01},1000,{init},0.0\n"
+                    for t in range(0, 35, 5)
+                    for init, n01 in (("10", 10), ("01", 800 + 5 * t))))
+        out = tmp_path / "rising.json"
+        assert run(["analyze", "--trace", str(trace), "--kind", "bitflip",
+                    "--bootstrap", "20", "--seed", "1", "--out", str(out),
+                    "--emit-plot-data"]) == 0
+        assert capsys.readouterr().err == "warning: no decay resolvable\n"
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        written = sorted(tmp_path.glob("rising.json*"))
+        payloads = [json.loads(path.read_text(), parse_constant=reject)
+                    for path in written if path.suffix == ".json"]
+        assert len(payloads) == 2
+        assert payloads[0]["params"]["T_ms"] is None
+        assert payloads[0]["bounds"]["T_ms"] == [None, None]
+        assert payloads[0]["params"]["gamma_per_ms"] < 0
+
     def test_nonuniform_ramsey_trace_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "nonuniform.csv"
         trace.write_text(

@@ -11,7 +11,8 @@ from ddqsim.device import load_device
 from ddqsim.dynamics import build_rate_matrix, propagate_exact
 from ddqsim.errors import (ConfigError, EmptyLogicalSubspaceError,
                            FitConvergenceError, ResampleError)
-from ddqsim.fitting import lm_least_squares, numeric_jacobian, quantiles
+from ddqsim.fitting import (line_fit, lm_least_squares, numeric_jacobian,
+                            quantiles)
 from ddqsim.metrology import (BOOTSTRAP_QUANTILE, BOOTSTRAP_RESAMPLES,
                               DEFAULT_FIT_WINDOW_US, FitResult, TraceData,
                               bitflip_difference, bitflip_probability,
@@ -685,6 +686,22 @@ class TestQuantiles:
                 assert quantiles(values, q) == np.quantile(values, q)
             assert np.array_equal(quantiles(values, [0.25, 0.5, 0.75]),
                                   np.percentile(values, [25, 50, 75]))
+
+
+class TestLineFit:
+    def test_equals_polyfit_on_rows_and_vectors(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(3, 30))
+            x = np.sort(rng.uniform(0.0, 400.0, n)) + np.arange(n)
+            a, b = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+            y = a + b * x / 400.0 + rng.normal(0.0, 0.05, (250, n))
+            for rows in (y, y[0]):
+                slope, offset = line_fit(x, rows)
+                want_slope, want_offset = np.polyfit(x, rows.T, 1)
+                assert np.shape(slope) == np.shape(want_slope)
+                assert np.allclose(slope, want_slope, rtol=1e-10, atol=0.0)
+                assert np.allclose(offset, want_offset, rtol=1e-10, atol=0.0)
 
 
 class TestSolver:

@@ -12,7 +12,7 @@ from scipy.signal import welch
 import ddqsim
 from ddqsim.errors import ConfigError
 from ddqsim.noise import NoiseProcess, synthesize_noise
-from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, _nnls2,
+from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, _nnls_line,
                                    default_taus, fit_allan_model,
                                    fit_psd_model, flag_allan_bumps,
                                    overlapping_allan, read_frequency_csv,
@@ -259,6 +259,7 @@ class TestNnlsOracle:
     tau = 10.0 * 2.0 ** np.arange(8)
 
     def design(self):
+        # the [x, 1] design of both noise-model starts, x = 1/tau
         return np.stack([1.0 / self.tau, np.ones_like(self.tau)], axis=1)
 
     @pytest.mark.parametrize("coeffs, zeros", [
@@ -271,19 +272,8 @@ class TestNnlsOracle:
         rng = np.random.default_rng(8)
         design = self.design()
         y = design @ np.array(coeffs) + rng.normal(0.0, 0.05, len(self.tau))
-        got, (want, _) = _nnls2(design, y), nnls(design, y)
+        got, (want, _) = _nnls_line(design[:, 0], y), nnls(design, y)
         assert [k for k in (0, 1) if got[k] == 0.0] == list(zeros)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_rank_one_design_matches_scipy_nnls(self, sign):
-        # the columns point in opposite directions, so the data lie along
-        # one of them and the minimum is unique
-        column = np.linspace(0.5, 3.0, 9)
-        design = np.stack([column, -0.5 * column], axis=1)
-        y = sign * 2.0 * column + np.random.default_rng(9).normal(0, 0.1, 9)
-        got, (want, _) = _nnls2(design, y), nnls(design, y)
-        assert np.count_nonzero(got) == 1
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 

@@ -89,7 +89,7 @@ def test_whole_files_land_through_a_tmp_name(tmp_path, monkeypatch):
     assert replaced == [(f"{tmp_path / name}.tmp", tmp_path / name)
                         for name in ("a.json", "t.csv")]
     assert (tmp_path / "a.json.tmp").read_text() == \
-        '{\n  "a": [\n    NaN\n  ],\n  "b": 1\n}'
+        '{\n  "a": [\n    null\n  ],\n  "b": 1\n}'
 
 
 def test_crlf_line_ends_and_blank_lines_are_read(tmp_path):

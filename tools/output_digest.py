@@ -123,6 +123,16 @@ RECORDED = {
         "noise":
             "71e1cd21b1f0b1f1cceb45d47f2bfed98707c458ac6db8da1694db8fd0e31773",
     },
+    "f1af64d150bab1bd0e5d79a1260f523799448d45e8bfb42b67d5e8d7bb427de3": {
+        "sim-shots":
+            "2d47bc76f6ecfd19c08e152d2685ee40a68550be0b4a0d6a768f2e1377d8127d",
+        "analyze":
+            "3d6f6624f1c16c21add2440a308876e9fb108fbc430afadb72048b16bb111ace",
+        "campaign":
+            "f3754e5da1c2318a94b98d2bd4e52381b6e66f8c2083ea515c85e4af14208d31",
+        "noise":
+            "5fe27996f1c682a5f85cf6594285935baf5844dcee30608c9da1b52b70bd83b8",
+    },
 }
 
 
