@@ -39,8 +39,9 @@ MOVING_AVERAGE_WINDOW = 50
 # the layout of the bytes a seed writes, in `run_campaign`'s manifest: every
 # change that makes one seed write other bytes bumps it, so a resume never
 # mixes two. A manifest without it is layout 1 (before the PPND16 normals);
-# layout 3 fits lines by `fitting.line_fit` and leaves no-decay fits empty.
-OUTPUT_LAYOUT = 3
+# layout 3 fits lines by `fitting.line_fit` and leaves no-decay fits empty;
+# layout 4 draws each delay segment's jumps from `dynamics._segment_table`.
+OUTPUT_LAYOUT = 4
 
 DEFAULT_DELAYS_US = {
     "bitflip": [0, 5, 10, 15, 20, 25, 30, 50, 80, 120, 180, 260, 340, 400],

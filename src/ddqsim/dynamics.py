@@ -3,7 +3,9 @@
 Populations evolve as a continuous-time Markov jump process over the six
 ladder states; coherence is carried by a scalar stochastic phase accumulated
 per delay segment from frequency noise. An exact matrix-exponential
-propagator provides an independent oracle for the jump sampler.
+propagator builds the jump sampler's per-segment outcome tables and is the
+oracle the sampler is checked against; the tests check the exponential
+itself against SciPy's.
 
 Rates are in 1/us, delays in us. The rate matrix is a generator in the
 column convention: R[i, j] is the rate from state j to state i for i != j
@@ -102,7 +104,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def propagate_exact(rate_matrix: np.ndarray, p0, t_us: float) -> np.ndarray:
     """Exact level populations exp(R t) @ p0, by `_expm`: the oracle the
-    jump sampler is checked against, which no command calls."""
+    jump sampler is checked against. The sampler's `_segment_table` reads
+    the same `_expm`, which the tests check against SciPy's."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (N_LEVELS,):
         raise ValueError(f"p0 must have shape ({N_LEVELS},)")
@@ -191,57 +194,41 @@ class ShotBatch:
         return np.bincount(self.levels, minlength=N_LEVELS)
 
 
-@functools.lru_cache(maxsize=32)
-def _rate_tables(params: DeviceParams):
-    """Read-only (exit rates, cumulative destination table) of a device.
+@functools.lru_cache(maxsize=1024)
+def _segment_table(params: DeviceParams, seg_us: float) -> np.ndarray:
+    """Read-only cumulative outcome probabilities of one delay segment.
 
-    Built once per (frozen, hashable) ``DeviceParams``; every batch of the
-    same device shares them.
+    Row s starts in level s: outcome 0 is "no jump", exp(-lambda_s t);
+    outcome 1 + d is "jumped, ended in d", expm(R t)[d, s] - delta_sd
+    exp(-lambda_s t) (the Markov property). Negative rounding is clipped
+    to 0 and rows end at exactly 1, so a level with no exit, and a 0 us
+    segment, never jump.
     """
     rate_matrix = build_rate_matrix(params)
-    lam = -np.diag(rate_matrix)
-    q = rate_matrix.T.copy()          # q[s, d]: rate s -> d
-    np.fill_diagonal(q, 0.0)
-    cum = np.cumsum(q, axis=1)
-    tot = cum[:, -1].copy()
-    safe = np.where(tot > 0, tot, 1.0)
-    cum /= safe[:, None]
-    lam.flags.writeable = False
-    cum.flags.writeable = False
-    return lam, cum
+    stay = [math.exp(seg_us * rate) for rate in np.diag(rate_matrix)]
+    mass = _expm(rate_matrix * seg_us).T
+    mass[np.diag_indices(N_LEVELS)] -= stay
+    table = np.minimum(np.cumsum(np.column_stack(
+        [stay, np.clip(mass, 0.0, None)]), axis=1), 1.0)
+    table[:, -1] = 1.0
+    table.flags.writeable = False
+    return table
 
 
-def _jump_segment(states, jumped, t_rem, keys, shot_ids, lam, cumdest):
-    """Advance all shots through one delay segment by jump sampling.
-
-    ``t_rem`` holds each shot's segment length (us) and is used up in
-    place; a shot with none draws nothing. Round r reads draw 2r (the wait)
-    and draw 2r + 1 (the destination) of every shot still active, in one
-    stream call.
-    """
-    active = np.nonzero((lam[states] > 0) & (t_rem > 0))[0]
-    r = 0
-    while active.size:
-        u = streams.uniforms(keys[active], shot_ids[active],
-                             (2 * r, 2 * r + 1))
-        wait = -np.log(u[:, 0]) / lam[states[active]]
-        hop = wait < t_rem[active]
-        jumpers = active[hop]
-        if jumpers.size:
-            t_rem[jumpers] -= wait[hop]
-            u_dest = u[hop, 1]
-            # the destination is the count of cumulative probabilities of
-            # the source's row below u, summed a column at a time
-            src = states[jumpers]
-            dest = np.zeros(jumpers.size, dtype=states.dtype)
-            for column in cumdest.T:
-                dest += u_dest > column[src]
-            states[jumpers] = dest
-            jumped[jumpers] = True
-            active = jumpers[lam[states[jumpers]] > 0]
-        else:
-            active = jumpers
-        r += 1
+def _jump_segment(states, jumped, key, shot_ids, params, seg_us, n_shots):
+    """Advance ``states`` and ``jumped`` in place through one delay segment
+    of length ``seg_us[p]`` (us) for the block of ``n_shots`` shots of point
+    p. A shot's outcome is the count of its `_segment_table` row's entries
+    below its uniform draw 0; outcome c > 0 puts it in level c - 1."""
+    rows = np.concatenate([_segment_table(params, float(t)) for t in seg_us])
+    row = np.repeat(np.arange(0, len(rows), N_LEVELS), n_shots) + states
+    u = streams.uniforms(key, shot_ids, 0)
+    outcome = np.zeros(len(states), dtype=np.int8)
+    for column in rows.T[:-1]:      # the last entry, 1, is never below u
+        outcome += column.take(row) < u
+    hop = outcome > 0
+    np.copyto(states, outcome - 1, where=hop)
+    jumped |= hop
 
 
 def _one_over_f_cov(a_1hz, n_seg, count, step_s) -> np.ndarray:
@@ -456,7 +443,6 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
     first = seqs[0]
     if any((s.kind, s.prepare) != (first.kind, first.prepare) for s in seqs):
         raise ValueError("a trace runs one kind and one prepare label")
-    lam, cumdest = _rate_tables(params)
     n_seg = len(first.segments_us)
     keys = streams.point_keys(seeds, n_shots, n_seg, len(noise))
 
@@ -487,20 +473,18 @@ def run_trace_batch(params: DeviceParams, seqs, noise=(), *, seeds,
             minus = states == pair_minus
             states[plus] = pair_minus
             states[minus] = pair_plus
-        _jump_segment(states, jumped, dur[:, k].copy(),
-                      keys[streams.TAG_JUMP_BASE + k], shot_ids, lam, cumdest)
+        _jump_segment(states, jumped, keys[streams.TAG_JUMP_BASE + k],
+                      shot_ids, params, dur[::n_shots, k], n_shots)
         phase += seg_phase[:, k]
 
     if first.project_rad is not None:
         project = np.repeat([s.project_rad for s in seqs], n_shots)
         in_pair = (states == pair_plus) | (states == pair_minus)
-        p_plus = np.full(n_total, 0.5)
-        coherent = in_pair & ~jumped
-        p_plus[coherent] = 0.5 * (1.0 + np.cos(phase[coherent] -
-                                               project[coherent]))
+        p_plus = 0.5 * (np.cos(phase - project) + 1.0)
+        p_plus[jumped] = 0.5
         u = streams.uniforms(keys[streams.TAG_PROJECT], shot_ids, n_seg)
-        states[in_pair] = np.where(u[in_pair] < p_plus[in_pair],
-                                   pair_plus, pair_minus)
+        states = np.where(in_pair, np.where(u < p_plus, pair_plus, pair_minus),
+                          states)
 
     return ShotBatch(levels=states, phase_rad=phase,
                      erased=states == IDX_00, jumped=jumped)

@@ -220,6 +220,16 @@ def _line_params(t, y) -> dict:
             "gamma_per_ms": gamma_per_ms, "T_ms": t_ms}
 
 
+def _decay_verdict(info, rate_per_us) -> dict:
+    """A fit's diagnostics: the solver's ``info``, warning "no decay
+    resolvable" for a rate <= 1 / `LONGEST_DECAY_US`, the rule
+    `trace_metrics` archives no time constant by."""
+    diagnostics = dict(info)
+    if rate_per_us <= 1.0 / LONGEST_DECAY_US:
+        diagnostics["warning"] = "no decay resolvable"
+    return diagnostics
+
+
 def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US,
                      ) -> FitResult:
     """Short-window linear decay fit (ordinary least squares).
@@ -233,9 +243,8 @@ def fit_linear_short(delays_us, signal, cutoff_us: float = DEFAULT_FIT_WINDOW_US
     t = delays_us[sel]
     y = np.asarray(signal, dtype=float)[sel]
     params = {k: float(v) for k, v in _line_params(t, y).items()}
-    diagnostics = {"n_points": int(len(t)), "converged": True}
-    if params["slope_per_us"] >= -1.0 / LONGEST_DECAY_US:
-        diagnostics["warning"] = "no decay resolvable"
+    diagnostics = _decay_verdict({"n_points": int(len(t)), "converged": True},
+                                 -params["slope_per_us"])
     fitted = params["offset"] + params["slope_per_us"] * t
     return FitResult("linear", params, t, fitted, y - fitted,
                      window_us=cutoff_us, diagnostics=diagnostics)
@@ -319,7 +328,8 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
     caller has made them.
     Refined by damped Gauss-Newton on the closed-form Jacobian until one of
     `lm_least_squares`'s stop rules holds (<= 500 iterations). Raises
-    FitConvergenceError when the solver stalls.
+    FitConvergenceError when the solver stalls. A rate <= 1 /
+    `LONGEST_DECAY_US` warns "no decay resolvable" in ``diagnostics``.
     """
     t = np.asarray(delays_us, dtype=float)
     y = np.asarray(p0l, dtype=float)
@@ -374,7 +384,7 @@ def fit_ramsey(delays_us, p0l, detuning_hint_khz: float | None = None,
               "rate_per_us": rate}
     fitted = _ramsey_model([amp, rate, f_khz, phi, c], t)
     return FitResult("ramsey", params, t, fitted, y - fitted,
-                     diagnostics=dict(info))
+                     diagnostics=_decay_verdict(info, rate))
 
 
 def _erasure_model(theta, t):
@@ -399,7 +409,8 @@ def fit_erasure(delays_us, p00) -> FitResult:
     The amplitude lets the model saturate below one for mixed
     initializations; D absorbs erasure during the end-of-line readout
     itself. A flat trace degenerates to rate 0 with diagnostics warning
-    "flat trace". Needs >= 4 delays (`usable_delays`); the start takes D
+    "flat trace"; any other rate <= 1 / `LONGEST_DECAY_US` warns "no decay
+    resolvable". Needs >= 4 delays (`usable_delays`); the start takes D
     from the first point, A from the last, and the rate from the first
     delay that reaches 63.2% of the rise. `bootstrap_bounds` refits each
     resampled row from this same start.
@@ -435,7 +446,7 @@ def fit_erasure(delays_us, p00) -> FitResult:
               "D": d, "gamma_erasure_per_ms": 1e3 * rate}
     fitted = _erasure_model(theta, t)
     return FitResult("erasure", params, t, fitted, y - fitted,
-                     diagnostics=dict(info))
+                     diagnostics=_decay_verdict(info, rate))
 
 
 # per analysis kind: its fit model and the metric row it reports ({} stands

@@ -677,6 +677,26 @@ class TestLosslessDevice:
                    if ",t2rl_us," in line]
         assert line.endswith(",t2rl_us,,,\n")
 
+    def test_analyze_says_why_a_ramsey_fit_has_no_time_constant(
+            self, tmp_path, monkeypatch, capsys):
+        # the archive of the test above: its Ramsey fit's rate is negative
+        monkeypatch.chdir(tmp_path)
+        q1_config(tmp_path / "lossless.json", T1_D_us=1e12, T1_Q_us=1e12,
+                  n_th=0.0)
+        cfg = tiny_config(devices=["lossless.json"], experiments=["ramsey"],
+                          repetitions=1, seed=5, noise=[],
+                          physical_refs="none")
+        run_campaign(cfg, "arch")
+        capsys.readouterr()
+        assert main(["analyze", "--trace",
+                     "arch/traces/trace_00000_lossless_ramsey.csv",
+                     "--kind", "ramsey", "--bootstrap", "0",
+                     "--out", "fit.json"]) == 0
+        assert capsys.readouterr().err == "warning: no decay resolvable\n"
+        payload = json.load(open("fit.json"))
+        assert payload["params"]["rate_per_us"] < 0.0
+        assert payload["diagnostics"]["warning"] == "no decay resolvable"
+
 
 class TestFitGaps:
     """Only the expected fit failures become gaps in the archive."""

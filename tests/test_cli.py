@@ -261,6 +261,33 @@ class TestOneRunner:
         for suffix, one, two in zip(suffixes, *files):
             assert one == two, suffix
 
+    def test_blas_kernel_does_not_change_shot_files(self, tmp_path):
+        # the jump tables come from BLAS and LAPACK, whose kernels may
+        # round the last bit differently; a shot moves only if its uniform
+        # lands inside that ulp
+        code = ("import sys\n"
+                "from ddqsim.cli import main\n"
+                "for exp in ('bitflip', 'hahn-echo'):\n"
+                "    assert main(['sim-shots', '--config', 'q1',\n"
+                "                 '--experiment', exp, '--shots', '2000',\n"
+                "                 '--seed', '3', '--delays',\n"
+                "                 '0,25,60,150,400', '--ideal-readout',\n"
+                "                 '--dump-trajectories',\n"
+                "                 '--out', sys.argv[1] + exp + '.csv']) == 0\n")
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ddqsim.__file__))
+        files = []
+        for name, kernel in (("default", {}),
+                             ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+            subprocess.run([sys.executable, "-c", code, f"{name}_"],
+                           cwd=tmp_path, env={**env, **kernel},
+                           capture_output=True, timeout=300, check=True)
+            files.append([(tmp_path / f"{name}_{exp}.csv{suffix}").read_bytes()
+                          for exp in ("bitflip", "hahn-echo")
+                          for suffix in ("", ".trajectories.csv")])
+        assert files[0] == files[1]
+
 
 class TestAnalyze:
     def make_trace(self, tmp_path, seed=5):

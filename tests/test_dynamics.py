@@ -12,10 +12,11 @@ from scipy.linalg import expm
 import ddqsim
 from ddqsim.device import DimonLevel, LEVEL_ORDER, load_device
 from ddqsim import streams
-from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, PulseSequence, _expm,
-                             _one_over_f_cov, _rate_tables, _segment_grid,
-                             _telegraph_integrals, build_rate_matrix,
-                             propagate_exact, run_sequence_batch)
+from ddqsim.dynamics import (IDX_00, IDX_01, IDX_10, N_LEVELS, PulseSequence,
+                             _expm, _one_over_f_cov, _segment_grid,
+                             _segment_table, _telegraph_integrals,
+                             build_rate_matrix, propagate_exact,
+                             run_sequence_batch, run_trace_batch)
 from ddqsim.errors import SequenceError
 from ddqsim.metrology import fit_ramsey
 from ddqsim.noise import (NoiseProcess, one_over_f_from_normals,
@@ -90,16 +91,15 @@ def batch_digest(device):
 
 class TestRateTableCache:
     def test_distinct_params_get_distinct_tables(self, q1):
-        lam, cum = _rate_tables(q1)
-        lam0, cum0 = _rate_tables(q1.with_(n_th_D=0.0))
-        assert _rate_tables(q1)[0] is lam
-        assert not np.array_equal(lam, lam0)
-        assert not np.array_equal(cum, cum0)
+        table = _segment_table(q1, 50.0)
+        assert _segment_table(q1, 50.0) is table
+        assert not np.array_equal(table,
+                                  _segment_table(q1.with_(n_th_D=0.0), 50.0))
+        assert not np.array_equal(table, _segment_table(q1, 60.0))
 
     def test_cached_tables_are_read_only(self, q1):
-        for table in _rate_tables(q1):
-            with pytest.raises(ValueError):
-                table[0] = 1.0
+        with pytest.raises(ValueError):
+            _segment_table(q1, 50.0)[0, 0] = 1.0
 
     def test_shared_tables_match_a_fresh_process(self):
         got = [batch_digest(d) for d in ("q1", "q2", "q1")]
@@ -115,6 +115,77 @@ class TestRateTableCache:
                 capture_output=True, text=True, timeout=300, check=True)
             fresh[device] = out.stdout.split()[-1]
         assert got == [fresh["q1"], fresh["q2"], fresh["q1"]]
+
+
+class TestSegmentTable:
+    """The jump sampler's outcome tables against the exact propagator."""
+
+    @pytest.mark.parametrize("device", ["q1", "q2", "q3"])
+    def test_rows_reproduce_the_propagator(self, device):
+        params = load_device(device)
+        rates = build_rate_matrix(params)
+        for t in (0.0, 0.5, 20.0, 137.5, 400.0, 5000.0):
+            table = _segment_table(params, t)
+            assert table.shape == (N_LEVELS, N_LEVELS + 1)
+            assert np.all(np.diff(table, axis=1) >= 0.0)
+            assert np.all(table[:, -1] == 1.0)
+            mass = np.diff(table, axis=1, prepend=0.0)
+            for s in range(N_LEVELS):
+                assert table[s, 0] == math.exp(rates[s, s] * t)
+                ends = mass[s, 1:].copy()
+                ends[s] += mass[s, 0]
+                np.testing.assert_allclose(
+                    ends, propagate_exact(rates, np.eye(N_LEVELS)[s], t),
+                    rtol=0.0, atol=1e-12)
+
+    def test_level_without_exit_and_empty_segment_never_jump(self, q1):
+        cold = q1.with_(n_th_D=0.0, n_th_Q=0.0)
+        assert np.all(_segment_table(cold, 300.0)[IDX_00] == 1.0)
+        assert np.all(_segment_table(q1, 0.0) == 1.0)
+        ground = run_sequence_batch(cold, PulseSequence("bitflip", "00",
+                                                        1000.0),
+                                    seed=1, n_shots=5000)
+        assert not ground.jumped.any()
+        assert np.all(ground.levels == IDX_00)
+        batch = run_trace_batch(q1, [PulseSequence("bitflip", "11", 0.0),
+                                     PulseSequence("bitflip", "11", 300.0)],
+                                seeds=[2, 3], n_shots=5000)
+        assert not batch.jumped[:5000].any()
+        assert np.all(batch.levels[:5000] == IDX["11"])
+        assert batch.jumped[5000:].any()
+        echo = run_sequence_batch(q1, PulseSequence("hahn_echo", "+", 0.0),
+                                  seed=4, n_shots=5000)
+        assert not echo.jumped.any()
+
+    @pytest.mark.parametrize("init, t", [("01", 90.0), ("11", 40.0),
+                                         ("20", 200.0)])
+    def test_jumped_fraction_is_the_exit_probability(self, q1, init, t):
+        n = 50_000
+        batch = run_sequence_batch(q1, PulseSequence("bitflip", init, t),
+                                   seed=17, n_shots=n)
+        lam = -build_rate_matrix(q1)[IDX[init], IDX[init]]
+        p = 1.0 - math.exp(-lam * t)
+        assert abs(batch.jumped.mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("t", [60.0, 300.0])
+    def test_noiseless_echo_matches_swapped_propagation(self, q1, t):
+        # the echo's two segments around the pair swap; projection moves
+        # shots only within the pair, so |00> and leakage keep their counts
+        n = 50_000
+        rates = build_rate_matrix(q1)
+        half = expm(rates * (0.5 * t))
+        p = np.zeros(N_LEVELS)
+        p[[IDX_10, IDX_01]] = 0.5
+        p = half @ p
+        p[[IDX_10, IDX_01]] = p[[IDX_01, IDX_10]]
+        p = half @ p
+        batch = run_sequence_batch(q1, PulseSequence("hahn_echo", "+", t),
+                                   seed=23, n_shots=n)
+        leaked = ~np.isin(batch.levels, [IDX_00, IDX_01, IDX_10])
+        for got, want in ((np.mean(batch.levels == IDX_00), p[IDX_00]),
+                          (leaked.mean(), 1.0 - p[[IDX_00, IDX_01,
+                                                   IDX_10]].sum())):
+            assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / n)
 
 
 class TestPropagateExact:

@@ -144,6 +144,15 @@ class TestRamseyFit:
         assert fit.params["delta_f_khz"] == pytest.approx(75.0, rel=1e-6)
         assert fit.params["phi0_rad"] == pytest.approx(0.0, abs=1e-6)
         assert fit.params["C"] == pytest.approx(0.5, rel=1e-6)
+        assert "warning" not in fit.diagnostics
+
+    def test_growing_oscillation_reports_no_decay_in_diagnostics(self):
+        t = np.linspace(0.0, 60.0, 25)
+        y = 0.3 * np.exp(t / 200.0) * np.cos(2e-3 * math.pi * 75.0 * t) + 0.5
+        fit = fit_ramsey(t, y)
+        assert fit.params["rate_per_us"] == pytest.approx(-1 / 200.0,
+                                                          rel=1e-6)
+        assert fit.diagnostics["warning"] == "no decay resolvable"
 
     def test_phase_and_noise_recovery(self):
         rng = np.random.default_rng(8)
@@ -212,6 +221,17 @@ class TestErasureFit:
         assert fit.params["D"] == pytest.approx(0.0, abs=1e-8)
         assert fit.params["gamma_erasure_per_ms"] == pytest.approx(
             1e3 / t1q, rel=1e-6)
+        assert "warning" not in fit.diagnostics
+
+    def test_falling_trace_reports_no_decay_in_diagnostics(self):
+        # noise about a flat leaked fraction that the fit reads as a
+        # shrinking one: a negative rate
+        t = np.linspace(0.0, 100.0, 8)
+        y = [0.02019, 0.01964, 0.02041, 0.01679, 0.02362, 0.01879, 0.01692,
+             0.02124]
+        fit = fit_erasure(t, y)
+        assert fit.params["gamma_erasure_per_ms"] < 0.0
+        assert fit.diagnostics["warning"] == "no decay resolvable"
 
     def test_flat_trace_degenerates_in_diagnostics(self):
         t = np.linspace(0, 100, 6)

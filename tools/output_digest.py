@@ -133,6 +133,16 @@ RECORDED = {
         "noise":
             "5fe27996f1c682a5f85cf6594285935baf5844dcee30608c9da1b52b70bd83b8",
     },
+    "836fd561fb0a4d92f0c4b87b7848d54d45e1d991ad2c8f926ea90ac8f4638136": {
+        "sim-shots":
+            "d148f6b682ab3025d07bc512f7e5abf6294b81301ca1f44aa11d44093920ec85",
+        "analyze":
+            "293d0030840824e369841910a8a76c05495070753c7a52f5df9671fdb492e7fe",
+        "campaign":
+            "967ccd61d57d0755a3350355746115bd1121849865d0f8cce2014b755af4d735",
+        "noise":
+            "5fe27996f1c682a5f85cf6594285935baf5844dcee30608c9da1b52b70bd83b8",
+    },
 }
 
 
