@@ -222,6 +222,16 @@ def _pick_series(path: str, source: str | None) -> FrequencySeries:
     return series[0]
 
 
+def _fit_payload(name: str, fit, x, y, **extra) -> dict:
+    a, b, diag = fit(x, y)
+    if diag["clamped"]:
+        print(f"warning: {name} model amplitude(s) clamped at 0: "
+              f"{', '.join(diag['clamped'])}", file=sys.stderr)
+    return {"model": f"{name.lower()}_white_plus_oneoverf",
+            "params": {"A_hz2": a, "B_hz2_per_hz": b}, **extra,
+            "diagnostics": diag}
+
+
 def cmd_allan(args) -> int:
     series = _pick_series(args.infile, args.source)
     _check_overwrite(args.out, args.force)
@@ -232,17 +242,11 @@ def cmd_allan(args) -> int:
     curve = overlapping_allan(series, taus=taus)
     payload = None
     if args.fit_out:
-        a, b, diag = fit_allan_model(curve.tau_s, curve.sigma_hz)
-        if diag.get("clamped"):
-            print(f"warning: Allan model amplitude(s) clamped at 0: "
-                  f"{', '.join(diag['clamped'])}", file=sys.stderr)
         mask, a_rob, b_rob = flag_allan_bumps(curve)
-        payload = {"model": "allan_white_plus_oneoverf",
-                   "params": {"A_hz2": a, "B_hz2_per_hz": b},
-                   "bumps": {"flagged_tau_s": curve.tau_s[mask].tolist(),
-                             "robust_A_hz2": a_rob,
-                             "robust_B_hz2_per_hz": b_rob},
-                   "diagnostics": diag}
+        payload = _fit_payload(
+            "Allan", fit_allan_model, curve.tau_s, curve.sigma_hz,
+            bumps={"flagged_tau_s": curve.tau_s[mask].tolist(),
+                   "robust_A_hz2": a_rob, "robust_B_hz2_per_hz": b_rob})
     write_allan_csv(args.out, curve)
     _write_fit_and_manifest(args, payload)
     return 0
@@ -255,10 +259,7 @@ def cmd_psd(args) -> int:
     freqs, psd = welch_psd(series, segment_length=args.segment_length)
     payload = None
     if args.fit_out:
-        a, b, diag = fit_psd_model(freqs, psd)
-        payload = {"model": "psd_white_plus_oneoverf",
-                   "params": {"A_hz2": a, "B_hz2_per_hz": b},
-                   "diagnostics": diag}
+        payload = _fit_payload("PSD", fit_psd_model, freqs, psd)
     write_psd_csv(args.out, freqs, psd)
     _write_fit_and_manifest(args, payload)
     return 0

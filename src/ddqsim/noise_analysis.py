@@ -7,8 +7,9 @@ Handbook of Frequency Stability Analysis, NIST SP 1065, 2008). B is the
 one-sided white PSD (Hz^2/Hz) and A the 1/f amplitude (Hz^2 at 1 Hz) in both
 estimators, so the two fits can cross-check each other. Slow Lorentzian
 (telegraph) features are detected as bumps above the fitted model, not fit.
-A fit states a clamped amplitude in its returned diagnostics only. Both
-estimators and both fits are NumPy code.
+Both fits are one line fit in log space (`_fit_line`): an amplitude its
+start puts at 0 stays at 0, listed as clamped; a fit that does not converge
+raises FitConvergenceError. Both estimators and fits are NumPy code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitConvergenceError
-from .fitting import line_fit, lm_least_squares, quantiles
+from .fitting import line_fit, lm_least_squares
 from .tables import ALLAN, FREQUENCY, PSD, read_table, write_table
 
 
@@ -135,80 +136,92 @@ def _nnls_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(edges[costs.index(min(costs))])
 
 
+def _fit_line(x, y, weight, names) -> tuple[float, float, dict]:
+    """Fit y = a x + b, a and b >= 0, to the positive ``y`` by weighted
+    least squares in log space from the start `_nnls_line`; returns (a, b,
+    diagnostics). A coefficient the start puts at 0 stays at 0 and is listed
+    by its name in ``names`` in diagnostics "clamped", and no log fit runs.
+    A log fit that does not converge raises FitConvergenceError."""
+    positive = y > 0
+    x, y, weight = x[positive], y[positive], weight[positive]
+    a, b = _nnls_line(x, y)
+    clamped = [name for name, c in zip(names, (a, b)) if c <= 0.0]
+    if clamped:
+        return float(a), float(b), {"converged": True, "clamped": clamped,
+                                    "message": "nnls boundary solution"}
+    log_y = np.log(y)
+
+    def resid(theta):
+        with np.errstate(over="ignore"):
+            model = np.exp(theta[0]) * x + np.exp(theta[1])
+        return weight * (np.log(model) - log_y)
+
+    theta, info = lm_least_squares(resid, np.log([a, b]))
+    if not info["converged"]:
+        raise FitConvergenceError("noise model fit did not converge", info)
+    return math.exp(theta[0]), math.exp(theta[1]), {**info, "clamped": []}
+
+
+def _grid_problem(tau: np.ndarray) -> str | None:
+    """Why the Allan model cannot be fit on the taus ``tau``, or None."""
+    if len(tau) < 4:
+        return "need >= 4 tau points"
+    if tau.max() / tau.min() < 10 ** 1.5:
+        return "tau grid must span >= 1.5 decades"
+    return None
+
+
 def _allan_model(a: float, b: float, tau: np.ndarray) -> np.ndarray:
     # white (B/(2 tau)) and flicker (2 ln2 A) variances add
     return np.sqrt(b / (2.0 * tau) + 2.0 * math.log(2.0) * a)
 
 
 def fit_allan_model(tau_s, sigma_hz) -> tuple[float, float, dict]:
-    """Fit sigma^2(tau) = B/(2 tau) + 2 ln2 A in log space.
+    """Fit sigma^2(tau) = B/(2 tau) + 2 ln2 A by `_fit_line`, as the line
+    sigma^2/(2 ln2) = B x + A in x = 1/(4 ln2 tau), so that the log fit steps
+    in log B and log A; returns (A [Hz^2], B [Hz^2/Hz], diagnostics).
 
-    The start is a non-negative line fit of sigma^2 against 1/tau
-    (`_nnls_line`). Each log residual is weighted by sqrt(tau_min/tau): an
-    overlapping Allan point at tau = m tau0 has roughly N/m degrees of
-    freedom (NIST SP 1065, section 5), so its relative scatter grows as
-    sqrt(tau) and the sparse long-tau points must not outvote the rest.
-
-    Returns (A [Hz^2], B [Hz^2/Hz], diagnostics). Each amplitude the data
-    does not support is clamped at zero and listed in diagnostics "clamped".
+    Each log residual of sigma (half that of sigma^2) is weighted by
+    sqrt(tau_min/tau): an overlapping Allan point at tau = m tau0 has
+    roughly N/m degrees of freedom (NIST SP 1065, section 5), so its
+    relative scatter grows as sqrt(tau) and the sparse long-tau points must
+    not outvote the rest.
     """
     tau = np.asarray(tau_s, dtype=float)
     sig = np.asarray(sigma_hz, dtype=float)
-    if len(tau) < 4:
-        raise ConfigError("need >= 4 tau points")
-    if tau.max() / tau.min() < 10 ** 1.5:
-        raise ConfigError("tau grid must span >= 1.5 decades")
+    if problem := _grid_problem(tau):
+        raise ConfigError(problem)
     if np.all(sig <= 0):
-        return 0.0, 0.0, {"converged": True, "warning": "zero curve"}
-    half_b, flicker = _nnls_line(1.0 / tau, sig ** 2)
-    a, b = flicker / (2.0 * math.log(2.0)), 2.0 * half_b
-    positive = sig > 0
-    tau_p, log_sig = tau[positive], np.log(sig[positive])
-    weight = np.sqrt(tau_p.min() / tau_p)
-    clamped = []
-
-    def resid(theta):
-        with np.errstate(over="ignore"):
-            model = _allan_model(np.exp(theta[0]), np.exp(theta[1]), tau_p)
-        return weight * (np.log(model) - log_sig)
-
-    if a > 0 and b > 0:
-        theta, info = lm_least_squares(resid, np.log([a, b]))
-        a, b = math.exp(theta[0]), math.exp(theta[1])
-    else:
-        info = {"converged": True, "message": "nnls boundary solution"}
-        if a <= 0:
-            clamped.append("A")
-        if b <= 0:
-            clamped.append("B")
-    diagnostics = dict(info)
-    diagnostics["clamped"] = clamped
-    return float(a), float(b), diagnostics
+        return 0.0, 0.0, {"converged": True, "warning": "zero curve",
+                          "clamped": ["A", "B"]}
+    ln4 = 2.0 * math.log(2.0)
+    b, a, diagnostics = _fit_line(
+        0.5 / (ln4 * tau), sig ** 2 / ln4,
+        0.5 * np.sqrt(tau[sig > 0].min() / tau), ("B", "A"))
+    return a, b, diagnostics
 
 
 def flag_allan_bumps(curve: AllanCurve) -> tuple[np.ndarray, float, float]:
     """Flag Lorentzian-like bumps the two-term model cannot describe.
 
-    Fits the white + 1/f model robustly (two trimming rounds drop points far
-    above the fit, so a large bump cannot drag the baseline up), then flags
-    taus where sigma exceeds the model by more than 50% over at least two
-    consecutive points. Returns (mask, A, B). A curve `fit_allan_model`
-    cannot fit (fewer than 4 taus, under 1.5 decades) is a ConfigError.
+    Fits the white + 1/f model robustly (up to two trimming rounds drop
+    points far above the fit, so a large bump cannot drag the baseline up;
+    trimming stops at the last set of taus `_grid_problem` accepts), then
+    flags taus where sigma exceeds the model by more than 50% over at least
+    two consecutive points. Returns (mask, A, B). A curve off that grid
+    rule is a ConfigError.
     """
     tau, sig = curve.tau_s, curve.sigma_hz
     keep = np.ones(len(tau), dtype=bool)
     for _ in range(3):
         a, b, _ = fit_allan_model(tau[keep], sig[keep])
-        model = _allan_model(a, b, tau)
-        new_keep = sig <= 1.5 * np.maximum(model, 1e-300)
-        if new_keep.sum() < 4 or np.array_equal(new_keep, keep):
+        new_keep = sig <= 1.5 * np.maximum(_allan_model(a, b, tau), 1e-300)
+        if _grid_problem(tau[new_keep]) or np.array_equal(new_keep, keep):
             break
         keep = new_keep
-    model = _allan_model(a, b, tau)
-    over = sig > 1.5 * np.maximum(model, 1e-300)
     mask = np.zeros(len(tau), dtype=bool)
     run = 0
-    for i, flag in enumerate(over):
+    for i, flag in enumerate(~new_keep):
         run = run + 1 if flag else 0
         if run >= 2:
             mask[i - run + 1:i + 1] = True
@@ -252,29 +265,14 @@ def welch_psd(series: FrequencySeries, segment_length: int | None = None):
 
 
 def fit_psd_model(freqs_hz, psd) -> tuple[float, float, dict]:
-    """Fit S(f) = A/f + B in log-log space; returns (A, B, diagnostics)."""
+    """Fit S(f) = A/f + B in log-log space by `_fit_line` on 1/f over the
+    nonzero bins; returns (A [Hz^2], B [Hz^2/Hz], diagnostics)."""
     f = np.asarray(freqs_hz, dtype=float)
     s = np.asarray(psd, dtype=float)
     sel = (f > 0) & (s > 0)
-    f, s = f[sel], s[sel]
-    if len(f) < 6:
+    if sel.sum() < 6:
         raise ConfigError("need >= 6 nonzero frequency bins")
-    a0, b0 = _nnls_line(1.0 / f, s)
-    # a clamped coefficient starts from the median of an outer third
-    f_lo, f_mid, f_hi = quantiles(f, [0.33, 0.5, 0.67])
-    if a0 <= 0:
-        a0 = max(float(quantiles(s[f <= f_lo], 0.5) * f_mid), 1e-30)
-    if b0 <= 0:
-        b0 = max(float(quantiles(s[f >= f_hi], 0.5)), 1e-30)
-
-    def resid(theta):
-        with np.errstate(over="ignore"):
-            return np.log(np.exp(theta[0]) / f + np.exp(theta[1])) - np.log(s)
-
-    theta, info = lm_least_squares(resid, np.log([a0, b0]))
-    if not info["converged"]:
-        raise FitConvergenceError("PSD model fit did not converge", info)
-    return math.exp(theta[0]), math.exp(theta[1]), dict(info)
+    return _fit_line(1.0 / f[sel], s[sel], np.ones(sel.sum()), ("A", "B"))
 
 
 def write_allan_csv(path, curve: AllanCurve) -> None:

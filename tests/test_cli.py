@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ddqsim
-from ddqsim import streams, tables
+from ddqsim import fitting, streams, tables
 from ddqsim.cli import build_parser, main
 from ddqsim.campaign import (CampaignConfig, simulate_counts_trace,
                              simulate_points)
@@ -562,19 +562,33 @@ class TestNoiseAnalysisCommands:
         assert sorted(os.listdir(tmp_path)) == ["freq.csv"]
 
     def test_allan_clamp_notice_printed_once(self, tmp_path, capsys):
-        # white noise only: the 1/f amplitude clamps at 0
+        # white noise only: the 1/f amplitude clamps at 0 in both fits
         tau0 = 0.05
         values = synthesize_noise(NoiseProcess("white", 1.2e6),
                                   8192 * tau0 * 1e6, tau0 * 1e6, seed=41)
         path = self.write_freq(tmp_path, values, tau0=tau0)
-        fit_out = tmp_path / "fit.json"
-        assert run(["allan", "--in", str(path), "--out",
-                    str(tmp_path / "allan.csv"), "--fit-out",
-                    str(fit_out)]) == 0
-        assert json.loads(fit_out.read_text())["diagnostics"]["clamped"] \
-            == ["A"]
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: Allan model amplitude(s) clamped at 0: A"]
+        for command, name in (("allan", "Allan"), ("psd", "PSD")):
+            fit_out = tmp_path / f"{command}_fit.json"
+            assert run([command, "--in", str(path), "--out",
+                        str(tmp_path / f"{command}.csv"), "--fit-out",
+                        str(fit_out)]) == 0
+            assert json.loads(fit_out.read_text())["diagnostics"][
+                "clamped"] == ["A"]
+            assert capsys.readouterr().err.splitlines() == [
+                f"warning: {name} model amplitude(s) clamped at 0: A"]
+
+    @pytest.mark.parametrize("command", ["allan", "psd"])
+    def test_unconverged_fit_exits_4_and_writes_nothing(
+            self, tmp_path, monkeypatch, command):
+        # white noise on a random walk: neither fit clamps, so both run LM
+        rng = np.random.default_rng(2)
+        path = self.write_freq(tmp_path, np.cumsum(rng.normal(0.0, 5.0, 1024))
+                               + rng.normal(0.0, 50.0, 1024))
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        assert run([command, "--in", str(path), "--out",
+                    str(tmp_path / "o.csv"), "--fit-out",
+                    str(tmp_path / "fit.json")]) == 4
+        assert sorted(os.listdir(tmp_path)) == ["freq.csv"]
 
     def test_missing_source_rejected(self, tmp_path):
         path = self.write_freq(tmp_path, np.zeros(32))

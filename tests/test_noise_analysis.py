@@ -6,14 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.signal import welch
 
 import ddqsim
-from ddqsim.errors import ConfigError
+from ddqsim import fitting
+from ddqsim.errors import ConfigError, FitConvergenceError
 from ddqsim.noise import NoiseProcess, synthesize_noise
-from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, _nnls_line,
-                                   default_taus, fit_allan_model,
+from ddqsim.noise_analysis import (AllanCurve, FrequencySeries, _fit_line,
+                                   _nnls_line, default_taus, fit_allan_model,
                                    fit_psd_model, flag_allan_bumps,
                                    overlapping_allan, read_frequency_csv,
                                    welch_psd)
@@ -347,7 +350,8 @@ class TestCrossEstimatorConsistency:
             _, b_allan, diag = fit_allan_model(*_curve(overlapping_allan(s)))
         assert diag["clamped"] == ["A"]
         freqs, psd = welch_psd(s)
-        _, b_psd, _ = fit_psd_model(freqs, psd)
+        _, b_psd, diag = fit_psd_model(freqs, psd)
+        assert diag["clamped"] == ["A"]
         assert b_allan == pytest.approx(b_psd, rel=0.30)
 
     def test_flicker_amplitude_agrees(self):
@@ -360,6 +364,35 @@ class TestCrossEstimatorConsistency:
         freqs, psd = welch_psd(s)
         a_psd, _, _ = fit_psd_model(freqs, psd)
         assert a_allan == pytest.approx(a_psd, rel=0.30)
+
+
+class TestSharedLineFit:
+    # the 1/tau grid of an octave-spaced Allan curve over three decades
+    x = 1.0 / default_taus(4096, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_recovers_a_noiseless_line(self, log_a, log_b):
+        a, b = 10.0 ** log_a, 10.0 ** log_b
+        got_a, got_b, diag = _fit_line(self.x, a * self.x + b,
+                                       np.ones_like(self.x), ("a", "b"))
+        assert diag["clamped"] == []
+        assert got_a == pytest.approx(a, rel=1e-6)
+        assert got_b == pytest.approx(b, rel=1e-6)
+
+    def test_unconverged_fit_raises_for_both_estimators(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        s = FrequencySeries(np.cumsum(rng.normal(0.0, 5.0, 1024))
+                            + rng.normal(0.0, 50.0, 1024), 100.0)
+        curve, (freqs, psd) = overlapping_allan(s), welch_psd(s)
+        # both log fits run: neither start is clamped
+        assert fit_allan_model(*_curve(curve))[2]["clamped"] == []
+        assert fit_psd_model(freqs, psd)[2]["clamped"] == []
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        with pytest.raises(FitConvergenceError):
+            fit_allan_model(*_curve(curve))
+        with pytest.raises(FitConvergenceError):
+            fit_psd_model(freqs, psd)
 
 
 def _curve(curve: AllanCurve):
@@ -392,6 +425,18 @@ class TestBumpFlagging:
         mask, _, _ = flag_allan_bumps(AllanCurve(taus, sigma,
                                                  np.ones_like(taus)))
         assert not mask.any()
+
+    def test_trimming_stops_at_a_grid_the_model_fits(self):
+        # a slow telegraph step on white scatter: trimming used to drop long
+        # taus until the rest spanned under 1.5 decades, a ConfigError
+        rng = np.random.default_rng(13)
+        state = np.cumsum(rng.random(200) < 100 / 28800) % 2
+        curve = overlapping_allan(FrequencySeries(
+            15e3 * state + rng.normal(0.0, 300.0, 200), 100.0))
+        fit_allan_model(*_curve(curve))
+        mask, a, b = flag_allan_bumps(curve)
+        assert len(mask) == len(curve.tau_s)
+        assert np.isfinite([a, b]).all() and a >= 0 and b >= 0
 
     def test_curve_too_short_for_the_model_rejected(self):
         # three taus used to come back all flagged with A = B = 0

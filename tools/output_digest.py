@@ -1,7 +1,7 @@
 """Digest of ddqsim's outputs over a fixed set of CLI commands.
 
 Runs ``sim-shots``, ``analyze``, ``campaign``/``summarize`` and
-``allan``/``psd`` (with ``--fit-out``, on a fixed frequency series) through
+``allan``/``psd`` (with ``--fit-out``, on two fixed frequency series) through
 ``ddqsim.cli.main`` only, the stable contract, in a temporary directory with
 relative paths so manifests do not depend on where it runs. Prints one
 sha256 per command group and a total over the groups. Two checkouts that
@@ -143,6 +143,16 @@ RECORDED = {
         "noise":
             "5fe27996f1c682a5f85cf6594285935baf5844dcee30608c9da1b52b70bd83b8",
     },
+    "2c019d3763c4c3e44d93cebf8dedbafcd3143377e2e7a0e1036c7927ac4ac493": {
+        "sim-shots":
+            "d148f6b682ab3025d07bc512f7e5abf6294b81301ca1f44aa11d44093920ec85",
+        "analyze":
+            "293d0030840824e369841910a8a76c05495070753c7a52f5df9671fdb492e7fe",
+        "campaign":
+            "967ccd61d57d0755a3350355746115bd1121849865d0f8cce2014b755af4d735",
+        "noise":
+            "80ff5f4193c79bbe96a98fd1cec87ddddd0dc5b1e9fb6ac8ab96c15fda1edef2",
+    },
 }
 
 
@@ -191,13 +201,14 @@ def campaign_commands() -> list:
              "--out", "summary.json"]]
 
 
-def frequency_csv() -> str:
-    """A frequency series of white noise on a random walk, 100 s apart,
-    drawn from Python's own seeded generator and written with repr floats."""
-    rng = random.Random(int(SEED))
+def frequency_csv(seed: int, walk_hz: float) -> str:
+    """A frequency series of 50 Hz white noise on a random walk of
+    ``walk_hz`` steps, 100 s apart, drawn from Python's own generator seeded
+    with ``seed`` and written with repr floats."""
+    rng = random.Random(seed)
     lines, walk = ["timestamp_s,delta_f_hz,source"], 0.0
     for i in range(1024):
-        walk += rng.gauss(0.0, 5.0)
+        walk += rng.gauss(0.0, walk_hz)
         lines.append(f"{i * 100.0!r},{walk + rng.gauss(0.0, 50.0)!r},logical")
     return "\n".join(lines) + "\n"
 
@@ -210,7 +221,12 @@ def noise_commands() -> list:
             ["psd", "--in", "freq.csv", "--out", "psd.csv",
              "--fit-out", "psd_fit.json"],
             ["psd", "--in", "freq.csv", "--out", "psd256.csv",
-             "--segment-length", "256", "--fit-out", "psd256_fit.json"]]
+             "--segment-length", "256", "--fit-out", "psd256_fit.json"],
+            # white only: both fits clamp the 1/f amplitude A at 0
+            ["allan", "--in", "white.csv", "--out", "allan_white.csv",
+             "--fit-out", "allan_white_fit.json"],
+            ["psd", "--in", "white.csv", "--out", "psd_white.csv",
+             "--fit-out", "psd_white_fit.json"]]
 
 
 GROUPS = (("sim-shots", sim_shots_commands), ("analyze", analyze_commands),
@@ -268,8 +284,10 @@ def main(argv=None) -> int:
                     json.dump(spec, fh)
             with open("campaign.json", "w", encoding="utf-8") as fh:
                 json.dump(CAMPAIGN, fh)
-            with open("freq.csv", "w", encoding="utf-8", newline="") as fh:
-                fh.write(frequency_csv())
+            for name, seed, walk_hz in (("freq.csv", int(SEED), 5.0),
+                                        ("white.csv", 11, 0.0)):
+                with open(name, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(frequency_csv(seed, walk_hz))
             seen = set(tree_files("."))
             for name, commands in GROUPS:
                 argvs = commands()
